@@ -12,9 +12,10 @@ Exit codes: 0 success, 2 invalid configuration or input, 3 numerical
 failure. Output is deterministic byte-for-byte for a fixed configuration:
 rows are sorted by (parameter, L), floats printed with 17 significant
 digits. Options may also come from a config file of `key = value` lines
-(`#` comments; keys are the long option names; list-valued options are
-whitespace-separated); command-line flags win over the file, which wins
-over built-in defaults. The environment variable SCE_MAX_ED_SITES lifts
+(`#` comments; keys are the long option names of the subcommand;
+list-valued options are whitespace-separated). File values are checked
+like flags; command-line flags win over the file, which wins over
+built-in defaults. The environment variable SCE_MAX_ED_SITES lifts
 the exact-diagonalization site cap.
 """
 
@@ -38,20 +39,6 @@ from .entanglement import (
 
 SCAN_HEADER = "model,delta_or_k,L,S,S1,w1,lnZ,E0,M_max"
 
-_DEFAULTS = {
-    "model": "xx",
-    "nu": 0.5,
-    "geometry": "infinite",
-    "observable": "S1",
-    "format": "csv",
-    "threads": 1,
-    "out": None,
-    "delta": None,
-    "k": None,
-    "L": None,
-    "L_range": None,
-}
-
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
@@ -71,27 +58,6 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-class _Options:
-    """Merged view of flags > config file > defaults."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self._args = args
-        self._config = config
-
-    def get(self, name, convert=None):
-        flag = getattr(self._args, name, None)
-        if flag is not None:
-            return flag
-        if name in self._config:
-            raw = self._config[name]
-            return convert(raw) if convert else raw
-        return _DEFAULTS.get(name)
-
-
-def _split_list(raw: str) -> list[str]:
-    return raw.replace(",", " ").split()
-
-
 def _geometric_range(spec: str) -> list[int]:
     """START:STOP:FACTOR -> geometric integer ladder, e.g. 64:4096:2."""
     parts = spec.split(":")
@@ -108,16 +74,13 @@ def _geometric_range(spec: str) -> list[int]:
     return out
 
 
-def _resolve_lengths(opts: _Options) -> list[int]:
-    explicit = opts.get("L", lambda raw: [int(v) for v in _split_list(raw)])
-    rng = opts.get("L_range", str)
-    if explicit and rng:
+def _resolve_lengths(args: argparse.Namespace) -> list[int]:
+    if args.L and args.L_range:
         raise ValueError("give either --L or --L-range, not both")
-    if rng:
-        return _geometric_range(rng)
-    if not explicit:
+    lengths = _geometric_range(args.L_range) if args.L_range else args.L
+    if not lengths:
         raise ValueError("no system sizes given (--L or --L-range)")
-    return sorted(set(int(v) for v in explicit))
+    return sorted(set(lengths))
 
 
 def _ed_cap() -> int:
@@ -166,44 +129,35 @@ def _tfim_row(k: float, L: int) -> dict:
 
 
 def _xxz_row(delta: float, L: int, cap: int) -> dict:
-    state = exact_diag.xxz_ground_state(exact_diag.XxzSpec(L, delta), max_sites=cap)
-    summary = summary_from_weights(exact_diag.rdm_weights(state, (L + 1) // 2))
-    return _row("xxz-ed", delta, L, summary)
+    (point,) = exact_diag.xxz_scan([delta], [L], max_sites=cap)
+    return _row("xxz-ed", delta, L, point.summary)
 
 
-def cmd_scan(opts: _Options) -> int:
-    model = opts.get("model")
-    lengths = _resolve_lengths(opts)
-    if model == "xx":
-        nu = opts.get("nu", float)
-        tasks = [(nu, L) for L in lengths]
+def cmd_scan(args: argparse.Namespace) -> int:
+    lengths = _resolve_lengths(args)
+    if args.model == "xx":
+        tasks = [(args.nu, L) for L in lengths]
         worker = lambda p: _xx_row(*p)
-    elif model == "tfim":
-        ks = opts.get("k", lambda raw: [float(v) for v in _split_list(raw)])
-        if not ks:
+    elif args.model == "tfim":
+        if not args.k:
             raise ValueError("tfim scan needs --k")
-        tasks = [(k, L) for k in sorted(set(ks)) for L in lengths]
+        tasks = [(k, L) for k in sorted(set(args.k)) for L in lengths]
         worker = lambda p: _tfim_row(*p)
-    elif model == "xxz-ed":
-        deltas = opts.get("delta", lambda raw: [float(v) for v in _split_list(raw)])
-        if not deltas:
+    else:
+        if not args.delta:
             raise ValueError("xxz-ed scan needs --delta")
         cap = _ed_cap()
-        tasks = [(d, L) for d in sorted(set(deltas)) for L in lengths]
+        tasks = [(d, L) for d in sorted(set(args.delta)) for L in lengths]
         worker = lambda p: _xxz_row(*p, cap)
-    else:
-        raise ValueError(f"unknown scan model {model!r}")
 
-    threads = int(opts.get("threads"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if args.threads > 1:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             rows = list(pool.map(worker, tasks))
     else:
         rows = [worker(p) for p in tasks]
     rows.sort(key=lambda r: (r["delta_or_k"], r["L"]))
 
-    fmt = opts.get("format")
-    if fmt == "csv":
+    if args.format == "csv":
         lines = [SCAN_HEADER]
         for r in rows:
             lines.append(
@@ -222,11 +176,9 @@ def cmd_scan(opts: _Options) -> int:
                 )
             )
         text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     else:
-        raise ValueError(f"unknown format {fmt!r}")
-    _write_output(text, opts.get("out"))
+        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+    _write_output(text, args.out)
     return 0
 
 
@@ -234,29 +186,26 @@ def cmd_scan(opts: _Options) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(opts: _Options) -> int:
-    model = opts.get("model")
-    lengths = _resolve_lengths(opts)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    lengths = _resolve_lengths(args)
     if len(lengths) != 1:
         raise ValueError("spectrum wants exactly one subsystem size")
     L = lengths[0]
-    if model == "xx":
-        nu = opts.get("nu", float)
-        corr = free_fermion.xx_correlations_infinite(L, nu)
+    if args.model == "xx":
+        corr = free_fermion.xx_correlations_infinite(L, args.nu)
         spec = free_fermion.single_particle_energies(corr)
-    elif model == "tfim":
-        raw_k = opts.get("k", lambda raw: [float(v) for v in _split_list(raw)])
-        if not raw_k or len(raw_k) != 1:
+    elif args.model == "tfim":
+        if not args.k or len(args.k) != 1:
             raise ValueError("tfim spectrum needs exactly one --k")
-        chain = free_fermion.FermionModelSpec(kind="tfim", modulus=raw_k[0], length=2 * L)
+        chain = free_fermion.FermionModelSpec(kind="tfim", modulus=args.k[0], length=2 * L)
         corr = free_fermion.ground_state_correlations(free_fermion.build_bdg(chain))
         spec = free_fermion.single_particle_energies(corr, range(L))
     else:
-        raise ValueError(f"spectrum supports models xx and tfim, got {model!r}")
+        raise ValueError(f"spectrum supports models xx and tfim, got {args.model!r}")
     lines = ["k,epsilon,zeta,zero_mode"]
     for i, (eps, zeta) in enumerate(zip(spec.epsilons, spec.occupations)):
         lines.append(f"{i},{_fmt(eps)},{_fmt(zeta)},{int(eps == 0.0)}")
-    _write_output("\n".join(lines) + "\n", opts.get("out"))
+    _write_output("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -287,12 +236,9 @@ _GEOMETRIES = {
 }
 
 
-def cmd_fit_c(opts: _Options, scan_path: str) -> int:
-    rows = _read_scan_csv(scan_path)
-    geometry = opts.get("geometry")
-    if geometry not in _GEOMETRIES:
-        raise ValueError(f"unknown geometry {geometry!r}")
-    observable = opts.get("observable")
+def cmd_fit_c(args: argparse.Namespace) -> int:
+    rows = _read_scan_csv(args.scan_file)
+    geometry, observable = args.geometry, args.observable
     factor = scaling.geometry_factor(_GEOMETRIES[geometry])
     if observable == "S":
         factor /= 2.0
@@ -323,7 +269,7 @@ def cmd_fit_c(opts: _Options, scan_path: str) -> int:
         )
         report["k1"] = k1
         report["residual"] = residual
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", opts.get("out"))
+    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -341,7 +287,8 @@ def _kv(params: list[str]) -> dict:
     return out
 
 
-def cmd_analytic(formula: str, params: list[str], opts: _Options) -> int:
+def cmd_analytic(args: argparse.Namespace) -> int:
+    formula, params = args.formula, args.params
     geometry = None
     if params and "=" not in params[0]:
         geometry = params[0]
@@ -375,7 +322,7 @@ def cmd_analytic(formula: str, params: list[str], opts: _Options) -> int:
         value = analytic.conformal_renyi_trace(kv["L"], kv["n"], p)
     else:
         raise ValueError(f"unknown formula {formula!r}")
-    _write_output(f"{value:.12g}\n", opts.get("out"))
+    _write_output(f"{value:.12g}\n", args.out)
     return 0
 
 
@@ -383,9 +330,8 @@ def cmd_analytic(formula: str, params: list[str], opts: _Options) -> int:
 # compare-oracle
 # ---------------------------------------------------------------------------
 
-def cmd_compare_oracle(opts: _Options) -> int:
-    explicit = opts.get("L", lambda raw: [int(v) for v in _split_list(raw)])
-    lengths = sorted(set(explicit)) if explicit else [3, 5, 7, 9, 11, 13, 15]
+def cmd_compare_oracle(args: argparse.Namespace) -> int:
+    lengths = sorted(set(args.L)) if args.L else [3, 5, 7, 9, 11, 13, 15]
     bad = [L for L in lengths if L % 2 == 0]
     if bad:
         raise ValueError(f"oracle comparison is defined for odd lengths, got {bad}")
@@ -427,7 +373,7 @@ def cmd_compare_oracle(opts: _Options) -> int:
         "max_dweight": max(v["dweight"] for v in per_length.values()),
         "max_dE": max(v["dE"] for v in per_length.values()),
     }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", opts.get("out"))
+    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
 
@@ -442,7 +388,8 @@ def ff_ground_energy(L: int) -> float:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The `sce` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="sce",
         description="Single-copy entanglement toolkit for quantum chains.",
@@ -452,21 +399,21 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, with_format=False):
         p.add_argument("--config", default=None,
                        help="key = value config file; flags take precedence")
-        p.add_argument("--model", choices=["xx", "tfim", "xxz-ed"], default=None)
+        p.add_argument("--model", choices=["xx", "tfim", "xxz-ed"], default="xx")
         p.add_argument("--delta", nargs="+", type=float, default=None,
-                       help="XXZ anisotropies")
+                       help="XXZ anisotropies, >= -1")
         p.add_argument("--k", nargs="+", type=float, default=None,
                        help="Ising couplings (elliptic modulus)")
-        p.add_argument("--nu", type=float, default=None, help="XX filling, default 1/2")
+        p.add_argument("--nu", type=float, default=0.5, help="XX filling, default 1/2")
         p.add_argument("--L", nargs="+", type=int, default=None, help="system sizes")
         p.add_argument("--L-range", dest="L_range", default=None,
                        help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2")
-        p.add_argument("--geometry", choices=sorted(_GEOMETRIES), default=None)
+        p.add_argument("--geometry", choices=sorted(_GEOMETRIES), default="infinite")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=None,
+        p.add_argument("--threads", type=int, default=1,
                        help="parallel scan workers (output order is unaffected)")
         if with_format:
-            p.add_argument("--format", choices=["csv", "json"], default=None)
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p_spec = sub.add_parser("spectrum", help="single-particle entanglement spectrum")
     common(p_spec)
@@ -476,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit-c", help="central-charge report from a scan table")
     p_fit.add_argument("scan_file", help="CSV produced by `sce scan`")
-    p_fit.add_argument("--observable", choices=["S1", "S"], default=None)
+    p_fit.add_argument("--observable", choices=["S1", "S"], default="S1")
     common(p_fit)
 
     p_ana = sub.add_parser("analytic", help="evaluate a closed-form prediction")
@@ -489,26 +436,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare-oracle",
                            help="XXZ diagonalization vs free-fermion route at Delta=0")
     common(p_cmp)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Flags over config file over defaults.
+
+    The file's values are parsed as trailing flags, so they meet the same
+    types and choices, and then become the subcommand's defaults for a
+    final parse of the command line alone.
+    """
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    config = _parse_config_file(args.config)
+    for key in config:
+        if key not in vars(args):
+            raise ValueError(f"{args.config}: {args.command} has no option {key!r}")
+    tokens = [tok for key, value in config.items()
+              for tok in ("--" + key.replace("_", "-"), *value.replace(",", " ").split())]
+    from_file = parser.parse_args(argv + tokens)
+    commands[args.command].set_defaults(**{key: getattr(from_file, key) for key in config})
+    return parser.parse_args(argv)
+
+
+_COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "scan": cmd_scan,
+    "fit-c": cmd_fit_c,
+    "analytic": cmd_analytic,
+    "compare-oracle": cmd_compare_oracle,
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        config = _parse_config_file(args.config) if args.config else {}
-        opts = _Options(args, config)
-        if args.command == "spectrum":
-            return cmd_spectrum(opts)
-        if args.command == "scan":
-            return cmd_scan(opts)
-        if args.command == "fit-c":
-            return cmd_fit_c(opts, args.scan_file)
-        if args.command == "analytic":
-            return cmd_analytic(args.formula, args.params, opts)
-        if args.command == "compare-oracle":
-            return cmd_compare_oracle(opts)
-        raise ValueError(f"unknown command {args.command!r}")
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as err:
         # LinAlgError subclasses ValueError, so numerical failures go first
         print(f"numerical failure: {err}", file=sys.stderr)

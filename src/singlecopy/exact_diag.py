@@ -9,9 +9,9 @@ up-spin configurations enumerated by ascending bit pattern, with site 0 on
 the most significant bit so that reshaping the full amplitude vector into
 a 2^L_left x 2^L_right matrix splits off the leftmost sites.
 
-Solvers: dense symmetric diagonalization for sector dimensions up to 5000,
-Lanczos (ARPACK, deterministic start vector) above; either way the
-residual ||H v - E v|| must reach 1e-10. Chains are capped at 20 sites by
+Solver: Lanczos (ARPACK, deterministic start vector) for every sector; the
+residual ||H v - E v|| must reach 1e-10. The sector basis and Hamiltonian
+are built with numpy bit operations. Chains are capped at 20 sites by
 default; the cap is a guard against accidental exponential blow-up, not a
 hard algorithmic limit.
 """
@@ -19,12 +19,11 @@ hard algorithmic limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
-from scipy.linalg import eigh, svdvals
+from scipy.linalg import svdvals
 
 from .entanglement import EntanglementSummary, RdmSpectrum, summary_from_weights
 
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 ED_SITE_CAP = 20
-_DENSE_DIM_MAX = 5000
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
 
@@ -48,8 +46,10 @@ _WEIGHT_TRIM = 1e-14
 class XxzSpec:
     """Open XXZ chain: `length` sites, anisotropy `delta`.
 
-    The chain is critical (central charge 1) for -1 < delta <= 1; other
-    anisotropies are accepted but `is_critical` is False there.
+    The chain is critical (central charge 1) for -1 < delta <= 1. delta = -1
+    (the ferromagnetic point) and delta > 1 are accepted, with `is_critical`
+    False. delta < -1 is rejected: there the ground state leaves the
+    Sz = 0 / +1/2 sector that the diagonalization works in.
     """
 
     length: int
@@ -58,6 +58,8 @@ class XxzSpec:
     def __post_init__(self):
         if self.length < 2:
             raise ValueError(f"chain needs at least 2 sites, got {self.length}")
+        if not self.delta >= -1.0:
+            raise ValueError(f"anisotropy must be >= -1, got {self.delta}")
 
     @property
     def is_critical(self) -> bool:
@@ -94,33 +96,33 @@ class XxzScanPoint:
 
 def _sector_basis(length: int, n_up: int) -> np.ndarray:
     """Up-spin configurations as integers, ascending. Site j <-> bit (length-1-j)."""
-    states = [
-        sum(1 << (length - 1 - s) for s in cfg)
-        for cfg in combinations(range(length), n_up)
-    ]
-    return np.array(sorted(states), dtype=np.int64)
+    states = np.arange(1 << length, dtype=np.int64)
+    ones = np.zeros(states.shape, dtype=np.int8)
+    for bit in range(length):
+        ones += (states >> bit) & 1
+    return states[ones == n_up]
 
 
 def _sector_hamiltonian(length: int, delta: float, basis: np.ndarray) -> sparse.csr_matrix:
-    index = {int(b): i for i, b in enumerate(basis)}
-    rows, cols, vals = [], [], []
-    for i, b in enumerate(basis):
-        b = int(b)
-        diag = 0.0
-        for s in range(length - 1):
-            bi = (b >> (length - 1 - s)) & 1
-            bj = (b >> (length - 2 - s)) & 1
-            diag += delta * (bi - 0.5) * (bj - 0.5)
-            if bi != bj:
-                flipped = b ^ ((1 << (length - 1 - s)) | (1 << (length - 2 - s)))
-                rows.append(index[flipped])
-                cols.append(i)
-                vals.append(0.5)
-        rows.append(i)
-        cols.append(i)
-        vals.append(diag)
     dim = len(basis)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    diag = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    for s in range(length - 1):
+        bi = (basis >> (length - 1 - s)) & 1
+        bj = (basis >> (length - 2 - s)) & 1
+        diag += delta * (bi - 0.5) * (bj - 0.5)
+        hop = np.flatnonzero(bi != bj)
+        # flipping the antiparallel pair (s, s+1) stays inside the sector
+        rows.append(np.searchsorted(basis, basis[hop] ^ (3 << (length - 2 - s))))
+        cols.append(hop)
+        vals.append(np.full(len(hop), 0.5))
+    rows.append(np.arange(dim))
+    cols.append(np.arange(dim))
+    vals.append(diag)
+    return sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
 
 
 def xxz_ground_state(spec: XxzSpec, max_sites: int = ED_SITE_CAP) -> GroundStateVector:
@@ -137,15 +139,10 @@ def xxz_ground_state(spec: XxzSpec, max_sites: int = ED_SITE_CAP) -> GroundState
     n_up = (spec.length + 1) // 2  # Sz = +1/2 sector for odd length, 0 for even
     basis = _sector_basis(spec.length, n_up)
     H = _sector_hamiltonian(spec.length, spec.delta, basis)
-    dim = H.shape[0]
-    if dim <= _DENSE_DIM_MAX:
-        evals, evecs = eigh(H.toarray())
-        energy, vec = float(evals[0]), evecs[:, 0]
-    else:
-        # deterministic start vector with no symmetry alignment
-        v0 = np.cos(0.7 * np.arange(dim) + 0.3)
-        evals, evecs = sparse_linalg.eigsh(H, k=1, which="SA", v0=v0, tol=0)
-        energy, vec = float(evals[0]), evecs[:, 0]
+    # deterministic start vector with no symmetry alignment
+    v0 = np.cos(0.7 * np.arange(H.shape[0]) + 0.3)
+    evals, evecs = sparse_linalg.eigsh(H, k=1, which="SA", v0=v0, tol=0)
+    energy, vec = float(evals[0]), evecs[:, 0]
     residual = np.linalg.norm(H @ vec - energy * vec)
     if residual > _RESIDUAL_TOL * max(1.0, abs(energy)):
         raise np.linalg.LinAlgError(

@@ -24,6 +24,14 @@ def read(path):
     return path.read_bytes()
 
 
+def exit_code(argv):
+    """Exit status of `sce argv`, whether main returns it or argparse exits."""
+    try:
+        return run(argv)
+    except SystemExit as stop:
+        return stop.code
+
+
 class TestSpectrum:
     def test_even_subsystem_rows_and_pairing(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -93,6 +101,17 @@ class TestScan:
             spec = single_particle_energies(corr, range((L + 1) // 2))
             expected = summary_from_single_particle(spec).S1
             assert float(r[4]) == pytest.approx(expected, abs=1e-9)
+
+    def test_xxz_delta_below_minus_one_exits_two(self, capsys):
+        assert run(["scan", "--model", "xxz-ed", "--delta", "-2", "--L", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "-1" in captured.err
+
+    def test_l_range_rows_distinct(self, capsys):
+        assert run(["scan", "--model", "xx", "--L-range", "1:6:1.2"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert [int(r.split(",")[2]) for r in rows] == [1, 2, 3, 4, 5, 6]
 
     def test_tfim_scan_runs(self, tmp_path):
         out = tmp_path / "tfim.csv"
@@ -236,6 +255,36 @@ class TestConfigPrecedence:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just words\n", encoding="utf-8")
         assert run(["scan", "--config", str(cfg), "--model", "xx", "--L", "4"]) == 2
+
+
+class TestConfigValidation:
+    def write(self, tmp_path, text):
+        cfg = tmp_path / "sce.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        return str(cfg)
+
+    # a misspelling, an abbreviation of --nu, and an option of fit-c only
+    @pytest.mark.parametrize("key", ["nu_", "n", "observable"])
+    def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys, key):
+        cfg = self.write(tmp_path, f"model = xx\nL = 6\n{key} = 0.3\n")
+        assert exit_code(["scan", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(key) in captured.err
+
+    @pytest.mark.parametrize("line", ["nu = half", "model = heisenberg",
+                                      "format = xml", "threads = 1.5"])
+    def test_values_checked_like_flags(self, tmp_path, capsys, line):
+        cfg = self.write(tmp_path, f"L = 6\n{line}\n")
+        assert exit_code(["scan", "--config", cfg]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_list_values_and_dash_keys(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, "model = xxz-ed\ndelta = -0.5 0.5\nL-range = 4:8:2\n")
+        assert exit_code(["scan", "--config", cfg]) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert [(r[1], r[2]) for r in rows] == [("-0.5", "4"), ("-0.5", "8"),
+                                                ("0.5", "4"), ("0.5", "8")]
 
 
 class TestEdCapOverride:

@@ -1,6 +1,7 @@
 """XXZ diagonalization: energies, Schmidt spectra, symmetries, scans."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from singlecopy.entanglement import summary_from_single_particle, summary_from_w
 from singlecopy.exact_diag import (
     GroundStateVector,
     XxzSpec,
+    _sector_basis,
+    _sector_hamiltonian,
     rdm_weights,
     xxz_ground_state,
     xxz_scan,
@@ -50,7 +53,7 @@ class TestGroundState:
         state = xxz_ground_state(XxzSpec(L, 0.0))
         assert state.energy == pytest.approx(xx_open_energy(L), abs=1e-11)
 
-    @pytest.mark.parametrize("L,delta", [(6, -0.4), (7, 0.8)])
+    @pytest.mark.parametrize("L,delta", [(6, -0.4), (7, 0.8), (8, -1.0), (9, 2.0)])
     def test_energy_against_dense_diagonalization(self, L, delta):
         e_full = np.linalg.eigvalsh(xxz_dense_hamiltonian(L, delta))[0]
         state = xxz_ground_state(XxzSpec(L, delta))
@@ -77,6 +80,36 @@ class TestGroundState:
         assert not XxzSpec(4, 1.5).is_critical
         with pytest.raises(ValueError):
             XxzSpec(1, 0.0)
+
+    def test_rejects_delta_below_minus_one(self):
+        # below -1 the ground state leaves the Sz = 0 / +1/2 sector: at
+        # L = 8, delta = -2 the sector state has E = -2.634, the chain -3.5
+        for delta in (-2.0, -1.0 - 1e-9, float("nan")):
+            with pytest.raises(ValueError):
+                XxzSpec(8, delta)
+        assert not XxzSpec(8, -1.0).is_critical
+
+
+def combinations_basis(L, n_up):
+    """Sector basis by explicit enumeration of up-spin site sets."""
+    states = [sum(1 << (L - 1 - s) for s in cfg) for cfg in combinations(range(L), n_up)]
+    return np.array(sorted(states), dtype=np.int64)
+
+
+class TestSectorBuilders:
+    @pytest.mark.parametrize("L", list(range(1, 13)))
+    def test_basis_matches_enumeration(self, L):
+        for n_up in range(L + 1):
+            assert np.array_equal(_sector_basis(L, n_up), combinations_basis(L, n_up))
+
+    @pytest.mark.parametrize("L", list(range(2, 9)))
+    def test_hamiltonian_matches_dense_restriction(self, L):
+        for delta in (-1.0, -0.37, 0.0, 0.5, 2.0):
+            H = xxz_dense_hamiltonian(L, delta)
+            for n_up in range(L + 1):
+                basis = _sector_basis(L, n_up)
+                Hs = _sector_hamiltonian(L, delta, basis).toarray()
+                assert np.array_equal(Hs, H[np.ix_(basis, basis)])
 
 
 class TestRdmWeights:
@@ -133,8 +166,6 @@ class TestRdmWeights:
     def test_sector_spin_flip_symmetry(self):
         # recompute the ground state in the Sz = -1/2 sector by flipping all
         # spins of the +1/2 state; entanglement data must be identical
-        from singlecopy.exact_diag import _sector_basis
-
         L = 9
         state = xxz_ground_state(XxzSpec(L, 0.6))
         mask = (1 << L) - 1
@@ -178,8 +209,6 @@ class TestFreeFermionEquivalence:
         if L % 2 == 0:
             _, gs = dense_ground_state(H)
         else:
-            from singlecopy.exact_diag import _sector_basis
-
             basis = _sector_basis(L, (L + 1) // 2)
             Hs = H[np.ix_(basis, basis)]
             evals, evecs = eigh(Hs)
