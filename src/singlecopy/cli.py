@@ -74,6 +74,12 @@ def _geometric_range(spec: str) -> list[int]:
     return out
 
 
+def _worker_count(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _resolve_lengths(args: argparse.Namespace) -> list[int]:
     if args.L and args.L_range:
         raise ValueError("give either --L or --L-range, not both")
@@ -238,6 +244,10 @@ _GEOMETRIES = {
 
 def cmd_fit_c(args: argparse.Namespace) -> int:
     rows = _read_scan_csv(args.scan_file)
+    params = sorted({r["delta_or_k"] for r in rows}, key=float)
+    if len(params) > 1:
+        raise ValueError(f"{args.scan_file}: fit-c fits one parameter value, but the "
+                         f"table has delta_or_k = {', '.join(params)}")
     geometry, observable = args.geometry, args.observable
     factor = scaling.geometry_factor(_GEOMETRIES[geometry])
     if observable == "S":
@@ -410,7 +420,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2")
         p.add_argument("--geometry", choices=sorted(_GEOMETRIES), default="infinite")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_worker_count, default=1,
                        help="parallel scan workers (output order is unaffected)")
         if with_format:
             p.add_argument("--format", choices=["csv", "json"], default="csv")

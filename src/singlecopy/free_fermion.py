@@ -13,8 +13,11 @@ The reduced density matrix of a subsystem of a Gaussian state is itself
 Gaussian, rho = exp(-H)/Z with quadratic H = sum_k eps_k f_k^dag f_k.
 The single-particle entanglement energies eps_k follow from the
 subsystem-restricted correlation matrices: for particle-conserving states
-from the eigenvalues zeta of G = <c^dag c> via eps = ln((1-zeta)/zeta),
-with pairing from the doubled Nambu correlation matrix.
+from the eigenvalues zeta of G = <c^dag c> via eps = ln((1-zeta)/zeta).
+With pairing, every spectrum is the singular values of one real block in
+the Majorana basis a = c + c^dag, b = i(c^dag - c): the ground state is the
+polar factor of A - B, and eps = 2 artanh(sigma) for the singular values of
+the restricted block 2G - 1 - 2F (Peschel 2003; Vidal et al. 2003).
 
 Numerical policy: occupations are clipped to [1e-12, 1-1e-12] before
 logarithms (modes beyond |eps| ~ 27.6 contribute < 1e-12 to any entropy);
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, svdvals
+from scipy.linalg import eigh, svd, svdvals, toeplitz
 
 __all__ = [
     "OCCUPATION_FLOOR",
@@ -103,26 +106,26 @@ class CorrelationData:
     """Fermionic two-point functions restricted to a set of sites.
 
     G[m, n] = <c^dag_m c_n>  (real symmetric, eigenvalues in [0, 1]),
-    F[m, n] = <c^dag_m c^dag_n>  (real antisymmetric; identically zero for
-    particle-conserving states). Indices refer to positions in `sites`.
+    F[m, n] = <c^dag_m c^dag_n>  (real antisymmetric), or None for a
+    particle-conserving state. Indices refer to positions in `sites`.
     """
 
     sites: tuple[int, ...]
     G: np.ndarray = field(repr=False)
-    F: np.ndarray = field(repr=False)
+    F: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         n = len(self.sites)
-        if self.G.shape != (n, n) or self.F.shape != (n, n):
+        if self.G.shape != (n, n) or (self.F is not None and self.F.shape != (n, n)):
             raise ValueError("G and F must be square with dimension len(sites)")
         if not np.allclose(self.G, self.G.T, atol=1e-10):
             raise ValueError("G must be symmetric")
-        if not np.allclose(self.F, -self.F.T, atol=1e-10):
+        if self.F is not None and not np.allclose(self.F, -self.F.T, atol=1e-10):
             raise ValueError("F must be antisymmetric")
 
     @property
     def has_pairing(self) -> bool:
-        return bool(np.any(self.F))
+        return self.F is not None and bool(np.any(self.F))
 
     def restrict(self, sites) -> "CorrelationData":
         """Correlations of the sub-collection `sites` (labels, not positions)."""
@@ -132,7 +135,7 @@ class CorrelationData:
         except KeyError as bad:
             raise ValueError(f"site {bad.args[0]} not present in correlation data")
         sel = np.ix_(idx, idx)
-        return CorrelationData(tuple(sites), self.G[sel], self.F[sel])
+        return CorrelationData(tuple(sites), self.G[sel], None if self.F is None else self.F[sel])
 
 
 @dataclass(frozen=True)
@@ -143,13 +146,11 @@ class EntanglementSpectrum:
                     ZERO_MODE_TOL and capped at +-ln((1-floor)/floor)
     occupations   : zeta_k = 1/(1 + exp(eps_k)), same order
     zero_mode_count : number of exact zero modes
-    pair_tolerance: tolerance quoted for the (eps, -eps) pairing check
     """
 
     epsilons: np.ndarray = field(repr=False)
     occupations: np.ndarray = field(repr=False)
     zero_mode_count: int
-    pair_tolerance: float = ZERO_MODE_TOL
 
     def __len__(self) -> int:
         return len(self.epsilons)
@@ -174,9 +175,10 @@ def _spectrum_from_epsilons(eps: np.ndarray) -> EntanglementSpectrum:
     )
 
 
-def _epsilons_from_occupations(zeta: np.ndarray) -> np.ndarray:
-    zeta = np.clip(zeta, OCCUPATION_FLOOR, 1.0 - OCCUPATION_FLOOR)
-    return np.log((1.0 - zeta) / zeta)
+def _epsilons_from_singular_values(sigma: np.ndarray) -> np.ndarray:
+    """eps = 2 artanh(sigma) >= 0 for Majorana-block singular values |1 - 2 zeta|."""
+    _check_occupation_range(0.5 * (1.0 - sigma))  # sigma <= 1 + 2e-10
+    return 2.0 * np.arctanh(np.minimum(sigma, np.tanh(0.5 * _EPS_CAP)))
 
 
 def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationData:
@@ -186,19 +188,16 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
 
         G[m, n] = sin(k_F (m-n)) / (pi (m-n)),   k_F = pi nu,
 
-    with G[m, m] = nu; F vanishes identically. At half filling the
+    with G[m, m] = nu; there is no pairing. At half filling the
     next-nearest-neighbor entries vanish and nearest neighbors equal 1/pi.
     """
     if L_sub < 1:
         raise ValueError(f"subsystem length must be at least 1, got {L_sub}")
     if not 0.0 < filling < 1.0:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
-    m = np.arange(L_sub)
-    d = m[:, None] - m[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        G = np.where(d == 0, filling, np.sin(np.pi * filling * d) / (np.pi * d))
-    G = 0.5 * (G + G.T)
-    return CorrelationData(tuple(range(L_sub)), G, np.zeros((L_sub, L_sub)))
+    d = np.arange(1, L_sub)
+    row = np.concatenate([[filling], np.sin(np.pi * filling * d) / (np.pi * d)])
+    return CorrelationData(tuple(range(L_sub)), toeplitz(row))
 
 
 def build_bdg(model: FermionModelSpec) -> np.ndarray:
@@ -215,8 +214,8 @@ def build_bdg(model: FermionModelSpec) -> np.ndarray:
     if model.length is None:
         raise ValueError("build_bdg needs a finite open chain")
     L = model.length
-    A = np.zeros((L, L))
-    B = np.zeros((L, L))
+    bdg = np.zeros((2 * L, 2 * L))
+    A, B = bdg[:L, :L], bdg[:L, L:]  # views, filled in place
     if model.kind == "xx":
         hop = 0.5 * np.ones(L - 1)
         A += np.diag(hop, 1) + np.diag(hop, -1)
@@ -226,11 +225,16 @@ def build_bdg(model: FermionModelSpec) -> np.ndarray:
         bond = -k * np.ones(L - 1)
         A += np.diag(bond, 1) + np.diag(bond, -1)
         B += np.diag(bond, 1) - np.diag(bond, -1)
-    return np.block([[A, B], [-B, -A]])
+    bdg[L:, :L], bdg[L:, L:] = -B, -A
+    return bdg
 
 
 def ground_state_correlations(bdg: np.ndarray, zero_mode: str = "half") -> CorrelationData:
     """Correlation matrices of the many-body ground state of a BdG matrix.
+
+    With pairing (B != 0), H = (i/2) sum (A - B)_mn a_m b_n in Majoranas and
+    the polar factor W = U V^T of A - B = U diag(sigma) V^T gives
+    G = (1 - (W + W^T)/2)/2 and F = (W - W^T)/4. Without pairing F is None.
 
     Negative-energy modes are filled. Modes at exactly zero single-particle
     energy (degenerate ground states, e.g. the odd-length XX chain) are
@@ -254,30 +258,22 @@ def ground_state_correlations(bdg: np.ndarray, zero_mode: str = "half") -> Corre
     if bdg.ndim != 2 or bdg.shape != (n2, n2) or n2 % 2:
         raise ValueError("BdG matrix must be square with even dimension")
     L = n2 // 2
-    A = bdg[:L, :L]
-    B = bdg[:L, L:]
-    if np.any(B):
-        evals, evecs = eigh(bdg)
-        if np.min(np.abs(evals)) <= 1e-12:
-            raise np.linalg.LinAlgError(
-                "zero-energy BdG mode with pairing: ground state is degenerate "
-                "and its Gaussian correlations are not uniquely defined"
-            )
-        pos = evals > 0.0
-        U = evecs[:L, pos]
-        V = evecs[L:, pos]
-        G = V @ V.T
-        F = V @ U.T  # <c^dag c^dag>, transpose of the pair amplitude <c c>
-        G = 0.5 * (G + G.T)
-        F = 0.5 * (F - F.T)
-    else:
+    A, B = bdg[:L, :L], bdg[:L, L:]
+    if not np.any(B):
         evals, phi = eigh(A)
         occ = np.where(evals < -1e-12, 1.0, 0.0)
         occ[np.abs(evals) <= 1e-12] = {"half": 0.5, "filled": 1.0, "empty": 0.0}[zero_mode]
         G = (phi * occ) @ phi.T
-        G = 0.5 * (G + G.T)
-        F = np.zeros((L, L))
-    return CorrelationData(tuple(range(L)), G, F)
+        return CorrelationData(tuple(range(L)), 0.5 * (G + G.T))
+    U, sigma, Vt = svd(A - B)
+    if sigma[-1] <= 1e-12:
+        raise np.linalg.LinAlgError(
+            "zero-energy BdG mode with pairing: ground state is degenerate "
+            "and its Gaussian correlations are not uniquely defined"
+        )
+    W = U @ Vt
+    G = 0.5 * (np.eye(L) - 0.5 * (W + W.T))
+    return CorrelationData(tuple(range(L)), G, 0.25 * (W - W.T))
 
 
 def _chiral_epsilons(G: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
@@ -292,13 +288,8 @@ def _chiral_epsilons(G: np.ndarray, sites: tuple[int, ...]) -> np.ndarray:
     parity = np.asarray(sites, dtype=int) % 2
     even = np.where(parity == 0)[0]
     odd = np.where(parity == 1)[0]
-    M = 2.0 * G - np.eye(G.shape[0])
-    if len(even) == 0 or len(odd) == 0:
-        # single-sublattice subsystem (one site, or every second site)
-        return _epsilons_from_occupations(np.linalg.eigvalsh(G))
-    sigma = svdvals(M[np.ix_(even, odd)])
-    sigma_max = np.tanh(0.5 * _EPS_CAP)
-    eps_pos = 2.0 * np.arctanh(np.minimum(sigma, sigma_max))
+    # the off-diagonal block of 2G - 1 is 2G; it is empty on a single sublattice
+    eps_pos = _epsilons_from_singular_values(svdvals(2.0 * G[np.ix_(even, odd)]))
     zeros = np.zeros(abs(len(even) - len(odd)))
     return np.concatenate([-eps_pos, zeros, eps_pos])
 
@@ -314,30 +305,27 @@ def single_particle_energies(corr: CorrelationData, subsystem=None) -> Entanglem
         Which sites to keep; defaults to all of `corr.sites`.
 
     Without pairing the occupations zeta are the eigenvalues of the
-    restricted G and eps = ln((1-zeta)/zeta). With pairing the doubled
-    Nambu matrix [[G, F], [-F, 1-G^T]] is diagonalized; its eigenvalues
-    come in pairs (lambda, 1-lambda) and one member of each pair is kept,
+    restricted G and eps = ln((1-zeta)/zeta). With pairing the restricted
+    real Majorana block 2G - 1 - 2F (the correlations <a_m b_n>/i up to
+    sign) has singular values sigma = |2 zeta - 1|, and eps = 2 artanh(sigma),
     which fixes eps >= 0 (entropies are insensitive to this gauge).
-    Eigenvalues must lie in [-1e-10, 1 + 1e-10].
+    Occupations must lie in [-1e-10, 1 + 1e-10].
     """
     sub = corr if subsystem is None else corr.restrict(subsystem)
     n = len(sub.sites)
     if n == 0:
         return _spectrum_from_epsilons(np.empty(0))
     if sub.has_pairing:
-        Gamma = np.block([[sub.G, sub.F], [-sub.F, np.eye(n) - sub.G.T]])
-        lam = np.linalg.eigvalsh(Gamma)
-        _check_occupation_range(lam)
-        # fold the (lambda, 1-lambda) pairs onto n occupations <= 1/2
-        zeta = 0.5 * (lam[:n] + 1.0 - lam[2 * n - 1 : n - 1 : -1])
-        return _spectrum_from_epsilons(_epsilons_from_occupations(zeta))
+        sigma = svdvals(2.0 * sub.G - np.eye(n) - 2.0 * sub.F)
+        return _spectrum_from_epsilons(_epsilons_from_singular_values(sigma))
     S = 1.0 - 2.0 * (np.asarray(sub.sites, dtype=int) % 2)
     ph_defect = np.max(np.abs(S[:, None] * sub.G * S[None, :] + sub.G - np.eye(n)))
     if ph_defect <= _PH_DETECT_TOL:
         return _spectrum_from_epsilons(_chiral_epsilons(sub.G, sub.sites))
     zeta = np.linalg.eigvalsh(sub.G)
     _check_occupation_range(zeta)
-    return _spectrum_from_epsilons(_epsilons_from_occupations(zeta))
+    zeta = np.clip(zeta, OCCUPATION_FLOOR, 1.0 - OCCUPATION_FLOOR)
+    return _spectrum_from_epsilons(np.log((1.0 - zeta) / zeta))
 
 
 def _check_occupation_range(zeta: np.ndarray, tol: float = 1e-10) -> None:

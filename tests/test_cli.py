@@ -184,6 +184,15 @@ class TestFitC:
         bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         assert run(["fit-c", str(bad)]) == 2
 
+    def test_multi_parameter_table_names_values(self, tmp_path, capsys):
+        scan_csv = tmp_path / "scan.csv"
+        assert run(["scan", "--model", "tfim", "--k", "0.3", "0.5", "--L", "8", "16", "32",
+                    "--out", str(scan_csv)]) == 0
+        assert run(["fit-c", str(scan_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "delta_or_k = 0.29999999999999999, 0.5" in captured.err
+
     def test_round_trip_from_scan(self, tmp_path):
         scan_csv = tmp_path / "scan.csv"
         assert run(["scan", "--model", "xx", "--L-range", "32:256:2",
@@ -273,10 +282,14 @@ class TestConfigValidation:
         assert repr(key) in captured.err
 
     @pytest.mark.parametrize("line", ["nu = half", "model = heisenberg",
-                                      "format = xml", "threads = 1.5"])
+                                      "format = xml", "threads = 1.5", "threads = 0"])
     def test_values_checked_like_flags(self, tmp_path, capsys, line):
         cfg = self.write(tmp_path, f"L = 6\n{line}\n")
         assert exit_code(["scan", "--config", cfg]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_threads_flag_below_one_exits_two(self, capsys):
+        assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "-3"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_list_values_and_dash_keys(self, tmp_path, capsys):

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from singlecopy.entanglement import summary_from_single_particle
 from singlecopy.free_fermion import (
     CorrelationData,
     FermionModelSpec,
@@ -170,8 +172,11 @@ class TestSpectrum:
         spec = single_particle_energies(corr, range(4))
         assert len(spec) == 4
 
-    def test_rejects_invalid_occupations(self):
-        G = np.diag([0.5, 1.5])  # symmetric but not a valid correlation matrix
+    # symmetric but not valid correlation matrices; the second is particle-hole
+    # symmetric with eigenvalues -0.2 and 1.2 and takes the sublattice route
+    @pytest.mark.parametrize("G", [np.diag([0.5, 1.5]), np.array([[0.5, 0.7], [0.7, 0.5]])],
+                             ids=["diagonal", "particle-hole-symmetric"])
+    def test_rejects_invalid_occupations(self, G):
         corr = CorrelationData((0, 1), G, np.zeros((2, 2)))
         with pytest.raises(np.linalg.LinAlgError):
             single_particle_energies(corr)
@@ -224,8 +229,6 @@ class TestTfimRoute:
             w = rdm_weights_dense(gs, L, cut)
             S_ed, S1_ed = entropies_from_weights(w)
             spec = single_particle_energies(corr, range(cut))
-            from singlecopy.entanglement import summary_from_single_particle
-
             summ = summary_from_single_particle(spec)
             assert summ.S == pytest.approx(S_ed, abs=1e-9)
             assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
@@ -241,3 +244,15 @@ class TestTfimRoute:
         step = math.pi * elliptic_K(math.sqrt(1 - k * k)) / elliptic_K(k)
         lowest = np.sort(spec.epsilons[spec.epsilons > 1e-9])[:3]
         assert np.allclose(lowest / step, [1.0, 3.0, 5.0], atol=1e-4)
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(k=st.floats(0.05, 0.95), L=st.integers(2, 10), data=st.data())
+    def test_every_cut_matches_dense_spin_oracle(self, k, L, data):
+        cut = data.draw(st.integers(1, L - 1), label="cut")
+        _, gs = dense_ground_state(tfim_dense_hamiltonian(L, k))
+        S_ed, S1_ed = entropies_from_weights(rdm_weights_dense(gs, L, cut))
+        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="tfim", modulus=k, length=L)))
+        summ = summary_from_single_particle(single_particle_energies(corr, range(cut)))
+        assert summ.S == pytest.approx(S_ed, abs=1e-9)
+        assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
+        assert summ.S1 <= summ.S
