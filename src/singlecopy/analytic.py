@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import ellipkm1
+
 __all__ = [
     "ConformalParams",
     "InfiniteLineInterval",
@@ -154,19 +156,16 @@ def xx_asymptotic_spectrum(L: float, k: int) -> float:
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
-    K(k) = pi / (2 AGM(1, k')) with k' = sqrt(1 - k^2); the
-    arithmetic-geometric mean iteration converges quadratically, at most
-    8 iterations on [0, 1). Diverges logarithmically as k -> 1, so k >= 1
+    Evaluated as scipy's K(m) with the complementary parameter
+    1 - m = k'^2 = (1 - k)(1 + k) passed directly, which keeps full
+    relative accuracy as k -> 1. Diverges logarithmically there, so k >= 1
     is rejected.
     """
     if k < 0:
         raise ValueError(f"modulus must be nonnegative, got {k}")
     if k >= 1:
         raise ValueError(f"K(k) diverges at k = 1; got {k}")
-    a, b = 1.0, math.sqrt((1.0 - k) * (1.0 + k))
-    while abs(a - b) > 1e-15 * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return float(ellipkm1((1.0 - k) * (1.0 + k)))
 
 
 def tfim_s1_half(k: float) -> float:

@@ -200,14 +200,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.model == "xx":
         corr = free_fermion.xx_correlations_infinite(L, args.nu)
         spec = free_fermion.single_particle_energies(corr)
-    elif args.model == "tfim":
+    else:
         if not args.k or len(args.k) != 1:
             raise ValueError("tfim spectrum needs exactly one --k")
         chain = free_fermion.FermionModelSpec(kind="tfim", modulus=args.k[0], length=2 * L)
         corr = free_fermion.ground_state_correlations(free_fermion.build_bdg(chain))
         spec = free_fermion.single_particle_energies(corr, range(L))
-    else:
-        raise ValueError(f"spectrum supports models xx and tfim, got {args.model!r}")
     lines = ["k,epsilon,zeta,zero_mode"]
     for i, (eps, zeta) in enumerate(zip(spec.epsilons, spec.occupations)):
         lines.append(f"{i},{_fmt(eps)},{_fmt(zeta)},{int(eps == 0.0)}")
@@ -398,6 +396,24 @@ def ff_ground_energy(L: int) -> float:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# every option a subcommand may take; each subcommand lists the ones it reads
+_OPTIONS = {
+    "--config": dict(default=None, help="key = value config file; flags take precedence"),
+    "--model": dict(choices=["xx", "tfim", "xxz-ed"], default="xx"),
+    "--delta": dict(nargs="+", type=float, default=None, help="XXZ anisotropies, >= -1"),
+    "--k": dict(nargs="+", type=float, default=None, help="Ising couplings (elliptic modulus)"),
+    "--nu": dict(type=float, default=0.5, help="XX filling, default 1/2"),
+    "--L": dict(nargs="+", type=int, default=None, help="system sizes"),
+    "--L-range": dict(dest="L_range", default=None,
+                      help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2"),
+    "--geometry": dict(choices=sorted(_GEOMETRIES), default="infinite"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--threads": dict(type=_worker_count, default=1,
+                      help="parallel scan workers (output order is unaffected)"),
+    "--format": dict(choices=["csv", "json"], default="csv"),
+}
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The `sce` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
@@ -406,46 +422,32 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=False):
-        p.add_argument("--config", default=None,
-                       help="key = value config file; flags take precedence")
-        p.add_argument("--model", choices=["xx", "tfim", "xxz-ed"], default="xx")
-        p.add_argument("--delta", nargs="+", type=float, default=None,
-                       help="XXZ anisotropies, >= -1")
-        p.add_argument("--k", nargs="+", type=float, default=None,
-                       help="Ising couplings (elliptic modulus)")
-        p.add_argument("--nu", type=float, default=0.5, help="XX filling, default 1/2")
-        p.add_argument("--L", nargs="+", type=int, default=None, help="system sizes")
-        p.add_argument("--L-range", dest="L_range", default=None,
-                       help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2")
-        p.add_argument("--geometry", choices=sorted(_GEOMETRIES), default="infinite")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--threads", type=_worker_count, default=1,
-                       help="parallel scan workers (output order is unaffected)")
-        if with_format:
-            p.add_argument("--format", choices=["csv", "json"], default="csv")
+    def options(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
 
     p_spec = sub.add_parser("spectrum", help="single-particle entanglement spectrum")
-    common(p_spec)
+    p_spec.add_argument("--model", choices=["xx", "tfim"], default="xx")
+    options(p_spec, "--config", "--k", "--nu", "--L", "--L-range", "--out")
 
     p_scan = sub.add_parser("scan", help="entanglement scan table")
-    common(p_scan, with_format=True)
+    options(p_scan, "--config", "--model", "--delta", "--k", "--nu", "--L", "--L-range",
+            "--out", "--threads", "--format")
 
     p_fit = sub.add_parser("fit-c", help="central-charge report from a scan table")
     p_fit.add_argument("scan_file", help="CSV produced by `sce scan`")
     p_fit.add_argument("--observable", choices=["S1", "S"], default="S1")
-    common(p_fit)
+    options(p_fit, "--config", "--geometry", "--out")
 
     p_ana = sub.add_parser("analytic", help="evaluate a closed-form prediction")
     p_ana.add_argument("formula", help="elliptic-k | tfim-s1 | tfim-s1-critical | "
                                        "conformal-s1 | conformal-renyi-trace | xx-spectrum")
     p_ana.add_argument("params", nargs="*", help="[geometry] key=value ...")
-    p_ana.add_argument("--config", default=None)
-    p_ana.add_argument("--out", default=None)
+    options(p_ana, "--config", "--out")
 
     p_cmp = sub.add_parser("compare-oracle",
                            help="XXZ diagonalization vs free-fermion route at Delta=0")
-    common(p_cmp)
+    options(p_cmp, "--config", "--L", "--out")
     return parser, sub.choices
 
 

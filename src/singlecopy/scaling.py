@@ -48,11 +48,10 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class CEstimateSeries:
-    """Local central-charge estimates (L_mid, c_local), orderd by L_mid."""
+    """Local central-charge estimates (L_mid, c_local), ordered by L_mid."""
 
     entries: tuple[tuple[float, float], ...]
     geometry_factor: float
-    extrapolated_c: float | None = None
 
 
 def geometry_factor(geom: Geometry | float) -> float:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -19,7 +20,7 @@ from singlecopy.analytic import (
     xx_asymptotic_spectrum,
 )
 
-# quarter-period integral, independent of the AGM route
+# quarter-period integral, independent of the library route
 def elliptic_K_quadrature(k):
     val, err = quad(
         lambda t: 1.0 / math.sqrt(1.0 - (k * math.sin(t)) ** 2),
@@ -133,6 +134,12 @@ class TestEllipticK:
             elliptic_K(1.0)
         with pytest.raises(ValueError):
             elliptic_K(-0.1)
+
+    @pytest.mark.parametrize("k", [1e-8, 0.5, 1 - 1e-6, 1 - 1e-12])
+    def test_against_mpmath(self, k):
+        with mpmath.workdps(40):
+            exact = mpmath.ellipk(mpmath.mpf(k) ** 2)  # mpmath takes m = k^2
+            assert abs(elliptic_K(k) - exact) <= 1e-15 * exact
 
     def test_near_one_divergence(self):
         # K ~ ln(4/k') as k -> 1

@@ -300,6 +300,52 @@ class TestConfigValidation:
                                                 ("0.5", "4"), ("0.5", "8")]
 
 
+class TestOptionsPerSubcommand:
+    """Each subcommand takes only the options it reads."""
+
+    UNREAD = [("spectrum", "delta", "0.5"), ("spectrum", "geometry", "infinite"),
+              ("spectrum", "threads", "2"), ("scan", "geometry", "infinite")]
+    UNREAD += [("fit-c", key, value) for key, value in [
+        ("model", "xx"), ("delta", "0.5"), ("k", "0.5"), ("nu", "0.3"), ("L", "8"),
+        ("L-range", "4:8:2"), ("threads", "2")]]
+    UNREAD += [("compare-oracle", key, value) for key, value in [
+        ("model", "tfim"), ("delta", "0.5"), ("k", "0.5"), ("nu", "0.3"),
+        ("L-range", "3:9:2"), ("geometry", "infinite"), ("threads", "2")]]
+
+    @staticmethod
+    def base(command, tmp_path):
+        if command == "fit-c":
+            csv = tmp_path / "scan.csv"
+            TestFitC.synthetic_csv(csv)
+            return ["fit-c", str(csv)]
+        return {"spectrum": ["spectrum", "--model", "xx", "--L", "4"],
+                "scan": ["scan", "--model", "xx", "--L", "4"],
+                "compare-oracle": ["compare-oracle", "--L", "3"]}[command]
+
+    @pytest.mark.parametrize("command,key,value", UNREAD)
+    def test_unread_flag_exits_two(self, tmp_path, capsys, command, key, value):
+        argv = self.base(command, tmp_path) + ["--" + key, value]
+        assert exit_code(argv) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command,key,value", UNREAD)
+    def test_unread_config_key_exits_two_and_names_it(self, tmp_path, capsys,
+                                                      command, key, value):
+        cfg = tmp_path / "sce.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert exit_code(self.base(command, tmp_path) + ["--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(key.replace("-", "_")) in captured.err
+
+    def test_spectrum_model_choices(self, capsys):
+        assert exit_code(["spectrum", "--model", "xxz-ed", "--L", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err
+        assert exit_code(["spectrum", "--model", "tfim", "--k", "0.5", "--L", "4"]) == 0
+
+
 class TestEdCapOverride:
     def test_env_var_overrides_site_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SCE_MAX_ED_SITES", "7")

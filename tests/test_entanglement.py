@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import expit
 
 from singlecopy.entanglement import (
     RdmSpectrum,
@@ -13,7 +15,7 @@ from singlecopy.entanglement import (
     summary_from_single_particle,
     summary_from_weights,
 )
-from singlecopy.free_fermion import CorrelationData, single_particle_energies
+from singlecopy.free_fermion import CorrelationData, EntanglementSpectrum, single_particle_energies
 
 from conftest import brute_force_products
 
@@ -26,6 +28,16 @@ def spectrum_from_occupations(zetas):
     G = np.diag(np.asarray(zetas, dtype=float))
     corr = CorrelationData(tuple(range(n)), G, np.zeros((n, n)))
     return single_particle_energies(corr)
+
+
+def spectrum_from_epsilons(eps):
+    eps = np.sort(np.asarray(eps, dtype=float))
+    return EntanglementSpectrum(eps, expit(-eps), int(np.count_nonzero(eps == 0.0)))
+
+
+# single-particle energies up to the clip cap |eps| ~ 27.63, zero modes included
+EPSILON_LISTS = st.lists(st.one_of(st.just(0.0), st.floats(-27.6, 27.6)),
+                         min_size=1, max_size=12)
 
 
 def random_spectrum(rng, n_modes=None):
@@ -147,6 +159,17 @@ class TestRenyiTrace:
             deriv = (math.exp(renyi_ln_trace(spec, 1 + h)) - math.exp(renyi_ln_trace(spec, 1 - h))) / (2 * h)
             assert -deriv == pytest.approx(s.S, abs=1e-6)
 
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(eps=EPSILON_LISTS)
+    def test_renyi_ladder_monotone_between_s1_and_s(self, eps):
+        spec = spectrum_from_epsilons(eps)
+        s = summary_from_single_particle(spec)
+        ns = [1.001, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1e4]
+        ladder = [renyi_ln_trace(spec, n) / (1.0 - n) for n in ns]
+        tol = 1e-12 * (1.0 + s.S)
+        assert all(b <= a + tol for a, b in zip(ladder, ladder[1:]))
+        assert all(s.S1 - tol <= v <= s.S + tol for v in ladder)
+
     def test_rejects_nonpositive_index(self, rng):
         with pytest.raises(ValueError):
             renyi_ln_trace(random_spectrum(rng), 0.0)
@@ -199,6 +222,15 @@ class TestManyBodySpectrum:
             s = summary_from_single_particle(spec)
             w1 = many_body_spectrum(spec, 1).weights[0]
             assert -math.log(w1) == pytest.approx(s.lnZ + s.E0, abs=1e-10)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(eps=EPSILON_LISTS, M=st.integers(1, 300))
+    def test_weights_descending_and_normalized(self, eps, M):
+        spec = spectrum_from_epsilons(eps)
+        w = many_body_spectrum(spec, M).weights
+        assert np.all(np.diff(w) <= 0.0)
+        assert w.sum() <= 1.0 + 1e-12
+        assert w[0] == pytest.approx(summary_from_single_particle(spec).w1, rel=1e-12, abs=0)
 
     def test_rejects_bad_m(self, rng):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Correlation matrices and single-particle entanglement spectra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,12 @@ class TestBuildBdg:
         with pytest.raises(ValueError):
             FermionModelSpec(kind="tfim", modulus=1.0, length=8)
 
+    def test_spec_has_no_filling_and_needs_a_length(self):
+        with pytest.raises(TypeError):
+            FermionModelSpec(kind="xx", filling=0.3, length=8)
+        with pytest.raises(ValueError):
+            FermionModelSpec(kind="xx")
+
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             FermionModelSpec(kind="xx", length=1)
@@ -129,6 +136,29 @@ class TestCorrelationData:
         with pytest.raises(ValueError):
             CorrelationData((0, 1), np.eye(2) * 0.5, F_bad)
 
+    def test_asymmetric_g_rejected_at_absolute_tolerance(self):
+        # 1e-7 apart: within allclose's hidden rtol, but far above 1e-10
+        G = np.array([[0.5, 0.3], [0.3 + 1e-7, 0.5]])
+        with pytest.raises(ValueError):
+            CorrelationData((0, 1), G)
+        CorrelationData((0, 1), np.array([[0.5, 0.3], [0.3 + 5e-11, 0.5]]))
+
+    def test_non_antisymmetric_f_rejected_at_absolute_tolerance(self):
+        F = np.array([[0.0, 0.3], [-0.3 + 1e-7, 0.0]])
+        with pytest.raises(ValueError):
+            CorrelationData((0, 1), np.eye(2) * 0.5, F)
+
+    def test_nan_rejected(self):
+        G = np.array([[0.5, np.nan], [np.nan, 0.5]])
+        with pytest.raises(ValueError):
+            CorrelationData((0, 1), G)
+        with pytest.raises(ValueError):
+            CorrelationData((0, 1), np.eye(2) * 0.5, G - 0.5)
+
+    def test_empty_accepted(self):
+        corr = CorrelationData((), np.empty((0, 0)))
+        assert len(single_particle_energies(corr)) == 0
+
     def test_restrict_unknown_site(self):
         corr = xx_correlations_infinite(4)
         with pytest.raises(ValueError):
@@ -157,6 +187,24 @@ class TestSpectrum:
     def test_odd_interval_zero_mode(self, L_sub):
         spec = single_particle_energies(xx_correlations_infinite(L_sub))
         assert spec.zero_mode_count == 1
+
+    def test_non_contiguous_half_filled_sites_take_exact_pairing(self):
+        # sites (1, 2, 4, 7): two per sublattice, still particle-hole symmetric
+        corr = xx_correlations_infinite(8).restrict((1, 2, 4, 7))
+        spec = single_particle_energies(corr)
+        assert spec.pairing_mismatch() == 0.0
+        zeta = np.linalg.eigvalsh(corr.G)
+        assert np.allclose(np.sort(spec.epsilons), np.sort(np.log((1 - zeta) / zeta)),
+                           atol=1e-12)
+
+    def test_near_half_filling_takes_eigvalsh(self):
+        # a same-sublattice defect above 1e-10 breaks particle-hole symmetry
+        G = xx_correlations_infinite(6).G.copy()
+        G[0, 2] = G[2, 0] = 1e-9
+        spec = single_particle_energies(CorrelationData(tuple(range(6)), G))
+        zeta = np.linalg.eigvalsh(G)
+        assert np.allclose(spec.epsilons, np.sort(np.log((1 - zeta) / zeta)), atol=1e-12)
+        assert spec.pairing_mismatch() > 0.0
 
     def test_occupations_within_range(self):
         for corr in (
@@ -256,3 +304,28 @@ class TestTfimRoute:
         assert summ.S == pytest.approx(S_ed, abs=1e-9)
         assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
         assert summ.S1 <= summ.S
+
+
+class TestMemory:
+    """At most G plus one n x n temporary to build, half of G for the spectrum."""
+
+    N = 1024
+
+    def test_xx_build_peak(self):
+        tracemalloc.start()
+        try:
+            xx_correlations_infinite(self.N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * self.N**2
+
+    def test_half_filled_spectrum_peak(self):
+        corr = xx_correlations_infinite(self.N)
+        tracemalloc.start()
+        try:
+            single_particle_energies(corr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.6 * 8 * self.N**2
