@@ -14,7 +14,7 @@ import numpy as np
 from singlecopy import xxz_scan
 
 deltas = [-0.9, -0.5, 0.0, 0.5, 0.9]
-lengths = [9, 13, 17]
+lengths = [9, 13, 17, 21]
 points = xxz_scan(deltas, lengths)
 
 print("=== ln w1 by anisotropy and size ===")

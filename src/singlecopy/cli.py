@@ -15,15 +15,14 @@ digits. Options may also come from a config file of `key = value` lines
 (`#` comments; keys are the long option names of the subcommand;
 list-valued options are whitespace-separated). File values are checked
 like flags; command-line flags win over the file, which wins over
-built-in defaults. The environment variable SCE_MAX_ED_SITES lifts
-the exact-diagonalization site cap.
+built-in defaults. An exact diagonalization whose estimated memory is over
+its budget, and any failed allocation, exit with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -89,11 +88,6 @@ def _resolve_lengths(args: argparse.Namespace) -> list[int]:
     return sorted(set(lengths))
 
 
-def _ed_cap() -> int:
-    env = os.environ.get("SCE_MAX_ED_SITES")
-    return int(env) if env else exact_diag.ED_SITE_CAP
-
-
 def _write_output(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -134,27 +128,25 @@ def _tfim_row(k: float, L: int) -> dict:
     return _row("tfim", k, L, summary_from_single_particle(spec))
 
 
-def _xxz_row(delta: float, L: int, cap: int) -> dict:
-    (point,) = exact_diag.xxz_scan([delta], [L], max_sites=cap)
+def _xxz_row(delta: float, L: int) -> dict:
+    (point,) = exact_diag.xxz_scan([delta], [L])
     return _row("xxz-ed", delta, L, point.summary)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     lengths = _resolve_lengths(args)
     if args.model == "xx":
-        tasks = [(args.nu, L) for L in lengths]
-        worker = lambda p: _xx_row(*p)
+        row, parameters = _xx_row, [args.nu]
     elif args.model == "tfim":
         if not args.k:
             raise ValueError("tfim scan needs --k")
-        tasks = [(k, L) for k in sorted(set(args.k)) for L in lengths]
-        worker = lambda p: _tfim_row(*p)
+        row, parameters = _tfim_row, args.k
     else:
         if not args.delta:
             raise ValueError("xxz-ed scan needs --delta")
-        cap = _ed_cap()
-        tasks = [(d, L) for d in sorted(set(args.delta)) for L in lengths]
-        worker = lambda p: _xxz_row(*p, cap)
+        row, parameters = _xxz_row, args.delta
+    tasks = [(p, L) for p in sorted(set(parameters)) for L in lengths]
+    worker = lambda task: row(*task)
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
@@ -343,12 +335,11 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
     bad = [L for L in lengths if L % 2 == 0]
     if bad:
         raise ValueError(f"oracle comparison is defined for odd lengths, got {bad}")
-    cap = _ed_cap()
     top = 100
     per_length = {}
     for L in lengths:
         cut = (L + 1) // 2
-        state = exact_diag.xxz_ground_state(exact_diag.XxzSpec(L, 0.0), max_sites=cap)
+        state = exact_diag.xxz_ground_state(exact_diag.XxzSpec(L, 0.0))
         ed_weights = exact_diag.rdm_weights(state, cut)
         ed_summary = summary_from_weights(ed_weights)
 
@@ -361,11 +352,9 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
         ff_summary = summary_from_single_particle(spec)
         ff_weights = many_body_spectrum(spec, top)
 
-        n = max(len(ed_weights.weights), len(ff_weights.weights))
-        a = np.zeros(min(top, n))
-        b = np.zeros(min(top, n))
-        a[: min(len(ed_weights.weights), top)] = ed_weights.weights[:top]
-        b[: min(len(ff_weights.weights), top)] = ff_weights.weights[:top]
+        n = min(top, max(len(ed_weights.weights), len(ff_weights.weights)))
+        a, b = (np.pad(w.weights[:n], (0, n - len(w.weights[:n])))
+                for w in (ed_weights, ff_weights))
         per_length[str(L)] = {
             "dS1": abs(ed_summary.S1 - ff_summary.S1),
             "dS": abs(ed_summary.S - ff_summary.S),
@@ -376,10 +365,8 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
         "delta": 0.0,
         "lengths": lengths,
         "per_length": per_length,
-        "max_dS1": max(v["dS1"] for v in per_length.values()),
-        "max_dS": max(v["dS"] for v in per_length.values()),
-        "max_dweight": max(v["dweight"] for v in per_length.values()),
-        "max_dE": max(v["dE"] for v in per_length.values()),
+        **{f"max_{key}": max(v[key] for v in per_length.values())
+           for key in ("dS1", "dS", "dweight", "dE")},
     }
     _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
@@ -493,6 +480,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, OSError, KeyError, TypeError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:
+        print(f"error: input too large, memory allocation failed: {err}", file=sys.stderr)
         return 2
 
 

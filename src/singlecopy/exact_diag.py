@@ -6,18 +6,17 @@ in the Sz = 0 sector and of an odd chain in the degenerate Sz = +-1/2 pair,
 of which the +1/2 member is computed (spin-flip symmetry makes the choice
 immaterial for every entanglement quantity). Sector basis states are the
 up-spin configurations enumerated by ascending bit pattern, with site 0 on
-the most significant bit so that reshaping the full amplitude vector into
-a 2^L_left x 2^L_right matrix splits off the leftmost sites.
+the most significant bit, so any cut splits a state as (left << L_right) | right.
 
 Solver: Lanczos (ARPACK, deterministic start vector) for every sector; the
-residual ||H v - E v|| must reach 1e-10. The sector basis and Hamiltonian
-are built with numpy bit operations. Chains are capped at 20 sites by
-default; the cap is a guard against accidental exponential blow-up, not a
-hard algorithmic limit.
+residual ||H v - E v|| must reach 1e-10. Basis and Hamiltonian are built
+with numpy bit operations inside the sector, never over all 2^L states, once
+an estimate of 80 bytes per Hamiltonian nonzero fits a 4 GiB budget (L <= 24).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ from scipy.linalg import svdvals
 from .entanglement import EntanglementSummary, RdmSpectrum, summary_from_weights
 
 __all__ = [
-    "ED_SITE_CAP",
     "XxzSpec",
     "GroundStateVector",
     "XxzScanPoint",
@@ -37,9 +35,12 @@ __all__ = [
     "xxz_scan",
 ]
 
-ED_SITE_CAP = 20
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
+# peak bytes of the sector build and Lanczos solve per Hamiltonian nonzero
+# (measured at L = 18..22), and the memory one diagonalization may take
+_BYTES_PER_NONZERO = 80
+_MEMORY_BUDGET = 4 << 30
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,18 @@ class XxzScanPoint:
 
 
 def _sector_basis(length: int, n_up: int) -> np.ndarray:
-    """Up-spin configurations as integers, ascending. Site j <-> bit (length-1-j)."""
-    states = np.arange(1 << length, dtype=np.int64)
-    ones = np.zeros(states.shape, dtype=np.int8)
+    """Up-spin configurations as integers, ascending. Site j <-> bit (length-1-j).
+
+    Popcount recurrence, one bit at a time: setting the new top bit puts the
+    (k-1)-states above the k-states. Only popcounts that can reach n_up are kept.
+    """
+    empty = np.zeros(0, dtype=np.int64)
+    level = {0: np.zeros(1, dtype=np.int64)}
     for bit in range(length):
-        ones += (states >> bit) & 1
-    return states[ones == n_up]
+        keep = range(max(0, n_up - (length - 1 - bit)), min(n_up, bit + 1) + 1)
+        level = {k: np.concatenate((level.get(k, empty), level.get(k - 1, empty) | (1 << bit)))
+                 for k in keep}
+    return level.get(n_up, empty)
 
 
 def _sector_hamiltonian(length: int, delta: float, basis: np.ndarray) -> sparse.csr_matrix:
@@ -125,20 +132,25 @@ def _sector_hamiltonian(length: int, delta: float, basis: np.ndarray) -> sparse.
     )
 
 
-def xxz_ground_state(spec: XxzSpec, max_sites: int = ED_SITE_CAP) -> GroundStateVector:
+def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     """Lowest state of the relevant Sz sector, deterministic up to sign.
 
     The overall phase is fixed by making the first nonzero amplitude
-    positive. Raises ValueError above the site cap and LinAlgError if the
+    positive. Raises ValueError, before any sector array is built, if the
+    memory estimate is over the budget, and LinAlgError if the
     eigenresidual misses 1e-10.
     """
-    if spec.length > max_sites:
-        raise ValueError(
-            f"{spec.length} sites exceeds the diagonalization cap {max_sites}"
-        )
-    n_up = (spec.length + 1) // 2  # Sz = +1/2 sector for odd length, 0 for even
-    basis = _sector_basis(spec.length, n_up)
-    H = _sector_hamiltonian(spec.length, spec.delta, basis)
+    L = spec.length
+    n_up = (L + 1) // 2  # Sz = +1/2 sector for odd length, 0 for even
+    # C(L, n) (1 + 2n(L - n)/L) nonzeros: the diagonal, and the 2 C(L-2, n-1)
+    # antiparallel pairs of each bond; in logarithms, so that any L is cheap
+    log_bytes = (math.lgamma(L + 1) - math.lgamma(n_up + 1) - math.lgamma(L - n_up + 1)
+                 + math.log(_BYTES_PER_NONZERO * (1 + 2 * n_up * (L - n_up) / L)))
+    if log_bytes > math.log(_MEMORY_BUDGET):
+        raise ValueError(f"{L} sites need about 10^{log_bytes / math.log(10):.1f} bytes, "
+                         f"over the {_MEMORY_BUDGET >> 30} GiB diagonalization memory budget")
+    basis = _sector_basis(L, n_up)
+    H = _sector_hamiltonian(L, spec.delta, basis)
     # deterministic start vector with no symmetry alignment
     v0 = np.cos(0.7 * np.arange(H.shape[0]) + 0.3)
     evals, evecs = sparse_linalg.eigsh(H, k=1, which="SA", v0=v0, tol=0)
@@ -152,34 +164,30 @@ def xxz_ground_state(spec: XxzSpec, max_sites: int = ED_SITE_CAP) -> GroundState
     first = np.flatnonzero(np.abs(vec) > 1e-12)[0]
     if vec[first] < 0:
         vec = -vec
-    return GroundStateVector(amplitudes=vec, length=spec.length, n_up=n_up, energy=energy)
+    return GroundStateVector(amplitudes=vec, length=L, n_up=n_up, energy=energy)
 
 
 def rdm_weights(state: GroundStateVector, L_left: int) -> RdmSpectrum:
     """Reduced-density-matrix weights of the leftmost L_left sites.
 
-    The amplitude vector is scattered into the full 2^L tensor, reshaped
-    to a 2^L_left x 2^(L-L_left) matrix, and its squared singular values
-    are returned descending; exact zeros below 1e-14 are trimmed.
+    The Schmidt matrix is block diagonal in the number a of up spins on the
+    left; the squared singular values of all blocks are returned descending,
+    and exact zeros below 1e-14 are trimmed.
     """
     if not 1 <= L_left < state.length:
-        raise ValueError(
-            f"cut must leave both parts nonempty: L_left={L_left}, L={state.length}"
-        )
-    basis = _sector_basis(state.length, state.n_up)
-    full = np.zeros(1 << state.length)
-    full[basis] = state.amplitudes
-    psi = full.reshape(1 << L_left, 1 << (state.length - L_left))
-    s = svdvals(psi)
-    w = np.sort(s**2)[::-1]
+        raise ValueError(f"cut must leave both parts nonempty: L_left={L_left}, "
+                         f"L={state.length}")
+    n_up, right = state.n_up, state.length - L_left
+    basis = _sector_basis(state.length, n_up)
+    s = []
+    for a in range(max(0, n_up - right), min(n_up, L_left) + 1):
+        states = (_sector_basis(L_left, a)[:, None] << right) | _sector_basis(right, n_up - a)
+        s.append(svdvals(state.amplitudes[np.searchsorted(basis, states)]))
+    w = np.sort(np.concatenate(s) ** 2)[::-1]
     return RdmSpectrum(w[w > _WEIGHT_TRIM], truncated=False)
 
 
-def xxz_scan(
-    deltas,
-    lengths,
-    max_sites: int = ED_SITE_CAP,
-) -> list[XxzScanPoint]:
+def xxz_scan(deltas, lengths) -> list[XxzScanPoint]:
     """Ground-state entanglement summaries over a (delta, length) grid.
 
     One point per pair, cut at (ceil(L/2), rest), ordered by (delta, L).
@@ -191,7 +199,7 @@ def xxz_scan(
     points = []
     for delta in deltas:
         for length in lengths:
-            state = xxz_ground_state(XxzSpec(length, delta), max_sites=max_sites)
+            state = xxz_ground_state(XxzSpec(length, delta))
             cut = (length + 1) // 2
             summary = summary_from_weights(rdm_weights(state, cut))
             points.append(XxzScanPoint(delta=delta, length=length, cut=cut, summary=summary))

@@ -75,7 +75,7 @@ class FermionModelSpec:
         Disordered-phase coupling k of the Ising chain, in (0, 1). The
         spin Hamiltonian is H = -k sum sx sx - sum sz, so k < 1 is the
         disordered side and k doubles as the elliptic modulus of the
-        closed-form half-chain S1.
+        closed-form half-chain S1. Required for "tfim", rejected for "xx".
     length : int
         Total number of sites of the open chain, at least 2; required.
     """
@@ -89,6 +89,8 @@ class FermionModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "tfim" and (self.modulus is None or not 0.0 < self.modulus < 1.0):
             raise ValueError(f"tfim coupling must lie in (0, 1), got {self.modulus}")
+        if self.kind == "xx" and self.modulus is not None:
+            raise ValueError(f"the XX chain takes no modulus, got {self.modulus}")
         if self.length is None or self.length < 2:
             raise ValueError(f"open chain needs at least 2 sites, got {self.length}")
 

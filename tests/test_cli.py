@@ -346,15 +346,13 @@ class TestOptionsPerSubcommand:
         assert exit_code(["spectrum", "--model", "tfim", "--k", "0.5", "--L", "4"]) == 0
 
 
-class TestEdCapOverride:
-    def test_env_var_overrides_site_cap(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SCE_MAX_ED_SITES", "7")
-        assert run(["scan", "--model", "xxz-ed", "--delta", "0", "--L", "9"]) == 2
-        assert "cap" in capsys.readouterr().err
-        monkeypatch.setenv("SCE_MAX_ED_SITES", "9")
-        out = tmp_path / "capped.csv"
-        assert run(["scan", "--model", "xxz-ed", "--delta", "0", "--L", "9",
-                    "--out", str(out)]) == 0
+class TestEdMemoryPreflight:
+    @pytest.mark.parametrize("L", ["40", "1000000"])
+    def test_oversized_chain_exits_two(self, capsys, L):
+        assert run(["scan", "--model", "xxz-ed", "--delta", "0", "--L", L]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "memory budget" in captured.err
 
 
 class TestExitCodes:
@@ -365,3 +363,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli.free_fermion, "single_particle_energies", boom)
         assert run(["spectrum", "--model", "xx", "--L", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_allocation_failure_maps_to_two(self, monkeypatch, capsys):
+        def boom(*a, **k):
+            raise MemoryError("Unable to allocate 65.5 TiB")
+
+        monkeypatch.setattr(cli.free_fermion, "xx_correlations_infinite", boom)
+        assert run(["scan", "--model", "xx", "--L", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large" in captured.err

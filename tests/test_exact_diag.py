@@ -1,6 +1,8 @@
 """XXZ diagonalization: energies, Schmidt spectra, symmetries, scans."""
 
 import math
+import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -63,12 +65,6 @@ class TestGroundState:
         assert xxz_ground_state(XxzSpec(5, 0.2)).sector_sz == pytest.approx(0.5)
         assert xxz_ground_state(XxzSpec(6, 0.2)).sector_sz == pytest.approx(0.0)
 
-    def test_site_cap(self):
-        with pytest.raises(ValueError):
-            xxz_ground_state(XxzSpec(21, 0.0))
-        with pytest.raises(ValueError):
-            xxz_ground_state(XxzSpec(13, 0.0), max_sites=12)
-
     def test_determinism(self):
         a = xxz_ground_state(XxzSpec(9, -0.7))
         b = xxz_ground_state(XxzSpec(9, -0.7))
@@ -101,6 +97,14 @@ class TestSectorBuilders:
     def test_basis_matches_enumeration(self, L):
         for n_up in range(L + 1):
             assert np.array_equal(_sector_basis(L, n_up), combinations_basis(L, n_up))
+
+    @pytest.mark.parametrize("L", list(range(2, 13)))
+    def test_nonzero_count(self, L):
+        # the count the memory preflight is built on: the diagonal plus two
+        # entries per antiparallel pair, on each of the L - 1 bonds
+        n_up = (L + 1) // 2
+        H = _sector_hamiltonian(L, 0.0, _sector_basis(L, n_up))
+        assert H.nnz == math.comb(L, n_up) + 2 * (L - 1) * math.comb(L - 2, n_up - 1)
 
     @pytest.mark.parametrize("L", list(range(2, 9)))
     def test_hamiltonian_matches_dense_restriction(self, L):
@@ -184,6 +188,63 @@ class TestRdmWeights:
             wa = rdm_weights(state, cut).weights
             wb = rdm_weights(partner, cut).weights
             assert np.max(np.abs(wa - wb)) < 1e-10
+
+
+class TestSzBlockSplit:
+    """The per-popcount Schmidt blocks against the full 2^L reshape."""
+
+    @pytest.mark.parametrize("L", list(range(2, 11)))
+    def test_random_states_every_sector_and_cut(self, L):
+        # random states reach the empty and one-sided popcount blocks
+        # that the ceil(L/2) ground states never touch
+        rng = np.random.default_rng(1000 + L)
+        for n_up in range(L + 1):
+            basis = _sector_basis(L, n_up)
+            amps = rng.standard_normal(len(basis))
+            amps /= np.linalg.norm(amps)
+            state = GroundStateVector(amplitudes=amps, length=L, n_up=n_up, energy=0.0)
+            full = np.zeros(2**L)
+            full[basis] = amps
+            for cut in range(1, L):
+                w = rdm_weights(state, cut).weights
+                w_oracle = rdm_weights_dense(full, L, cut)
+                n = max(len(w), len(w_oracle))
+                pa, pb = np.zeros(n), np.zeros(n)
+                pa[: len(w)] = w
+                pb[: len(w_oracle)] = w_oracle
+                assert np.max(np.abs(pa - pb)) <= 1e-14
+
+    def test_peak_memory(self):
+        # no 2^L array: the blocks hold each amplitude once, so the peak
+        # is a few amplitude vectors (a 2^L scatter alone would be 5.7)
+        L, n_up = 20, 10
+        amps = np.random.default_rng(7).standard_normal(math.comb(L, n_up))
+        amps /= np.linalg.norm(amps)
+        state = GroundStateVector(amplitudes=amps, length=L, n_up=n_up, energy=0.0)
+        tracemalloc.start()
+        try:
+            rdm_weights(state, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * amps.nbytes
+
+
+class TestMemoryPreflight:
+    @pytest.mark.parametrize("L", [40, 10**6])
+    def test_oversized_sector_rejected_before_allocating(self, L):
+        # in logarithms: math.comb(10**6, 5 * 10**5) alone takes seconds
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="memory budget"):
+                xxz_ground_state(XxzSpec(L, 0.0))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert elapsed < 1.0
 
 
 class TestFreeFermionEquivalence:

@@ -73,6 +73,11 @@ class TestBuildBdg:
         with pytest.raises(ValueError):
             FermionModelSpec(kind="tfim", modulus=1.0, length=8)
 
+    def test_xx_rejects_modulus(self):
+        # the XX chain has no coupling to set; a modulus would be ignored
+        with pytest.raises(ValueError, match="no modulus"):
+            FermionModelSpec(kind="xx", modulus=0.3, length=8)
+
     def test_spec_has_no_filling_and_needs_a_length(self):
         with pytest.raises(TypeError):
             FermionModelSpec(kind="xx", filling=0.3, length=8)
