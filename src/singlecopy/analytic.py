@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from scipy.special import ellipkm1
 
@@ -60,6 +61,7 @@ class ConformalParams:
 class InfiniteLineInterval:
     """Interval of L consecutive sites in an infinite chain."""
 
+    slope: ClassVar[float] = 6.0  # S1 = (c/slope) ln(L/a) + k1
     L: float
 
     def __post_init__(self):
@@ -71,6 +73,7 @@ class InfiniteLineInterval:
 class HalfInfiniteEnd:
     """The last L sites of a half-infinite chain (one entangling point)."""
 
+    slope: ClassVar[float] = 12.0
     L: float
 
     def __post_init__(self):
@@ -82,6 +85,7 @@ class HalfInfiniteEnd:
 class FiniteChainCut:
     """Open chain of L_chain sites divided into pieces of l and L_chain - l."""
 
+    slope: ClassVar[float] = 12.0
     L_chain: float
     l: float
 
@@ -104,25 +108,18 @@ def conformal_s1(geom: Geometry, p: ConformalParams = ConformalParams()) -> floa
     Half-infinite end:       (c/12) ln(L/a) + k1      (prefactor halved)
     Finite chain cut:        (c/12) ln[(2L/pi a) sin(pi l/L)] + k1
 
-    The logarithmic coefficient is half the one of the entanglement
-    entropy S in each geometry.
+    The logarithmic coefficient c/geom.slope is half the one of the
+    entanglement entropy S in each geometry.
     """
-    if isinstance(geom, InfiniteLineInterval):
-        arg = geom.L / p.a
-        factor = p.c / 6.0
-    elif isinstance(geom, HalfInfiniteEnd):
-        arg = geom.L / p.a
-        factor = p.c / 12.0
-    elif isinstance(geom, FiniteChainCut):
+    if isinstance(geom, FiniteChainCut):
         arg = (2.0 * geom.L_chain / (math.pi * p.a)) * math.sin(
             math.pi * geom.l / geom.L_chain
         )
-        factor = p.c / 12.0
     else:
-        raise TypeError(f"unsupported geometry {type(geom).__name__}")
+        arg = geom.L / p.a
     if arg <= 0:
         raise ValueError(f"logarithm argument must be positive, got {arg}")
-    return factor * math.log(arg) + p.k1
+    return (p.c / geom.slope) * math.log(arg) + p.k1
 
 
 def conformal_renyi_trace(L: float, n: float, p: ConformalParams = ConformalParams()) -> float:

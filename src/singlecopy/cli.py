@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -65,11 +66,12 @@ def _geometric_range(spec: str) -> list[int]:
     start, stop, factor = int(parts[0]), int(parts[1]), float(parts[2])
     if start < 1 or stop < start or factor <= 1:
         raise ValueError(f"invalid L-range {spec!r}")
-    out = []
-    val = float(start)
-    while round(val) <= stop:
-        out.append(int(round(val)))
+    out, val = [], float(start)
+    while (size := round(val)) <= stop:
+        out.append(size)
         val *= factor
+        if round(val) == size:  # skip the steps that would repeat this size
+            val *= factor ** max(1, math.ceil(math.log((size + 0.5) / val, factor)))
     return out
 
 
@@ -153,26 +155,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rows = list(pool.map(worker, tasks))
     else:
         rows = [worker(p) for p in tasks]
-    rows.sort(key=lambda r: (r["delta_or_k"], r["L"]))
 
     if args.format == "csv":
-        lines = [SCAN_HEADER]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        r["model"],
-                        _fmt(r["delta_or_k"]),
-                        str(r["L"]),
-                        _fmt(r["S"]),
-                        _fmt(r["S1"]),
-                        _fmt(r["w1"]),
-                        _fmt(r["lnZ"]),
-                        _fmt(r["E0"]),
-                        str(r["M_max"]),
-                    ]
-                )
-            )
+        cell = lambda v: _fmt(v) if isinstance(v, float) else str(v)
+        lines = [SCAN_HEADER] + [",".join(cell(r[name]) for name in SCAN_HEADER.split(","))
+                                 for r in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
@@ -287,6 +274,20 @@ def _kv(params: list[str]) -> dict:
     return out
 
 
+# the keys each formula takes; conformal-s1 alone takes a geometry token
+_ANALYTIC_KEYS = {
+    ("elliptic-k", None): {"k"},
+    ("tfim-s1", None): {"k"},
+    ("tfim-s1-critical", None): {"k"},
+    ("xx-spectrum", None): {"L", "k"},
+    ("conformal-s1", None): {"L", "c", "a", "k1"},
+    ("conformal-s1", "infinite"): {"L", "c", "a", "k1"},
+    ("conformal-s1", "half-infinite"): {"L", "c", "a", "k1"},
+    ("conformal-s1", "finite"): {"L", "l", "c", "a", "k1"},
+    ("conformal-renyi-trace", None): {"L", "n", "c", "a", "bn"},
+}
+
+
 def cmd_analytic(args: argparse.Namespace) -> int:
     formula, params = args.formula, args.params
     geometry = None
@@ -294,6 +295,13 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         geometry = params[0]
         params = params[1:]
     kv = _kv(params)
+    if (formula, None) not in _ANALYTIC_KEYS:
+        raise ValueError(f"unknown formula {formula!r}")
+    if (formula, geometry) not in _ANALYTIC_KEYS:
+        raise ValueError(f"{formula} takes no geometry token {geometry!r}")
+    unread = sorted(kv.keys() - _ANALYTIC_KEYS[formula, geometry])
+    if unread:
+        raise ValueError(f"{formula} takes no key {', '.join(unread)}")
     if formula == "elliptic-k":
         value = analytic.elliptic_K(kv["k"])
     elif formula == "tfim-s1":
@@ -301,27 +309,25 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     elif formula == "tfim-s1-critical":
         value = analytic.tfim_s1_near_critical(kv["k"])
     elif formula == "xx-spectrum":
+        if not kv.get("k", 0.0).is_integer():
+            raise ValueError(f"mode index k must be an integer, got {kv['k']}")
         value = analytic.xx_asymptotic_spectrum(kv["L"], int(kv.get("k", 0)))
     elif formula == "conformal-s1":
         p = analytic.ConformalParams(
             c=kv.get("c", 1.0), a=kv.get("a", 1.0), k1=kv.get("k1", 0.0)
         )
-        if geometry in (None, "infinite"):
-            geom = analytic.InfiniteLineInterval(kv["L"])
+        if geometry == "finite":
+            geom = analytic.FiniteChainCut(kv["L"], kv["l"])
         elif geometry == "half-infinite":
             geom = analytic.HalfInfiniteEnd(kv["L"])
-        elif geometry == "finite":
-            geom = analytic.FiniteChainCut(kv["L"], kv["l"])
         else:
-            raise ValueError(f"unknown geometry token {geometry!r}")
+            geom = analytic.InfiniteLineInterval(kv["L"])
         value = analytic.conformal_s1(geom, p)
-    elif formula == "conformal-renyi-trace":
+    else:
         p = analytic.ConformalParams(
             c=kv.get("c", 1.0), a=kv.get("a", 1.0), b_n=kv.get("bn", 1.0)
         )
         value = analytic.conformal_renyi_trace(kv["L"], kv["n"], p)
-    else:
-        raise ValueError(f"unknown formula {formula!r}")
     _write_output(f"{value:.12g}\n", args.out)
     return 0
 

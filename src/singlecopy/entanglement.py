@@ -16,7 +16,6 @@ mode contributes exactly ln 2 to both S and S1. All values are in nats.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -148,35 +147,20 @@ def renyi_ln_trace(spec: EntanglementSpectrum, n: float) -> float:
 def many_body_spectrum(spec: EntanglementSpectrum, M: int) -> RdmSpectrum:
     """The M largest many-body weights prod_k {zeta_k or 1-zeta_k}.
 
-    Best-first search from the all-majority configuration: flipping mode k
-    costs |eps_k| in log weight, so candidates are popped from a heap
-    keyed on (total flip cost, flip index tuple); the lexicographic tuple
-    order breaks ties deterministically. Each flip set is generated once,
-    by extending a set only with indices above its largest member. When M
-    covers all 2^K configurations the search degenerates to full
-    enumeration, which is done directly.
+    Modes are multiplied in one at a time, each as the pair
+    (max(zeta, 1-zeta), min(zeta, 1-zeta)), and only the M largest
+    products are kept after each mode. This is exact: each of the M
+    largest weights over k + 1 modes extends one of the M largest over k
+    modes, since a weight outside those M is outranked by M others that
+    take the same factor.
     """
     if M < 1:
         raise ValueError(f"need at least one weight, got M = {M}")
-    costs = np.abs(spec.epsilons)
-    K = len(costs)
-    total = 1 << K
-    if M >= total:
-        weights = np.array([1.0])
-        for zeta in spec.occupations:
-            weights = np.concatenate([weights * max(zeta, 1 - zeta),
-                                      weights * min(zeta, 1 - zeta)])
-        return RdmSpectrum(np.sort(weights)[::-1], truncated=False)
-    log_w1 = -float(np.sum(np.logaddexp(0.0, -costs)))  # ln of the largest weight
-    heap = [(0.0, ())]
-    out = np.empty(M)
-    for i in range(M):
-        cost, flips = heapq.heappop(heap)
-        out[i] = math.exp(log_w1 - cost)
-        start = flips[-1] + 1 if flips else 0
-        for j in range(start, K):
-            heapq.heappush(heap, (cost + costs[j], flips + (j,)))
-    return RdmSpectrum(out, truncated=True)
+    weights = np.array([1.0])
+    for zeta in spec.occupations:
+        pair = np.array([max(zeta, 1 - zeta), min(zeta, 1 - zeta)])
+        weights = np.sort(np.outer(pair, weights).ravel())[::-1][:M]
+    return RdmSpectrum(weights, truncated=M < 1 << len(spec.occupations))
 
 
 def distillation_bound(w1: float) -> DistillationBound:

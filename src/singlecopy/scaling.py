@@ -4,9 +4,9 @@ The CFT forms S1 = (c/f') ln L + const invert to local slope estimates
 c_local = f * dS1/d(ln L) between consecutive scan points, plotted against
 1/ln L at the geometric midpoint, followed by a second-order polynomial
 extrapolation in 1/ln L to the infinite-size value. The slope factor f is
-6 for an interval of an infinite chain and 12 for a half-infinite end or a
-symmetric finite cut (use half these values to fit the entanglement
-entropy S instead of S1).
+the geometry's `slope`: 6 for an interval of an infinite chain and 12 for
+a half-infinite end or a finite cut (use half these values to fit the
+entanglement entropy S instead of S1).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import FiniteChainCut, Geometry, HalfInfiniteEnd, InfiniteLineInterval
+from .analytic import FiniteChainCut, Geometry
 
 __all__ = [
     "ScanPoint",
@@ -30,20 +30,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScanPoint:
-    """One scan row: subsystem scale L, S1, optionally S and w1."""
+    """One scan row: subsystem scale L, S1 and optionally S."""
 
     L: float
     S1: float
     S: float | None = None
-    w1: float | None = None
 
     def __post_init__(self):
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
-        if self.w1 is None:
-            object.__setattr__(self, "w1", math.exp(-self.S1))
-        elif abs(self.w1 - math.exp(-self.S1)) > 1e-10:
-            raise ValueError(f"w1={self.w1} inconsistent with exp(-S1)={math.exp(-self.S1)}")
 
 
 @dataclass(frozen=True)
@@ -51,20 +46,15 @@ class CEstimateSeries:
     """Local central-charge estimates (L_mid, c_local), ordered by L_mid."""
 
     entries: tuple[tuple[float, float], ...]
-    geometry_factor: float
 
 
 def geometry_factor(geom: Geometry | float) -> float:
-    """Slope-inversion factor for S1: 6 (infinite interval) or 12 (else).
+    """Slope-inversion factor for S1: the geometry's `slope`, 6 or 12.
 
     A bare number passes through, which is how the S-route factors 3 and 6
     are supplied.
     """
-    if isinstance(geom, InfiniteLineInterval):
-        return 6.0
-    if isinstance(geom, (HalfInfiniteEnd, FiniteChainCut)):
-        return 12.0
-    factor = float(geom)
+    factor = float(getattr(geom, "slope", geom))
     if factor <= 0:
         raise ValueError(f"slope factor must be positive, got {factor}")
     return factor
@@ -84,13 +74,10 @@ def local_c_estimates(
     points,
     geom: Geometry | float,
     observable: str = "S1",
-    three_point: bool = False,
 ) -> CEstimateSeries:
     """Finite-difference c_local between consecutive points.
 
     c_local = f (S1(L2) - S1(L1)) / (ln L2 - ln L1) at L_mid = sqrt(L1 L2).
-    With three_point=True a symmetric difference over (L_{i-1}, L_{i+1})
-    at abscissa L_i is used instead (sensitivity check).
     """
     points = sorted(points, key=lambda p: p.L)
     L = np.array([p.L for p in points], dtype=float)
@@ -100,17 +87,9 @@ def local_c_estimates(
         raise ValueError("scan points must have strictly increasing distinct L")
     f = geometry_factor(geom)
     y = _values(points, observable)
-    lnL = np.log(L)
-    if three_point:
-        if len(points) < 3:
-            raise ValueError("three-point slopes need at least three points")
-        c = f * (y[2:] - y[:-2]) / (lnL[2:] - lnL[:-2])
-        mids = L[1:-1]
-    else:
-        c = f * np.diff(y) / np.diff(lnL)
-        mids = np.sqrt(L[:-1] * L[1:])
-    entries = tuple((float(m), float(v)) for m, v in zip(mids, c))
-    return CEstimateSeries(entries=entries, geometry_factor=f)
+    c = f * np.diff(y) / np.diff(np.log(L))
+    mids = np.sqrt(L[:-1] * L[1:])
+    return CEstimateSeries(entries=tuple((float(m), float(v)) for m, v in zip(mids, c)))
 
 
 def extrapolate_c(series: CEstimateSeries) -> float:
@@ -146,15 +125,9 @@ def fit_conformal_constants(points, geom: Geometry, c: float) -> tuple[float, fl
         raise ValueError("need at least two scan points")
     L = np.array([p.L for p in points], dtype=float)
     y = _values(points, "S1")
-    if isinstance(geom, InfiniteLineInterval):
-        pred = (c / 6.0) * np.log(L)
-    elif isinstance(geom, HalfInfiniteEnd):
-        pred = (c / 12.0) * np.log(L)
-    elif isinstance(geom, FiniteChainCut):
-        frac = geom.l / geom.L_chain
-        pred = (c / 12.0) * np.log((2.0 * L / math.pi) * math.sin(math.pi * frac))
-    else:
-        raise TypeError(f"unsupported geometry {type(geom).__name__}")
+    if isinstance(geom, FiniteChainCut):  # the only log argument other than L
+        L = (2.0 * L / math.pi) * math.sin(math.pi * (geom.l / geom.L_chain))
+    pred = (c / geom.slope) * np.log(L)
     k1 = float(np.mean(y - pred))
     residual = float(np.max(np.abs(y - pred - k1)))
     return k1, residual

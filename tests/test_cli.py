@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,17 @@ class TestScan:
         assert run(["scan", "--model", "xx", "--L-range", "1:6:1.2"]) == 0
         rows = capsys.readouterr().out.strip().split("\n")[1:]
         assert [int(r.split(",")[2]) for r in rows] == [1, 2, 3, 4, 5, 6]
+
+    def test_l_range_work_grows_with_distinct_sizes(self):
+        # 64:128:1.000001 takes about 700,000 factor steps for 65 sizes
+        tracemalloc.start()
+        try:
+            sizes = cli._geometric_range("64:128:1.000001")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes == list(range(64, 129))
+        assert peak < 1 << 20
 
     def test_tfim_scan_runs(self, tmp_path):
         out = tmp_path / "tfim.csv"
@@ -230,6 +242,21 @@ class TestAnalytic:
 
     def test_unknown_formula_exits_two(self, capsys):
         assert run(["analytic", "frobnicate", "x=1"]) == 2
+
+    def test_geometry_token_on_other_formula_exits_two(self, capsys):
+        assert run(["analytic", "tfim-s1", "finite", "k=0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "'finite'" in captured.err
+
+    def test_key_the_formula_does_not_take_exits_two(self, capsys):
+        assert run(["analytic", "elliptic-k", "k=0.5", "L=3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "L" in captured.err
+
+    def test_non_integer_mode_index_exits_two(self, capsys):
+        assert run(["analytic", "xx-spectrum", "L=100", "k=1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1.5" in captured.err
 
 
 class TestCompareOracle:

@@ -1,0 +1,21 @@
+"""The quick demos run to the end against the current public API.
+
+Demos 05 (XXZ exact diagonalization up to 21 sites, about half a minute)
+and 06 (an XX interval of 4096 sites) are too slow for this suite.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+QUICK = ["01_xx_entanglement_spectrum.py", "02_single_copy_vs_entropy.py",
+         "03_central_charge_extraction.py", "04_ising_closed_form.py"]
+
+
+@pytest.mark.parametrize("name", QUICK)
+def test_demo_runs(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a demo may write a figure into the working directory
+    runpy.run_path(str(DEMOS / name), run_name="__main__")
+    assert capsys.readouterr().out

@@ -191,6 +191,14 @@ class TestManyBodySpectrum:
             expected = brute_force_products(spec.occupations)[:50]
             got = many_body_spectrum(spec, 50).weights
             assert np.max(np.abs(got - expected)) < 1e-12
+        for K in range(1, 11):
+            spec = spectrum_from_occupations(rng.uniform(0.01, 0.99, size=K))
+            expected = brute_force_products(spec.occupations)
+            for M in (1, (1 << K) - 1, 1 << K, (1 << K) + 5):
+                rdm = many_body_spectrum(spec, M)
+                assert len(rdm.weights) == min(M, 1 << K)
+                assert rdm.truncated == (M < 1 << K)
+                assert np.max(np.abs(rdm.weights - expected[:M])) < 1e-12
 
     def test_zero_mode_ties_are_deterministic(self):
         spec = spectrum_from_occupations([0.5, 0.5, 0.9])

@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from singlecopy.analytic import FiniteChainCut, HalfInfiniteEnd, InfiniteLineInterval
+from singlecopy.analytic import (
+    ConformalParams,
+    FiniteChainCut,
+    HalfInfiniteEnd,
+    InfiniteLineInterval,
+    conformal_s1,
+)
 from singlecopy.free_fermion import single_particle_energies, xx_correlations_infinite
 from singlecopy.entanglement import summary_from_single_particle
 from singlecopy.scaling import (
@@ -27,20 +33,14 @@ def quadratic_series(c, alpha, beta, Ls):
     for L in Ls:
         x = 1.0 / math.log(L)
         entries.append((float(L), c + alpha * x + beta * x * x))
-    return CEstimateSeries(entries=tuple(entries), geometry_factor=12.0)
+    return CEstimateSeries(entries=tuple(entries))
 
 
 LADDER = [64, 128, 256, 512, 1024]
 
 
 class TestScanPoint:
-    def test_w1_defaults_to_exp_minus_s1(self):
-        p = ScanPoint(L=10, S1=0.7)
-        assert p.w1 == pytest.approx(math.exp(-0.7), abs=1e-15)
-
-    def test_inconsistent_w1_rejected(self):
-        with pytest.raises(ValueError):
-            ScanPoint(L=10, S1=0.7, w1=0.6)
+    def test_nonpositive_L_rejected(self):
         with pytest.raises(ValueError):
             ScanPoint(L=-1, S1=0.7)
 
@@ -68,12 +68,6 @@ class TestLocalEstimates:
     def test_exact_line_factor_six(self):
         points = line_points(1.0 / 6, 0.0, LADDER)
         series = local_c_estimates(points, InfiniteLineInterval(1.0))
-        assert all(abs(c - 1.0) < 1e-12 for _, c in series.entries)
-
-    def test_three_point_variant(self):
-        points = line_points(1.0 / 6, 0.1, LADDER)
-        series = local_c_estimates(points, 6, three_point=True)
-        assert len(series.entries) == len(LADDER) - 2
         assert all(abs(c - 1.0) < 1e-12 for _, c in series.entries)
 
     def test_input_validation(self):
@@ -108,18 +102,18 @@ class TestExtrapolation:
 
     def test_constant_entries(self):
         series = CEstimateSeries(
-            entries=tuple((float(L), 0.97) for L in LADDER), geometry_factor=12.0
+            entries=tuple((float(L), 0.97) for L in LADDER)
         )
         assert extrapolate_c(series) == pytest.approx(0.97, abs=1e-12)
 
     def test_needs_three_entries(self):
-        series = CEstimateSeries(entries=((64.0, 1.0), (128.0, 1.0)), geometry_factor=6.0)
+        series = CEstimateSeries(entries=((64.0, 1.0), (128.0, 1.0)))
         with pytest.raises(ValueError):
             extrapolate_c(series)
 
     def test_degenerate_design_matrix(self):
         series = CEstimateSeries(
-            entries=((64.0, 1.0), (64.0, 1.0), (64.0, 1.0)), geometry_factor=6.0
+            entries=((64.0, 1.0), (64.0, 1.0), (64.0, 1.0))
         )
         with pytest.raises(ValueError):
             extrapolate_c(series)
@@ -138,6 +132,19 @@ class TestExtrapolation:
 
 
 class TestConstantFit:
+    @pytest.mark.parametrize(
+        "at_size",
+        [InfiniteLineInterval, HalfInfiniteEnd, lambda L: FiniteChainCut(L, 0.3 * L)],
+        ids=["infinite", "half-infinite", "finite-cut"],
+    )
+    def test_recovers_k1_from_conformal_data(self, at_size):
+        c, k1_true = 0.8, -0.21
+        params = ConformalParams(c=c, k1=k1_true)
+        points = [ScanPoint(L=L, S1=conformal_s1(at_size(L), params)) for L in LADDER]
+        k1, residual = fit_conformal_constants(points, at_size(10.0), c)
+        assert k1 == pytest.approx(k1_true, abs=1e-12)
+        assert residual <= 1e-12
+
     def test_exact_finite_cut_data(self):
         c, k1_true = 1.0, 0.37
         points = [
