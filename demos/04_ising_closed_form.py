@@ -12,7 +12,6 @@ import math
 
 from singlecopy import (
     FermionModelSpec,
-    build_bdg,
     ground_state_correlations,
     single_particle_energies,
     summary_from_single_particle,
@@ -25,9 +24,7 @@ print("   k     L_total    S1 lattice      S1 formula      |diff|")
 for k in (0.3, 0.5, 0.7, 0.9):
     xi = 1.0 / (1.0 - k)
     L = 2 * math.ceil(20 * xi)
-    corr = ground_state_correlations(
-        build_bdg(FermionModelSpec(kind="tfim", modulus=k, length=L))
-    )
+    corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
     spec = single_particle_energies(corr, range(L // 2))
     s1 = summary_from_single_particle(spec).S1
     formula = tfim_s1_half(k)

@@ -45,7 +45,6 @@ from .free_fermion import (
     CorrelationData,
     EntanglementSpectrum,
     FermionModelSpec,
-    build_bdg,
     ground_state_correlations,
     single_particle_energies,
     xx_correlations_infinite,

@@ -51,9 +51,9 @@ class ConformalParams:
     b_n: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError(f"central charge must be positive, got {self.c}")
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError(f"cutoff a must be positive, got {self.a}")
 
 
@@ -65,7 +65,7 @@ class InfiniteLineInterval:
     L: float
 
     def __post_init__(self):
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError(f"interval length must be positive, got {self.L}")
 
 
@@ -77,7 +77,7 @@ class HalfInfiniteEnd:
     L: float
 
     def __post_init__(self):
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError(f"subsystem length must be positive, got {self.L}")
 
 
@@ -90,9 +90,9 @@ class FiniteChainCut:
     l: float
 
     def __post_init__(self):
-        if self.L_chain <= 0 or self.l <= 0:
+        if not (self.L_chain > 0 and self.l > 0):
             raise ValueError("chain and piece lengths must be positive")
-        if self.l >= self.L_chain:
+        if not self.l < self.L_chain:
             raise ValueError(
                 f"piece length {self.l} must be smaller than chain {self.L_chain}"
             )
@@ -129,9 +129,9 @@ def conformal_renyi_trace(L: float, n: float, p: ConformalParams = ConformalPara
     -(1/n) ln of the result approaches the infinite-interval S1 slope
     as n -> infinity.
     """
-    if L <= 0:
+    if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
-    if n <= 0:
+    if not n > 0:
         raise ValueError(f"Renyi index must be positive, got {n}")
     return p.b_n * (L / p.a) ** (-(p.c / 6.0) * (n - 1.0 / n))
 
@@ -143,9 +143,9 @@ def xx_asymptotic_spectrum(L: float, k: int) -> float:
     for k = 0, 1, 2, ...; consecutive levels are spaced by pi^2/ln L and
     eps_1/eps_0 = 3.
     """
-    if L < 2:
+    if not L >= 2:
         raise ValueError(f"L must be at least 2, got {L}")
-    if k < 0:
+    if not k >= 0:
         raise ValueError(f"mode index must be nonnegative, got {k}")
     return math.pi**2 * (2 * k + 1) / (2.0 * math.log(L))
 
@@ -158,9 +158,9 @@ def elliptic_K(k: float) -> float:
     relative accuracy as k -> 1. Diverges logarithmically there, so k >= 1
     is rejected.
     """
-    if k < 0:
+    if not k >= 0:
         raise ValueError(f"modulus must be nonnegative, got {k}")
-    if k >= 1:
+    if not k < 1:
         raise ValueError(f"K(k) diverges at k = 1; got {k}")
     return float(ellipkm1((1.0 - k) * (1.0 + k)))
 

@@ -124,7 +124,7 @@ def _xx_row(nu: float, L: int) -> dict:
 
 def _tfim_row(k: float, L: int) -> dict:
     model = free_fermion.FermionModelSpec(kind="tfim", modulus=k, length=L)
-    corr = free_fermion.ground_state_correlations(free_fermion.build_bdg(model))
+    corr = free_fermion.ground_state_correlations(model)
     cut = (L + 1) // 2
     spec = free_fermion.single_particle_energies(corr, range(cut))
     return _row("tfim", k, L, summary_from_single_particle(spec))
@@ -183,7 +183,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         if not args.k or len(args.k) != 1:
             raise ValueError("tfim spectrum needs exactly one --k")
         chain = free_fermion.FermionModelSpec(kind="tfim", modulus=args.k[0], length=2 * L)
-        corr = free_fermion.ground_state_correlations(free_fermion.build_bdg(chain))
+        corr = free_fermion.ground_state_correlations(chain)
         spec = free_fermion.single_particle_energies(corr, range(L))
     lines = ["k,epsilon,zeta,zero_mode"]
     for i, (eps, zeta) in enumerate(zip(spec.epsilons, spec.occupations)):
@@ -270,7 +270,12 @@ def _kv(params: list[str]) -> dict:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         key, _, val = tok.partition("=")
-        out[key.strip()] = float(val)
+        key, value = key.strip(), float(val)
+        if key in out:
+            raise ValueError(f"key {key} given twice")
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {val}")
+        out[key] = value
     return out
 
 
@@ -351,9 +356,7 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
 
         chain = free_fermion.FermionModelSpec(kind="xx", length=L)
         # the Sz=+1/2 sector state has the chain zero mode occupied
-        corr = free_fermion.ground_state_correlations(
-            free_fermion.build_bdg(chain), zero_mode="filled"
-        )
+        corr = free_fermion.ground_state_correlations(chain, zero_mode="filled")
         spec = free_fermion.single_particle_energies(corr, range(cut))
         ff_summary = summary_from_single_particle(spec)
         ff_weights = many_body_spectrum(spec, top)

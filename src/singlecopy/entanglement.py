@@ -134,7 +134,7 @@ def renyi_ln_trace(spec: EntanglementSpectrum, n: float) -> float:
     and n ln(1-zeta) = -n ln(1+e^(-eps)) are combined with logaddexp, so
     -(1/n) times the result tends to S1 without overflow.
     """
-    if n <= 0:
+    if not n > 0:
         raise ValueError(f"Renyi index must be positive, got {n}")
     eps = spec.epsilons
     if len(eps) == 0:

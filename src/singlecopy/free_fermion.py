@@ -7,7 +7,8 @@ Two solvable models are covered:
   infinite chain via the closed-form sine kernel, or as a finite open
   chain via the single-particle hopping matrix;
 * the transverse-field Ising chain in its disordered phase (pairing terms
-  present), as a finite open chain via the Bogoliubov-de Gennes matrix.
+  present), as a finite open chain via its lower-bidiagonal L x L block
+  A - B, which is built directly.
 
 The reduced density matrix of a subsystem of a Gaussian state is itself
 Gaussian, rho = exp(-H)/Z with quadratic H = sum_k eps_k f_k^dag f_k.
@@ -45,7 +46,6 @@ __all__ = [
     "CorrelationData",
     "EntanglementSpectrum",
     "xx_correlations_infinite",
-    "build_bdg",
     "ground_state_correlations",
     "single_particle_energies",
 ]
@@ -196,39 +196,17 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
     return CorrelationData(tuple(range(L_sub)), toeplitz(row))
 
 
-def build_bdg(model: FermionModelSpec) -> np.ndarray:
-    """Bogoliubov-de Gennes matrix of a finite open chain.
+def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") -> CorrelationData:
+    """Correlation matrices of the many-body ground state of an open chain.
 
-    Returns the 2L x 2L real symmetric matrix [[A, B], [-B, -A]] in the
-    Nambu basis (c_1..c_L, c^dag_1..c^dag_L), for the quadratic form
-    H = sum A_ij c^dag_i c_j + (1/2) sum (B_ij c^dag_i c^dag_j + h.c.).
-
-    XX chain: A has hopping 1/2 on nearest-neighbor bonds (Jordan-Wigner
-    image of the XY exchange), B = 0. Ising chain with coupling k:
-    A_ii = 2, A_{i,i+1} = -k, B_{i,i+1} = -k (open ends).
-    """
-    L = model.length
-    bdg = np.zeros((2 * L, 2 * L))
-    A, B = bdg[:L, :L], bdg[:L, L:]  # views, filled in place
-    if model.kind == "xx":
-        hop = 0.5 * np.ones(L - 1)
-        A += np.diag(hop, 1) + np.diag(hop, -1)
-    else:
-        k = model.modulus
-        np.fill_diagonal(A, 2.0)
-        bond = -k * np.ones(L - 1)
-        A += np.diag(bond, 1) + np.diag(bond, -1)
-        B += np.diag(bond, 1) - np.diag(bond, -1)
-    bdg[L:, :L], bdg[L:, L:] = -B, -A
-    return bdg
-
-
-def ground_state_correlations(bdg: np.ndarray, zero_mode: str = "half") -> CorrelationData:
-    """Correlation matrices of the many-body ground state of a BdG matrix.
-
-    With pairing (B != 0), H = (i/2) sum (A - B)_mn a_m b_n in Majoranas and
-    the polar factor W = U V^T of A - B = U diag(sigma) V^T gives
-    G = (1 - (W + W^T)/2)/2 and F = (W - W^T)/4. Without pairing F is None.
+    The chain is H = sum A_ij c^dag_i c_j + (1/2) sum (B_ij c^dag_i c^dag_j + h.c.),
+    and only the L x L matrix that is factorized is built. XX chain: A has
+    hopping 1/2 on nearest-neighbor bonds (Jordan-Wigner image of the XY
+    exchange) and B = 0; G follows from `eigh` of A and F is None. Ising
+    chain with coupling k: A_ii = 2, A_{i,i+1} = -k, B_{i,i+1} = -k, so in
+    Majoranas H = (i/2) sum D_mn a_m b_n with the lower-bidiagonal D = A - B
+    (2 on the diagonal, -2k below it). The polar factor W = U V^T of
+    D = U diag(sigma) V^T gives G = (1 - (W + W^T)/2)/2 and F = (W - W^T)/4.
 
     Negative-energy modes are filled. Modes at exactly zero single-particle
     energy (degenerate ground states, e.g. the odd-length XX chain) are
@@ -243,23 +221,22 @@ def ground_state_correlations(bdg: np.ndarray, zero_mode: str = "half") -> Corre
 
     The pure-state conventions are the ones that match a spin-chain
     diagonalization in a fixed magnetization sector. Fractional zero-mode
-    occupation is only defined for particle-conserving chains; a zero BdG
-    energy in the presence of pairing raises LinAlgError.
+    occupation is only defined for particle-conserving chains; a zero
+    singular value of D with pairing raises LinAlgError.
     """
     if zero_mode not in ("half", "filled", "empty"):
         raise ValueError(f"unknown zero-mode convention {zero_mode!r}")
-    n2 = bdg.shape[0]
-    if bdg.ndim != 2 or bdg.shape != (n2, n2) or n2 % 2:
-        raise ValueError("BdG matrix must be square with even dimension")
-    L = n2 // 2
-    A, B = bdg[:L, :L], bdg[:L, L:]
-    if not np.any(B):
-        evals, phi = eigh(A)
+    L = model.length
+    if model.kind == "xx":
+        hop = np.eye(L, k=1)
+        evals, phi = eigh(0.5 * (hop + hop.T))
         occ = np.where(evals < -1e-12, 1.0, 0.0)
         occ[np.abs(evals) <= 1e-12] = {"half": 0.5, "filled": 1.0, "empty": 0.0}[zero_mode]
         G = (phi * occ) @ phi.T
         return CorrelationData(tuple(range(L)), 0.5 * (G + G.T))
-    U, sigma, Vt = svd(A - B)
+    D = np.diag(np.full(L, 2.0))
+    np.fill_diagonal(D[1:], -2.0 * model.modulus)
+    U, sigma, Vt = svd(D)
     if sigma[-1] <= 1e-12:
         raise np.linalg.LinAlgError(
             "zero-energy BdG mode with pairing: ground state is degenerate "

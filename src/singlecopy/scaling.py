@@ -37,7 +37,7 @@ class ScanPoint:
     S: float | None = None
 
     def __post_init__(self):
-        if self.L <= 0:
+        if not self.L > 0:
             raise ValueError(f"L must be positive, got {self.L}")
 
 
@@ -55,7 +55,7 @@ def geometry_factor(geom: Geometry | float) -> float:
     are supplied.
     """
     factor = float(getattr(geom, "slope", geom))
-    if factor <= 0:
+    if not factor > 0:
         raise ValueError(f"slope factor must be positive, got {factor}")
     return factor
 

@@ -28,7 +28,6 @@ from singlecopy.entanglement import (
 from singlecopy.exact_diag import xxz_scan
 from singlecopy.free_fermion import (
     FermionModelSpec,
-    build_bdg,
     ground_state_correlations,
     single_particle_energies,
     xx_correlations_infinite,
@@ -114,7 +113,7 @@ class TestA3:
             xi = 1.0 / (1.0 - k)
             L_total = 2 * math.ceil(20.0 * xi)  # >= 40 xi, even, middle cut
             model = FermionModelSpec(kind="tfim", modulus=k, length=L_total)
-            corr = ground_state_correlations(build_bdg(model))
+            corr = ground_state_correlations(model)
             spec = single_particle_energies(corr, range(L_total // 2))
             s1_numeric = summary_from_single_particle(spec).S1
             dev = abs(s1_numeric - tfim_s1_half(k))

@@ -69,6 +69,28 @@ class TestConformalS1:
             ConformalParams(c=-1.0)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ConformalParams(c=NAN),
+    lambda: ConformalParams(a=NAN),
+    lambda: InfiniteLineInterval(NAN),
+    lambda: HalfInfiniteEnd(NAN),
+    lambda: FiniteChainCut(NAN, 5.0),
+    lambda: FiniteChainCut(10.0, NAN),
+    lambda: conformal_renyi_trace(NAN, 2.0),
+    lambda: conformal_renyi_trace(10.0, NAN),
+    lambda: xx_asymptotic_spectrum(NAN, 0),
+    lambda: xx_asymptotic_spectrum(10.0, NAN),
+    lambda: elliptic_K(NAN),
+], ids=["c", "a", "infinite-L", "half-infinite-L", "finite-L_chain", "finite-l",
+        "renyi-L", "renyi-n", "xx-spectrum-L", "xx-spectrum-k", "elliptic-k"])
+def test_nan_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 class TestConformalRenyiTrace:
     def test_normalized_at_one(self):
         for L in (3.0, 77.0, 1e6):

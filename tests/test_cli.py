@@ -11,7 +11,6 @@ from singlecopy import cli
 from singlecopy.entanglement import summary_from_single_particle
 from singlecopy.free_fermion import (
     FermionModelSpec,
-    build_bdg,
     ground_state_correlations,
     single_particle_energies,
 )
@@ -96,9 +95,8 @@ class TestScan:
         rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
         for r in rows:
             L = int(r[2])
-            corr = ground_state_correlations(
-                build_bdg(FermionModelSpec(kind="xx", length=L)), zero_mode="filled"
-            )
+            corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L),
+                                             zero_mode="filled")
             spec = single_particle_energies(corr, range((L + 1) // 2))
             expected = summary_from_single_particle(spec).S1
             assert float(r[4]) == pytest.approx(expected, abs=1e-9)
@@ -257,6 +255,24 @@ class TestAnalytic:
         assert run(["analytic", "xx-spectrum", "L=100", "k=1.5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "1.5" in captured.err
+
+    def test_repeated_key_exits_two_and_names_it(self, capsys):
+        assert run(["analytic", "elliptic-k", "k=0.5", "k=0.9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "k" in captured.err and "twice" in captured.err
+
+    @pytest.mark.parametrize("params", [
+        ["elliptic-k", "k=nan"],
+        ["conformal-s1", "L=nan"],
+        ["conformal-s1", "L=100", "c=nan"],
+        ["conformal-renyi-trace", "L=nan", "n=2"],
+        ["xx-spectrum", "L=nan", "k=0"],
+    ], ids=lambda params: " ".join(params))
+    def test_nan_value_exits_two_and_names_key(self, capsys, params):
+        assert run(["analytic", *params]) == 2
+        captured = capsys.readouterr()
+        key = next(p.split("=")[0] for p in params if p.endswith("=nan"))
+        assert captured.out == "" and f"{key} must be finite" in captured.err
 
 
 class TestCompareOracle:

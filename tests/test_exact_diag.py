@@ -21,7 +21,6 @@ from singlecopy.exact_diag import (
 )
 from singlecopy.free_fermion import (
     FermionModelSpec,
-    build_bdg,
     ground_state_correlations,
     single_particle_energies,
 )
@@ -30,14 +29,13 @@ from conftest import dense_ground_state, rdm_weights_dense, xxz_dense_hamiltonia
 
 
 def xx_open_energy(L):
-    """Jordan-Wigner oracle: open XX chain fills its negative modes."""
-    bdg = build_bdg(FermionModelSpec(kind="xx", length=L))
-    e = np.linalg.eigvalsh(bdg[:L, :L])
+    """Jordan-Wigner oracle: open XX chain fills its negative modes cos(pi q/(L+1))."""
+    e = np.cos(np.pi * np.arange(1, L + 1) / (L + 1))
     return float(np.sum(e[e < -1e-12]))
 
 
 def free_fermion_summary(L, cut):
-    corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="xx", length=L)),
+    corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L),
                                      zero_mode="filled")
     return summary_from_single_particle(single_particle_energies(corr, range(cut)))
 
@@ -253,9 +251,8 @@ class TestFreeFermionEquivalence:
     @pytest.mark.parametrize("L", list(range(2, 17)))
     def test_all_cuts(self, L):
         state = xxz_ground_state(XxzSpec(L, 0.0))
-        corr = ground_state_correlations(
-            build_bdg(FermionModelSpec(kind="xx", length=L)), zero_mode="filled"
-        )
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L),
+                                         zero_mode="filled")
         for cut in range(1, L):
             ed = summary_from_weights(rdm_weights(state, cut))
             ff = summary_from_single_particle(single_particle_energies(corr, range(cut)))

@@ -11,7 +11,6 @@ from singlecopy.entanglement import summary_from_single_particle
 from singlecopy.free_fermion import (
     CorrelationData,
     FermionModelSpec,
-    build_bdg,
     ground_state_correlations,
     single_particle_energies,
     xx_correlations_infinite,
@@ -53,20 +52,6 @@ class TestXxInfinite:
 
 
 class TestBuildBdg:
-    def test_xx_two_sites_structure(self):
-        bdg = build_bdg(FermionModelSpec(kind="xx", length=2))
-        A = bdg[:2, :2]
-        B = bdg[:2, 2:]
-        assert A[0, 1] == A[1, 0] == 0.5
-        assert A[0, 0] == A[1, 1] == 0.0
-        assert not np.any(B)
-        assert np.allclose(bdg, bdg.T)
-
-    def test_xx_energies_symmetric(self):
-        bdg = build_bdg(FermionModelSpec(kind="xx", length=4))
-        e = np.sort(np.linalg.eigvalsh(bdg[:4, :4]))
-        assert np.allclose(e, -e[::-1], atol=1e-14)
-
     def test_tfim_modulus_validated(self):
         with pytest.raises(ValueError):
             FermionModelSpec(kind="tfim", modulus=1.5, length=8)
@@ -87,26 +72,24 @@ class TestBuildBdg:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             FermionModelSpec(kind="xx", length=1)
-        with pytest.raises(ValueError):
-            build_bdg(FermionModelSpec(kind="xx"))
 
 
 class TestGroundStateCorrelations:
     def test_two_site_bond(self):
-        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="xx", length=2)))
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=2))
         assert corr.G[0, 0] == pytest.approx(0.5, abs=1e-14)
         assert corr.G[1, 1] == pytest.approx(0.5, abs=1e-14)
 
     def test_interior_diagonal_long_odd_chain(self):
-        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="xx", length=401)))
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=401))
         interior = corr.G.diagonal()[100:301]
         assert np.max(np.abs(interior - 0.5)) < 1e-3
 
     def test_zero_mode_conventions(self):
-        bdg = build_bdg(FermionModelSpec(kind="xx", length=9))
-        half = ground_state_correlations(bdg, zero_mode="half")
-        filled = ground_state_correlations(bdg, zero_mode="filled")
-        empty = ground_state_correlations(bdg, zero_mode="empty")
+        chain = FermionModelSpec(kind="xx", length=9)
+        half = ground_state_correlations(chain, zero_mode="half")
+        filled = ground_state_correlations(chain, zero_mode="filled")
+        empty = ground_state_correlations(chain, zero_mode="empty")
         assert np.trace(half.G) == pytest.approx(4.5, abs=1e-12)
         assert np.trace(filled.G) == pytest.approx(5.0, abs=1e-12)
         assert np.trace(empty.G) == pytest.approx(4.0, abs=1e-12)
@@ -114,22 +97,13 @@ class TestGroundStateCorrelations:
         S = np.diag((-1.0) ** np.arange(9))
         assert np.max(np.abs(S @ half.G @ S + half.G - np.eye(9))) < 1e-12
         with pytest.raises(ValueError):
-            ground_state_correlations(bdg, zero_mode="maybe")
+            ground_state_correlations(chain, zero_mode="maybe")
 
     def test_tfim_small_coupling_near_vacuum(self):
-        bdg = build_bdg(FermionModelSpec(kind="tfim", modulus=0.05, length=20))
-        corr = ground_state_correlations(bdg)
+        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=0.05, length=20))
         assert np.max(np.abs(corr.G)) < 1e-3
         assert np.max(np.abs(corr.F)) < 2e-2
         assert corr.has_pairing
-
-    def test_zero_bdg_mode_with_pairing_rejected(self):
-        # A = diag(1,-1), B = [[0,1],[-1,0]] has eigenvalues {2, 0, 0, -2}
-        A = np.diag([1.0, -1.0])
-        B = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        bdg = np.block([[A, B], [-B, -A]])
-        with pytest.raises(np.linalg.LinAlgError):
-            ground_state_correlations(bdg)
 
 
 class TestCorrelationData:
@@ -214,14 +188,14 @@ class TestSpectrum:
     def test_occupations_within_range(self):
         for corr in (
             xx_correlations_infinite(40, 0.3),
-            ground_state_correlations(build_bdg(FermionModelSpec(kind="xx", length=30))),
+            ground_state_correlations(FermionModelSpec(kind="xx", length=30)),
         ):
             zeta = np.linalg.eigvalsh(corr.G)
             assert zeta.min() > -1e-10
             assert zeta.max() < 1 + 1e-10
 
     def test_subsystem_selection(self):
-        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="xx", length=12)))
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=12))
         spec = single_particle_energies(corr, range(4))
         assert len(spec) == 4
 
@@ -256,7 +230,7 @@ class TestRestrictionConsistency:
     """
 
     def _zetas(self, L_sub, L_total):
-        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="xx", length=L_total)))
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L_total))
         start = (L_total - L_sub) // 2
         spec_open = single_particle_energies(corr, range(start, start + L_sub))
         spec_inf = single_particle_energies(xx_correlations_infinite(L_sub))
@@ -277,7 +251,7 @@ class TestTfimRoute:
     def test_matches_dense_spin_diagonalization(self, k):
         L = 8
         _, gs = dense_ground_state(tfim_dense_hamiltonian(L, k))
-        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="tfim", modulus=k, length=L)))
+        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
         for cut in (2, 4, 6):
             w = rdm_weights_dense(gs, L, cut)
             S_ed, S1_ed = entropies_from_weights(w)
@@ -292,7 +266,7 @@ class TestTfimRoute:
 
         k = 0.5
         L = 120
-        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="tfim", modulus=k, length=L)))
+        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
         spec = single_particle_energies(corr, range(L // 2))
         step = math.pi * elliptic_K(math.sqrt(1 - k * k)) / elliptic_K(k)
         lowest = np.sort(spec.epsilons[spec.epsilons > 1e-9])[:3]
@@ -304,7 +278,7 @@ class TestTfimRoute:
         cut = data.draw(st.integers(1, L - 1), label="cut")
         _, gs = dense_ground_state(tfim_dense_hamiltonian(L, k))
         S_ed, S1_ed = entropies_from_weights(rdm_weights_dense(gs, L, cut))
-        corr = ground_state_correlations(build_bdg(FermionModelSpec(kind="tfim", modulus=k, length=L)))
+        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
         summ = summary_from_single_particle(single_particle_energies(corr, range(cut)))
         assert summ.S == pytest.approx(S_ed, abs=1e-9)
         assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
@@ -334,3 +308,15 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.6 * 8 * self.N**2
+
+    def test_tfim_ground_state_peak(self):
+        # D = A - B plus the svd factors, W and the G/F temporaries; no 2L x 2L matrix
+        L = 512
+        chain = FermionModelSpec(kind="tfim", modulus=0.5, length=L)
+        tracemalloc.start()
+        try:
+            ground_state_correlations(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 8 * L**2

@@ -1,0 +1,27 @@
+"""The README's library quick start runs as written against the public API."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+import singlecopy as sc
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def quick_start_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match, "README quick start has no python block"
+    return match.group(1)
+
+
+def test_quick_start_runs():
+    namespace = {}
+    exec(compile(quick_start_block(), str(README), "exec"), namespace)
+    # the block's stated results: the Ising S1 lands on its closed form, and
+    # exact conformal S1 data give back c = 1
+    assert namespace["s1"] == pytest.approx(sc.tfim_s1_half(0.5), abs=1e-9)
+    assert sc.extrapolate_c(namespace["series"]) == pytest.approx(1.0, abs=1e-9)

@@ -44,6 +44,10 @@ class TestScanPoint:
         with pytest.raises(ValueError):
             ScanPoint(L=-1, S1=0.7)
 
+    def test_nan_L_rejected(self):
+        with pytest.raises(ValueError):
+            ScanPoint(L=float("nan"), S1=0.7)
+
 
 class TestGeometryFactor:
     def test_mapping(self):
@@ -55,6 +59,8 @@ class TestGeometryFactor:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             geometry_factor(0)
+        with pytest.raises(ValueError):
+            geometry_factor(float("nan"))
 
 
 class TestLocalEstimates:
