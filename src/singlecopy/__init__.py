@@ -11,50 +11,10 @@ sizes, evaluates the closed-form predictions, and extracts the central
 charge from scan data.
 """
 
-from .analytic import (
-    ConformalParams,
-    FiniteChainCut,
-    HalfInfiniteEnd,
-    InfiniteLineInterval,
-    conformal_renyi_trace,
-    conformal_s1,
-    elliptic_K,
-    tfim_s1_half,
-    tfim_s1_near_critical,
-    xx_asymptotic_spectrum,
-)
-from .entanglement import (
-    DistillationBound,
-    EntanglementSummary,
-    RdmSpectrum,
-    distillation_bound,
-    many_body_spectrum,
-    renyi_ln_trace,
-    summary_from_single_particle,
-    summary_from_weights,
-)
-from .exact_diag import (
-    GroundStateVector,
-    XxzScanPoint,
-    XxzSpec,
-    rdm_weights,
-    xxz_ground_state,
-    xxz_scan,
-)
-from .free_fermion import (
-    CorrelationData,
-    EntanglementSpectrum,
-    FermionModelSpec,
-    ground_state_correlations,
-    single_particle_energies,
-    xx_correlations_infinite,
-)
-from .scaling import (
-    CEstimateSeries,
-    ScanPoint,
-    extrapolate_c,
-    fit_conformal_constants,
-    local_c_estimates,
-)
+from .analytic import *
+from .entanglement import *
+from .exact_diag import *
+from .free_fermion import *
+from .scaling import *
 
 __version__ = "0.1.0"

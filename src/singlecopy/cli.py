@@ -13,10 +13,11 @@ failure. Output is deterministic byte-for-byte for a fixed configuration:
 rows are sorted by (parameter, L), floats printed with 17 significant
 digits. Options may also come from a config file of `key = value` lines
 (`#` comments; keys are the long option names of the subcommand;
-list-valued options are whitespace-separated). File values are checked
-like flags; command-line flags win over the file, which wins over
-built-in defaults. An exact diagonalization whose estimated memory is over
-its budget, and any failed allocation, exit with code 2.
+list-valued options are whitespace-separated; each key at most once).
+File values are checked like flags; command-line flags win over the
+file, which wins over built-in defaults. An exact diagonalization whose
+estimated memory is over its budget, and any failed allocation, exit
+with code 2.
 """
 
 from __future__ import annotations
@@ -54,7 +55,10 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: key {key} given twice")
+            values[key] = value.strip()
     return values
 
 
@@ -225,6 +229,10 @@ def cmd_fit_c(args: argparse.Namespace) -> int:
     if len(params) > 1:
         raise ValueError(f"{args.scan_file}: fit-c fits one parameter value, but the "
                          f"table has delta_or_k = {', '.join(params)}")
+    models = sorted({r["model"] for r in rows})
+    if len(models) > 1:
+        raise ValueError(f"{args.scan_file}: fit-c fits one model, but the "
+                         f"table has model = {', '.join(models)}")
     geometry, observable = args.geometry, args.observable
     factor = scaling.geometry_factor(_GEOMETRIES[geometry])
     if observable == "S":
@@ -410,8 +418,8 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The `sce` parser and its subcommand parsers by name."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The `sce` parser with one subparser per command."""
     parser = argparse.ArgumentParser(
         prog="sce",
         description="Single-copy entanglement toolkit for quantum chains.",
@@ -444,17 +452,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p_cmp = sub.add_parser("compare-oracle",
                            help="XXZ diagonalization vs free-fermion route at Delta=0")
     options(p_cmp, "--config", "--L", "--out")
-    return parser, sub.choices
+    return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """Flags over config file over defaults.
 
-    The file's values are parsed as trailing flags, so they meet the same
-    types and choices, and then become the subcommand's defaults for a
-    final parse of the command line alone.
+    The file's values are parsed as flags placed right after the
+    subcommand, so they meet the same types and choices, and any flag on
+    the command line comes later and wins.
     """
-    parser, commands = _build_parser()
+    parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
         return args
@@ -464,9 +472,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             raise ValueError(f"{args.config}: {args.command} has no option {key!r}")
     tokens = [tok for key, value in config.items()
               for tok in ("--" + key.replace("_", "-"), *value.replace(",", " ").split())]
-    from_file = parser.parse_args(argv + tokens)
-    commands[args.command].set_defaults(**{key: getattr(from_file, key) for key in config})
-    return parser.parse_args(argv)
+    # `sce` itself takes no options, so argv[0] is the subcommand
+    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 _COMMANDS = {

@@ -118,7 +118,7 @@ def summary_from_weights(rdm: RdmSpectrum) -> EntanglementSummary:
     if w.size == 0:
         raise ValueError("empty weight list")
     total = rdm.weight_sum
-    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+    if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:  # the negated form rejects NaN
         raise ValueError(f"weights sum to {total}, outside 1 +- {_WEIGHT_SUM_TOL}")
     w = np.clip(w / total, 0.0, None)
     S = float(-np.sum(xlogy(w, w)))

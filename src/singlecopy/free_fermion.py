@@ -97,21 +97,21 @@ class FermionModelSpec:
 
 @dataclass(frozen=True)
 class CorrelationData:
-    """Fermionic two-point functions restricted to a set of sites.
+    """Fermionic two-point functions of a chain, indexed by site position.
 
     G[m, n] = <c^dag_m c_n>  (real symmetric, eigenvalues in [0, 1]),
     F[m, n] = <c^dag_m c^dag_n>  (real antisymmetric), or None for a
-    particle-conserving state. Indices refer to positions in `sites`.
+    particle-conserving state. Row m belongs to the site at position m;
+    a subsystem is a set of rows (`single_particle_energies`).
     """
 
-    sites: tuple[int, ...]
     G: np.ndarray = field(repr=False)
     F: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        n = len(self.sites)
+        n = self.G.shape[0] if self.G.ndim else 0
         if self.G.shape != (n, n) or (self.F is not None and self.F.shape != (n, n)):
-            raise ValueError("G and F must be square with dimension len(sites)")
+            raise ValueError("G must be square and F, if given, of the same shape")
         # G - G^T is exactly antisymmetric, so its max is its max modulus;
         # the negated form rejects NaN
         if not np.max(self.G - self.G.T, initial=0.0) <= 1e-10:
@@ -122,16 +122,6 @@ class CorrelationData:
     @property
     def has_pairing(self) -> bool:
         return self.F is not None and bool(np.any(self.F))
-
-    def restrict(self, sites) -> "CorrelationData":
-        """Correlations of the sub-collection `sites` (labels, not positions)."""
-        pos = {s: i for i, s in enumerate(self.sites)}
-        try:
-            idx = np.array([pos[s] for s in sites], dtype=int)
-        except KeyError as bad:
-            raise ValueError(f"site {bad.args[0]} not present in correlation data")
-        sel = np.ix_(idx, idx)
-        return CorrelationData(tuple(sites), self.G[sel], None if self.F is None else self.F[sel])
 
 
 @dataclass(frozen=True)
@@ -193,7 +183,7 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
     d = np.arange(1, L_sub)
     row = np.concatenate([[filling], np.sin(np.pi * filling * d) / (np.pi * d)])
-    return CorrelationData(tuple(range(L_sub)), toeplitz(row))
+    return CorrelationData(toeplitz(row))
 
 
 def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") -> CorrelationData:
@@ -233,7 +223,7 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") 
         occ = np.where(evals < -1e-12, 1.0, 0.0)
         occ[np.abs(evals) <= 1e-12] = {"half": 0.5, "filled": 1.0, "empty": 0.0}[zero_mode]
         G = (phi * occ) @ phi.T
-        return CorrelationData(tuple(range(L)), 0.5 * (G + G.T))
+        return CorrelationData(0.5 * (G + G.T))
     D = np.diag(np.full(L, 2.0))
     np.fill_diagonal(D[1:], -2.0 * model.modulus)
     U, sigma, Vt = svd(D)
@@ -244,13 +234,13 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") 
         )
     W = U @ Vt
     G = 0.5 * (np.eye(L) - 0.5 * (W + W.T))
-    return CorrelationData(tuple(range(L)), G, 0.25 * (W - W.T))
+    return CorrelationData(G, 0.25 * (W - W.T))
 
 
-def _chiral_epsilons(G: np.ndarray, sites: tuple[int, ...]) -> np.ndarray | None:
+def _chiral_epsilons(G: np.ndarray, positions: np.ndarray) -> np.ndarray | None:
     """Spectrum of a particle-hole symmetric G from the sublattice block.
 
-    With S = diag((-1)^site), S G S = 1 - G holds exactly when both
+    With S = diag((-1)^position), S G S = 1 - G holds exactly when both
     same-sublattice blocks of 2G are the identity (the opposite-sublattice
     terms cancel identically); otherwise this returns None. Then M = 2G - 1
     anticommutes with S, so in the even/odd-sublattice basis it is purely
@@ -258,7 +248,7 @@ def _chiral_epsilons(G: np.ndarray, sites: tuple[int, ...]) -> np.ndarray | None
     plus | #even - #odd | exact zeros. eps = -2 artanh(eigenvalue of M)
     then pairs exactly, and odd intervals carry an exact zero mode.
     """
-    parity = np.asarray(sites, dtype=int) % 2
+    parity = positions % 2
     even = np.flatnonzero(parity == 0)
     odd = np.flatnonzero(parity == 1)
     for block in (even, odd):
@@ -280,8 +270,10 @@ def single_particle_energies(corr: CorrelationData, subsystem=None) -> Entanglem
     ----------
     corr : CorrelationData
         Correlations of the full system (or any superset of the subsystem).
-    subsystem : sequence of site labels, optional
-        Which sites to keep; defaults to all of `corr.sites`.
+    subsystem : sequence of int, optional
+        Positions of the kept sites, i.e. rows of `corr.G`, each in
+        0..len(G)-1 and none repeated; defaults to all of them, which
+        copies nothing. Sublattice parity is read from the positions.
 
     Without pairing the occupations zeta are the eigenvalues of the
     restricted G and eps = ln((1-zeta)/zeta). With pairing the restricted
@@ -290,16 +282,30 @@ def single_particle_energies(corr: CorrelationData, subsystem=None) -> Entanglem
     which fixes eps >= 0 (entropies are insensitive to this gauge).
     Occupations must lie in [-1e-10, 1 + 1e-10].
     """
-    sub = corr if subsystem is None else corr.restrict(subsystem)
-    n = len(sub.sites)
+    G, F = corr.G, corr.F
+    if subsystem is None:
+        positions = np.arange(len(G))
+    else:
+        positions = np.asarray(list(subsystem))
+        if positions.size and not np.issubdtype(positions.dtype, np.integer):
+            raise ValueError(f"subsystem sites must be integer positions, not {positions.dtype}")
+        outside = positions[(positions < 0) | (positions >= len(G))]
+        if outside.size:
+            raise ValueError(f"site {outside[0]} outside the {len(G)} sites of the correlations")
+        values, counts = np.unique(positions, return_counts=True)
+        if np.any(counts > 1):
+            raise ValueError(f"site {values[counts > 1][0]} given twice")
+        sel = np.ix_(positions, positions)
+        G, F = G[sel], None if F is None else F[sel]
+    n = len(positions)
     if n == 0:
         return _spectrum_from_epsilons(np.empty(0))
-    if sub.has_pairing:
-        sigma = svdvals(2.0 * sub.G - np.eye(n) - 2.0 * sub.F)
+    if F is not None and np.any(F):
+        sigma = svdvals(2.0 * G - np.eye(n) - 2.0 * F)
         return _spectrum_from_epsilons(_epsilons_from_singular_values(sigma))
-    eps = _chiral_epsilons(sub.G, sub.sites)
+    eps = _chiral_epsilons(G, positions)
     if eps is None:
-        zeta = np.linalg.eigvalsh(sub.G)
+        zeta = np.linalg.eigvalsh(G)
         _check_occupation_range(zeta)
         zeta = np.clip(zeta, OCCUPATION_FLOOR, 1.0 - OCCUPATION_FLOOR)
         eps = np.log((1.0 - zeta) / zeta)

@@ -203,6 +203,21 @@ class TestFitC:
         assert captured.out == ""
         assert "delta_or_k = 0.29999999999999999, 0.5" in captured.err
 
+    def test_mixed_model_table_names_models(self, tmp_path, capsys):
+        # an xx and a tfim table at the same parameter, concatenated
+        xx_csv, tfim_csv = tmp_path / "xx.csv", tmp_path / "tfim.csv"
+        assert run(["scan", "--model", "xx", "--nu", "0.5", "--L", "8", "16", "32",
+                    "--out", str(xx_csv)]) == 0
+        assert run(["scan", "--model", "tfim", "--k", "0.5", "--L", "8", "16", "32",
+                    "--out", str(tfim_csv)]) == 0
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text(xx_csv.read_text() + "".join(tfim_csv.read_text().splitlines(True)[1:]),
+                         encoding="utf-8")
+        assert run(["fit-c", str(mixed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "model = tfim, xx" in captured.err
+
     def test_round_trip_from_scan(self, tmp_path):
         scan_csv = tmp_path / "scan.csv"
         assert run(["scan", "--model", "xx", "--L-range", "32:256:2",
@@ -334,6 +349,14 @@ class TestConfigValidation:
     def test_threads_flag_below_one_exits_two(self, capsys):
         assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "-3"]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", ["L = 8\nL = 16\n", "L-range = 4:8:2\nL_range = 4:16:2\n"])
+    def test_repeated_key_exits_two_and_names_it(self, tmp_path, capsys, text):
+        cfg = self.write(tmp_path, "model = xx\n" + text)
+        assert exit_code(["scan", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "given twice" in captured.err and ":3: key L" in captured.err
 
     def test_list_values_and_dash_keys(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "model = xxz-ed\ndelta = -0.5 0.5\nL-range = 4:8:2\n")

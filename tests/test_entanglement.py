@@ -26,7 +26,7 @@ def spectrum_from_occupations(zetas):
     """Diagonal correlation matrix -> spectrum (occupations are exact)."""
     n = len(zetas)
     G = np.diag(np.asarray(zetas, dtype=float))
-    corr = CorrelationData(tuple(range(n)), G, np.zeros((n, n)))
+    corr = CorrelationData(G, np.zeros((n, n)))
     return single_particle_energies(corr)
 
 
@@ -58,7 +58,7 @@ class TestSummaryFromSingleParticle:
         assert s.w1 == pytest.approx(0.9, abs=1e-12)
 
     def test_empty_spectrum(self):
-        corr = CorrelationData((), np.zeros((0, 0)), np.zeros((0, 0)))
+        corr = CorrelationData(np.zeros((0, 0)), np.zeros((0, 0)))
         s = summary_from_single_particle(single_particle_energies(corr))
         assert s.S == 0.0 and s.S1 == 0.0 and s.w1 == 1.0
 
@@ -112,6 +112,11 @@ class TestSummaryFromWeights:
             RdmSpectrum(np.array([1.0, -1e-6]))
         with pytest.raises(ValueError):
             summary_from_weights(RdmSpectrum(np.array([0.7, 0.3]), truncated=True))
+
+    @pytest.mark.parametrize("weights", [[np.nan], [0.6, np.nan, 0.4]])
+    def test_rejects_nan_weights(self, weights):
+        with pytest.raises(ValueError, match="weights sum to nan"):
+            summary_from_weights(RdmSpectrum(np.array(weights)))
 
     def test_descending_enforced(self):
         rdm = RdmSpectrum(np.array([0.1, 0.9]))

@@ -110,49 +110,70 @@ class TestCorrelationData:
     def test_validation(self):
         G_bad = np.array([[0.5, 0.2], [0.1, 0.5]])
         with pytest.raises(ValueError):
-            CorrelationData((0, 1), G_bad, np.zeros((2, 2)))
+            CorrelationData(G_bad, np.zeros((2, 2)))
         F_bad = np.array([[0.0, 0.1], [0.1, 0.0]])
         with pytest.raises(ValueError):
-            CorrelationData((0, 1), np.eye(2) * 0.5, F_bad)
+            CorrelationData(np.eye(2) * 0.5, F_bad)
 
     def test_asymmetric_g_rejected_at_absolute_tolerance(self):
         # 1e-7 apart: within allclose's hidden rtol, but far above 1e-10
         G = np.array([[0.5, 0.3], [0.3 + 1e-7, 0.5]])
         with pytest.raises(ValueError):
-            CorrelationData((0, 1), G)
-        CorrelationData((0, 1), np.array([[0.5, 0.3], [0.3 + 5e-11, 0.5]]))
+            CorrelationData(G)
+        CorrelationData(np.array([[0.5, 0.3], [0.3 + 5e-11, 0.5]]))
 
     def test_non_antisymmetric_f_rejected_at_absolute_tolerance(self):
         F = np.array([[0.0, 0.3], [-0.3 + 1e-7, 0.0]])
         with pytest.raises(ValueError):
-            CorrelationData((0, 1), np.eye(2) * 0.5, F)
+            CorrelationData(np.eye(2) * 0.5, F)
 
     def test_nan_rejected(self):
         G = np.array([[0.5, np.nan], [np.nan, 0.5]])
         with pytest.raises(ValueError):
-            CorrelationData((0, 1), G)
+            CorrelationData(G)
         with pytest.raises(ValueError):
-            CorrelationData((0, 1), np.eye(2) * 0.5, G - 0.5)
+            CorrelationData(np.eye(2) * 0.5, G - 0.5)
+
+    @pytest.mark.parametrize("G,F", [(np.zeros((2, 3)), None), (np.zeros(2), None),
+                                     (np.eye(2) * 0.5, np.zeros((3, 3)))],
+                             ids=["non-square", "one-dimensional", "F-shape"])
+    def test_shapes_checked(self, G, F):
+        with pytest.raises(ValueError, match="square"):
+            CorrelationData(G, F)
 
     def test_empty_accepted(self):
-        corr = CorrelationData((), np.empty((0, 0)))
+        corr = CorrelationData(np.empty((0, 0)))
         assert len(single_particle_energies(corr)) == 0
 
     def test_restrict_unknown_site(self):
         corr = xx_correlations_infinite(4)
-        with pytest.raises(ValueError):
-            corr.restrict([0, 9])
+        with pytest.raises(ValueError, match="site 9"):
+            single_particle_energies(corr, [0, 9])
+
+    @pytest.mark.parametrize("subsystem", [[-1, 0], [0, 4, 1]])
+    def test_out_of_range_site_rejected(self, subsystem):
+        with pytest.raises(ValueError, match="outside the 4 sites"):
+            single_particle_energies(xx_correlations_infinite(4), subsystem)
+
+    def test_repeated_site_rejected(self):
+        # a repeated row would give a spurious spectrum (S ~ 5.7e-11), not an error
+        with pytest.raises(ValueError, match="site 0 given twice"):
+            single_particle_energies(xx_correlations_infinite(8), [0, 0])
+
+    def test_non_integer_site_rejected(self):
+        with pytest.raises(ValueError, match="integer positions"):
+            single_particle_energies(xx_correlations_infinite(4), [0.0, 1.5])
 
 
 class TestSpectrum:
     def test_single_site_half(self):
-        corr = CorrelationData((0,), np.array([[0.5]]), np.zeros((1, 1)))
+        corr = CorrelationData(np.array([[0.5]]), np.zeros((1, 1)))
         spec = single_particle_energies(corr)
         assert spec.epsilons[0] == 0.0
         assert spec.zero_mode_count == 1
 
     def test_single_site_loaded(self):
-        corr = CorrelationData((0,), np.array([[0.9]]), np.zeros((1, 1)))
+        corr = CorrelationData(np.array([[0.9]]), np.zeros((1, 1)))
         spec = single_particle_energies(corr)
         assert spec.epsilons[0] == pytest.approx(math.log(1 / 9), abs=1e-12)
         assert spec.occupations[0] == pytest.approx(0.9, abs=1e-12)
@@ -169,10 +190,11 @@ class TestSpectrum:
 
     def test_non_contiguous_half_filled_sites_take_exact_pairing(self):
         # sites (1, 2, 4, 7): two per sublattice, still particle-hole symmetric
-        corr = xx_correlations_infinite(8).restrict((1, 2, 4, 7))
-        spec = single_particle_energies(corr)
+        sites = (1, 2, 4, 7)
+        corr = xx_correlations_infinite(8)
+        spec = single_particle_energies(corr, sites)
         assert spec.pairing_mismatch() == 0.0
-        zeta = np.linalg.eigvalsh(corr.G)
+        zeta = np.linalg.eigvalsh(corr.G[np.ix_(sites, sites)])
         assert np.allclose(np.sort(spec.epsilons), np.sort(np.log((1 - zeta) / zeta)),
                            atol=1e-12)
 
@@ -180,7 +202,7 @@ class TestSpectrum:
         # a same-sublattice defect above 1e-10 breaks particle-hole symmetry
         G = xx_correlations_infinite(6).G.copy()
         G[0, 2] = G[2, 0] = 1e-9
-        spec = single_particle_energies(CorrelationData(tuple(range(6)), G))
+        spec = single_particle_energies(CorrelationData(G))
         zeta = np.linalg.eigvalsh(G)
         assert np.allclose(spec.epsilons, np.sort(np.log((1 - zeta) / zeta)), atol=1e-12)
         assert spec.pairing_mismatch() > 0.0
@@ -204,7 +226,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("G", [np.diag([0.5, 1.5]), np.array([[0.5, 0.7], [0.7, 0.5]])],
                              ids=["diagonal", "particle-hole-symmetric"])
     def test_rejects_invalid_occupations(self, G):
-        corr = CorrelationData((0, 1), G, np.zeros((2, 2)))
+        corr = CorrelationData(G, np.zeros((2, 2)))
         with pytest.raises(np.linalg.LinAlgError):
             single_particle_energies(corr)
 

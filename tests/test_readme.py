@@ -1,5 +1,7 @@
 """The README's library quick start runs as written against the public API."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -25,3 +27,11 @@ def test_quick_start_runs():
     # exact conformal S1 data give back c = 1
     assert namespace["s1"] == pytest.approx(sc.tfim_s1_half(0.5), abs=1e-9)
     assert sc.extrapolate_c(namespace["series"]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(sc.__path__)])
+def test_module_public_names_importable_from_package(name):
+    module = importlib.import_module(f"singlecopy.{name}")
+    missing = [n for n in getattr(module, "__all__", ())
+               if getattr(sc, n, None) is not getattr(module, n)]
+    assert missing == []
