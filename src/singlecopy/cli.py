@@ -15,9 +15,9 @@ digits. Options may also come from a config file of `key = value` lines
 (`#` comments; keys are the long option names of the subcommand;
 list-valued options are whitespace-separated; each key at most once).
 File values are checked like flags; command-line flags win over the
-file, which wins over built-in defaults. An exact diagonalization whose
-estimated memory is over its budget, and any failed allocation, exit
-with code 2.
+file, which wins over built-in defaults. A dense free-fermion build or
+an exact diagonalization whose estimated memory is over the 4 GiB
+budget, and any failed allocation, exit with code 2.
 """
 
 from __future__ import annotations

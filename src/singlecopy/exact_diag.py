@@ -25,6 +25,7 @@ import scipy.sparse.linalg as sparse_linalg
 from scipy.linalg import svdvals
 
 from .entanglement import EntanglementSummary, RdmSpectrum, summary_from_weights
+from .free_fermion import _MEMORY_BUDGET
 
 __all__ = [
     "XxzSpec",
@@ -38,9 +39,8 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
 # peak bytes of the sector build and Lanczos solve per Hamiltonian nonzero
-# (measured at L = 18..22), and the memory one diagonalization may take
+# (measured at L = 18..22)
 _BYTES_PER_NONZERO = 80
-_MEMORY_BUDGET = 4 << 30
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,10 @@ Two solvable models are covered:
 * the XX chain (particle-conserving hopping; at anisotropy zero it is the
   Jordan-Wigner image of the XXZ chain), either as an interval of the
   infinite chain via the closed-form sine kernel, or as a finite open
-  chain via the single-particle hopping matrix;
+  chain via its tridiagonal hopping matrix;
 * the transverse-field Ising chain in its disordered phase (pairing terms
   present), as a finite open chain via its lower-bidiagonal L x L block
-  A - B, which is built directly.
+  D = A - B, from one tridiagonal eigensolve of D^T D.
 
 The reduced density matrix of a subsystem of a Gaussian state is itself
 Gaussian, rho = exp(-H)/Z with quadratic H = sum_k eps_k f_k^dag f_k.
@@ -17,8 +17,8 @@ subsystem-restricted correlation matrices: for particle-conserving states
 from the eigenvalues zeta of G = <c^dag c> via eps = ln((1-zeta)/zeta).
 With pairing, every spectrum is the singular values of one real block in
 the Majorana basis a = c + c^dag, b = i(c^dag - c): the ground state is the
-polar factor of A - B, and eps = 2 artanh(sigma) for the singular values of
-the restricted block 2G - 1 - 2F (Peschel 2003; Vidal et al. 2003).
+polar factor of D (Peschel 2004), and eps = 2 artanh(sigma) for the singular
+values of the restricted block 2G - 1 - 2F (Peschel 2003; Vidal et al. 2003).
 
 Numerical policy: occupations are clipped to [1e-12, 1-1e-12] before
 logarithms, which caps |eps| at ~27.63. Each capped mode contributes at
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, svd, svdvals, toeplitz
+from scipy.linalg import eigh_tridiagonal, svdvals, toeplitz
 
 __all__ = [
     "OCCUPATION_FLOOR",
@@ -58,6 +58,11 @@ ZERO_MODE_TOL = 1e-8
 _EPS_CAP = float(np.log((1.0 - OCCUPATION_FLOOR) / OCCUPATION_FLOOR))
 # Particle-hole symmetry of G is detected elementwise at this tolerance.
 _PH_DETECT_TOL = 1e-10
+# Memory one build or diagonalization may take (exact_diag reads it too), and
+# the float64 n x n arrays alive at the traced peak of each dense build.
+_MEMORY_BUDGET = 4 << 30
+_INTERVAL_ARRAYS = 2
+_GROUND_STATE_ARRAYS = 5
 
 
 @dataclass(frozen=True)
@@ -176,11 +181,13 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
 
     with G[m, m] = nu; there is no pairing. At half filling the
     next-nearest-neighbor entries vanish and nearest neighbors equal 1/pi.
+    ValueError is raised before allocating if G is over the memory budget.
     """
     if L_sub < 1:
         raise ValueError(f"subsystem length must be at least 1, got {L_sub}")
     if not 0.0 < filling < 1.0:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
+    _check_dense_memory(L_sub, _INTERVAL_ARRAYS)
     d = np.arange(1, L_sub)
     row = np.concatenate([[filling], np.sin(np.pi * filling * d) / (np.pi * d)])
     return CorrelationData(toeplitz(row))
@@ -190,13 +197,13 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") 
     """Correlation matrices of the many-body ground state of an open chain.
 
     The chain is H = sum A_ij c^dag_i c_j + (1/2) sum (B_ij c^dag_i c^dag_j + h.c.),
-    and only the L x L matrix that is factorized is built. XX chain: A has
-    hopping 1/2 on nearest-neighbor bonds (Jordan-Wigner image of the XY
-    exchange) and B = 0; G follows from `eigh` of A and F is None. Ising
-    chain with coupling k: A_ii = 2, A_{i,i+1} = -k, B_{i,i+1} = -k, so in
-    Majoranas H = (i/2) sum D_mn a_m b_n with the lower-bidiagonal D = A - B
-    (2 on the diagonal, -2k below it). The polar factor W = U V^T of
-    D = U diag(sigma) V^T gives G = (1 - (W + W^T)/2)/2 and F = (W - W^T)/4.
+    solved by one `eigh_tridiagonal` call. XX chain: A has hopping 1/2 on
+    nearest-neighbor bonds (Jordan-Wigner image of the XY exchange), B = 0,
+    F is None. Ising chain with coupling k: A_ii = 2, A_{i,i+1} = -k = B_{i,i+1},
+    so H = (i/2) sum D_mn a_m b_n in Majoranas, with D = A - B lower bidiagonal
+    (2 on the diagonal, -2k below). With D^T D = V diag(sigma^2) V^T and
+    U = D V / sigma, the polar factor W = U V^T gives G = (1 - (W + W^T)/2)/2
+    and F = (W - W^T)/4.
 
     Negative-energy modes are filled. Modes at exactly zero single-particle
     energy (degenerate ground states, e.g. the odd-length XX chain) are
@@ -210,29 +217,30 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") 
     * "empty"  -- leave it empty (sector -1/2).
 
     The pure-state conventions are the ones that match a spin-chain
-    diagonalization in a fixed magnetization sector. Fractional zero-mode
-    occupation is only defined for particle-conserving chains; a zero
-    singular value of D with pairing raises LinAlgError.
+    diagonalization in a fixed magnetization sector. With pairing there is
+    no zero mode, since D = 2(1 - kS) for the unit shift S gives
+    sigma_min >= 2(1 - k) > 0; sigma_min^2 <= 1e-24 or NaN means a failed
+    solve and raises LinAlgError. ValueError is raised before allocating if
+    the L x L arrays are over the memory budget.
     """
     if zero_mode not in ("half", "filled", "empty"):
         raise ValueError(f"unknown zero-mode convention {zero_mode!r}")
-    L = model.length
+    L, k = model.length, model.modulus
+    _check_dense_memory(L, _GROUND_STATE_ARRAYS)
     if model.kind == "xx":
-        hop = np.eye(L, k=1)
-        evals, phi = eigh(0.5 * (hop + hop.T))
+        evals, phi = eigh_tridiagonal(np.zeros(L), np.full(L - 1, 0.5))
         occ = np.where(evals < -1e-12, 1.0, 0.0)
         occ[np.abs(evals) <= 1e-12] = {"half": 0.5, "filled": 1.0, "empty": 0.0}[zero_mode]
         G = (phi * occ) @ phi.T
         return CorrelationData(0.5 * (G + G.T))
-    D = np.diag(np.full(L, 2.0))
-    np.fill_diagonal(D[1:], -2.0 * model.modulus)
-    U, sigma, Vt = svd(D)
-    if sigma[-1] <= 1e-12:
-        raise np.linalg.LinAlgError(
-            "zero-energy BdG mode with pairing: ground state is degenerate "
-            "and its Gaussian correlations are not uniquely defined"
-        )
-    W = U @ Vt
+    lam, V = eigh_tridiagonal(np.append(np.full(L - 1, 4 + 4 * k * k), 4.0), np.full(L - 1, -4 * k))
+    if not lam[0] > 1e-24:  # negated, so that NaN never reaches sqrt
+        raise np.linalg.LinAlgError("zero-energy BdG mode with pairing: degenerate ground state")
+    sigma = np.sqrt(lam)
+    U = V * (2.0 / sigma)  # D V / sigma, with D applied as a bidiagonal shift
+    U[1:] -= V[:-1] * (2.0 * k / sigma)
+    W = U @ V.T
+    del U, V  # so that the peak stays at _GROUND_STATE_ARRAYS
     G = 0.5 * (np.eye(L) - 0.5 * (W + W.T))
     return CorrelationData(G, 0.25 * (W - W.T))
 
@@ -318,3 +326,11 @@ def _check_occupation_range(zeta: np.ndarray, tol: float = 1e-10) -> None:
             f"correlation eigenvalues outside [0, 1] beyond tolerance {tol}: "
             f"range [{zeta.min()}, {zeta.max()}]"
         )
+
+
+def _check_dense_memory(n: int, arrays: int) -> None:
+    """Raise ValueError if `arrays` float64 n x n matrices exceed the memory budget."""
+    need = arrays * 8 * int(n) ** 2  # Python ints: no wraparound for any n
+    if need > _MEMORY_BUDGET:
+        raise ValueError(f"{n} sites need about {need / 2**30:.1f} GiB of dense matrices, "
+                         f"over the {_MEMORY_BUDGET >> 30} GiB memory budget")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh, svdvals
+from scipy.linalg import eigh, svd, svdvals
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY_IM = np.array([[0.0, -1.0], [1.0, 0.0]])  # sy = i * SY_IM / ... kept real
@@ -49,6 +49,32 @@ def tfim_dense_hamiltonian(L, k):
     for i in range(L):
         H -= one_site(SZ, i, L)
     return H
+
+
+def tfim_polar_correlations(L, k):
+    """(G, F) of the open Ising chain from the dense SVD of D = A - B.
+
+    D is lower bidiagonal (2 on the diagonal, -2k below it); its polar
+    factor W = U V^T gives G = (1 - (W + W^T)/2)/2 and F = (W - W^T)/4.
+    """
+    D = np.diag(np.full(L, 2.0))
+    np.fill_diagonal(D[1:], -2.0 * k)
+    U, _, Vt = svd(D)
+    W = U @ Vt
+    return 0.5 * (np.eye(L) - 0.5 * (W + W.T)), 0.25 * (W - W.T)
+
+
+def open_xx_correlations(L, zero_occupation):
+    """G of the open XX chain from its closed-form modes.
+
+    Mode q has amplitude sqrt(2/(L+1)) sin(pi j q/(L+1)) on site j and
+    energy cos(pi q/(L+1)); negative modes are filled, and the zero mode of
+    an odd chain holds `zero_occupation`.
+    """
+    j = np.arange(1, L + 1)
+    phi = np.sqrt(2.0 / (L + 1)) * np.sin(np.pi * np.outer(j, j) / (L + 1))
+    occ = np.where(2 * j > L + 1, 1.0, np.where(2 * j == L + 1, zero_occupation, 0.0))
+    return (phi * occ) @ phi.T
 
 
 def dense_ground_state(H):

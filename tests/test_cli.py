@@ -421,6 +421,19 @@ class TestEdMemoryPreflight:
         assert "memory budget" in captured.err
 
 
+class TestDenseMemoryPreflight:
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--model", "tfim", "--k", "0.5", "--L", "100000"],
+        ["scan", "--model", "xx", "--L", "100000"],
+        ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "50000"],
+    ])
+    def test_oversized_chain_exits_two(self, capsys, argv):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "memory budget" in captured.err
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_three(self, monkeypatch, capsys):
         def boom(*a, **k):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from singlecopy import free_fermion
 from singlecopy.entanglement import summary_from_single_particle
 from singlecopy.free_fermion import (
     CorrelationData,
@@ -19,8 +20,10 @@ from singlecopy.free_fermion import (
 from conftest import (
     dense_ground_state,
     entropies_from_weights,
+    open_xx_correlations,
     rdm_weights_dense,
     tfim_dense_hamiltonian,
+    tfim_polar_correlations,
 )
 
 INV_PI = 0.3183098861837907  # sin(pi/2)/pi
@@ -104,6 +107,51 @@ class TestGroundStateCorrelations:
         assert np.max(np.abs(corr.G)) < 1e-3
         assert np.max(np.abs(corr.F)) < 2e-2
         assert corr.has_pairing
+
+
+class TestTridiagonalRoute:
+    """Both open chains from one tridiagonal eigensolve, against dense oracles."""
+
+    @pytest.mark.parametrize("k", [1e-6, 0.3, 0.75, 0.95, 0.999, 1 - 1e-8])
+    @pytest.mark.parametrize("L", [2, 3, 7, 64, 400])
+    def test_tfim_matches_svd_polar_factor(self, k, L):
+        G, F = tfim_polar_correlations(L, k)
+        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
+        assert np.max(np.abs(corr.G - G)) <= 1e-12
+        assert np.max(np.abs(corr.F - F)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0.3, 0.75, 0.95])
+    @pytest.mark.parametrize("L", [400, 800])
+    def test_tfim_half_chain_entropies_match_svd_polar_factor(self, k, L):
+        half = range(L // 2)
+        oracle = summary_from_single_particle(
+            single_particle_energies(CorrelationData(*tfim_polar_correlations(L, k)), half))
+        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
+        summ = summary_from_single_particle(single_particle_energies(corr, half))
+        assert summ.S == pytest.approx(oracle.S, abs=1e-12)
+        assert summ.S1 == pytest.approx(oracle.S1, abs=1e-12)
+
+    @pytest.mark.parametrize("zero_mode, occupation", [("half", 0.5), ("filled", 1.0),
+                                                       ("empty", 0.0)])
+    @pytest.mark.parametrize("L", [2, 3, 9, 101])
+    def test_xx_matches_closed_form_modes(self, L, zero_mode, occupation):
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L), zero_mode)
+        assert corr.F is None
+        assert np.max(np.abs(corr.G - open_xx_correlations(L, occupation))) <= 1e-12
+
+    @pytest.mark.parametrize("smallest", [np.nan, -1e-20, 0.0, 1e-24])
+    def test_zero_or_failed_mode_raises(self, monkeypatch, smallest):
+        # sigma_min >= 2(1 - k) for every valid spec, so only a failed solve reaches this
+        solve = free_fermion.eigh_tridiagonal
+
+        def degenerate(d, e):
+            lam, V = solve(d, e)
+            lam[0] = smallest
+            return lam, V
+
+        monkeypatch.setattr(free_fermion, "eigh_tridiagonal", degenerate)
+        with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
+            ground_state_correlations(FermionModelSpec(kind="tfim", modulus=0.5, length=8))
 
 
 class TestCorrelationData:
@@ -332,7 +380,7 @@ class TestMemory:
         assert peak <= 0.6 * 8 * self.N**2
 
     def test_tfim_ground_state_peak(self):
-        # D = A - B plus the svd factors, W and the G/F temporaries; no 2L x 2L matrix
+        # the eigenvectors V and U = D V / sigma, then W and the G/F temporaries
         L = 512
         chain = FermionModelSpec(kind="tfim", modulus=0.5, length=L)
         tracemalloc.start()
@@ -341,4 +389,29 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 8 * L**2
+        assert peak <= 7.5 * 8 * L**2
+
+
+class TestMemoryPreflight:
+    """Dense builds over the memory budget fail before allocating."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: xx_correlations_infinite(100_000),
+        lambda: ground_state_correlations(FermionModelSpec(kind="xx", length=100_000)),
+        lambda: ground_state_correlations(
+            FermionModelSpec(kind="tfim", modulus=0.5, length=100_000)),
+    ], ids=["xx-interval", "xx-chain", "tfim-chain"])
+    def test_oversized_build_rejected_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memory budget"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_benchmark_and_demo_sizes_admitted(self):
+        # the largest XX interval and Ising chain that the benchmark and demos build
+        free_fermion._check_dense_memory(4096, free_fermion._INTERVAL_ARRAYS)
+        free_fermion._check_dense_memory(1600, free_fermion._GROUND_STATE_ARRAYS)
