@@ -15,7 +15,7 @@ digits. Options may also come from a config file of `key = value` lines
 (`#` comments; keys are the long option names of the subcommand;
 list-valued options are whitespace-separated; each key at most once).
 File values are checked like flags; command-line flags win over the
-file, which wins over built-in defaults. A dense free-fermion build or
+file, which wins over built-in defaults. A free-fermion build or
 an exact diagonalization whose estimated memory is over the 4 GiB
 budget, and any failed allocation, exit with code 2.
 """
@@ -121,8 +121,7 @@ def _row(model: str, parameter: float, L: int, summary) -> dict:
 
 
 def _xx_row(nu: float, L: int) -> dict:
-    corr = free_fermion.xx_correlations_infinite(L, nu)
-    summary = summary_from_single_particle(free_fermion.single_particle_energies(corr))
+    summary = summary_from_single_particle(free_fermion.xx_interval_spectrum(L, nu))
     return _row("xx", nu, L, summary)
 
 
@@ -181,8 +180,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise ValueError("spectrum wants exactly one subsystem size")
     L = lengths[0]
     if args.model == "xx":
-        corr = free_fermion.xx_correlations_infinite(L, args.nu)
-        spec = free_fermion.single_particle_energies(corr)
+        spec = free_fermion.xx_interval_spectrum(L, args.nu)
     else:
         if not args.k or len(args.k) != 1:
             raise ValueError("tfim spectrum needs exactly one --k")

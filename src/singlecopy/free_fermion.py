@@ -4,8 +4,9 @@ Two solvable models are covered:
 
 * the XX chain (particle-conserving hopping; at anisotropy zero it is the
   Jordan-Wigner image of the XXZ chain), either as an interval of the
-  infinite chain via the closed-form sine kernel, or as a finite open
-  chain via its tridiagonal hopping matrix;
+  infinite chain via the closed-form sine kernel or, for its spectrum, a
+  window of modes of Slepian's commuting tridiagonal matrix, or as a
+  finite open chain via its tridiagonal hopping matrix;
 * the transverse-field Ising chain in its disordered phase (pairing terms
   present), as a finite open chain via its lower-bidiagonal L x L block
   D = A - B, from one tridiagonal eigensolve of D^T D.
@@ -27,9 +28,9 @@ capped modes (4.1e-9 on S1 and 1.2e-7 on S for a 4096-site XX interval,
 where 4050 modes sit at the cap). |eps| < 1e-8 is treated as an exact zero
 mode, contributing exactly ln 2 to the entropies downstream. At half
 filling the restricted G is particle-hole symmetric and the spectrum is
-computed from the singular values of the sublattice block of 2G - 1,
-which makes the (eps, -eps) pairing and the odd-length zero mode exact
-instead of eigensolver-limited.
+computed from the singular values of the sublattice block of 2G - 1
+(the window route mirrors its lower half), which makes the (eps, -eps)
+pairing and the odd-length zero mode exact, not eigensolver-limited.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, svdvals, toeplitz
+from scipy.linalg import eigh_tridiagonal, matmul_toeplitz, svdvals, toeplitz
 
 __all__ = [
     "OCCUPATION_FLOOR",
@@ -46,23 +47,25 @@ __all__ = [
     "CorrelationData",
     "EntanglementSpectrum",
     "xx_correlations_infinite",
+    "xx_interval_spectrum",
     "ground_state_correlations",
     "single_particle_energies",
 ]
 
 # Occupations within this distance of 0 or 1 are clipped before taking logs.
 OCCUPATION_FLOOR = 1e-12
-# |eps| below this counts as a zero mode (eigensolver accuracy on <= 4096^2).
+# |eps| below this counts as a zero mode (well above the solvers' accuracy).
 ZERO_MODE_TOL = 1e-8
 # Largest representable |eps| after clipping, ln((1-floor)/floor).
 _EPS_CAP = float(np.log((1.0 - OCCUPATION_FLOOR) / OCCUPATION_FLOOR))
 # Particle-hole symmetry of G is detected elementwise at this tolerance.
 _PH_DETECT_TOL = 1e-10
 # Memory one build or diagonalization may take (exact_diag reads it too), and
-# the float64 n x n arrays alive at the traced peak of each dense build.
+# the float64 n x n (window route: n x (window + 1)) arrays at each traced peak.
 _MEMORY_BUDGET = 4 << 30
 _INTERVAL_ARRAYS = 2
 _GROUND_STATE_ARRAYS = 5
+_WINDOW_ARRAYS = 8
 
 
 @dataclass(frozen=True)
@@ -183,14 +186,63 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
     next-nearest-neighbor entries vanish and nearest neighbors equal 1/pi.
     ValueError is raised before allocating if G is over the memory budget.
     """
+    _check_interval(L_sub, filling)
+    _check_dense_memory(L_sub, _INTERVAL_ARRAYS)
+    return CorrelationData(toeplitz(_sine_kernel_column(L_sub, filling)))
+
+
+def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectrum:
+    """`single_particle_energies(xx_correlations_infinite(L_sub, filling))`, without N x N arrays.
+
+    Slepian's T (T[n, n] = ((N-1-2n)/2)^2 cos(pi nu), T[n, n+1] = (n+1)(N-1-n)/2,
+    N = L_sub) commutes with the sine kernel K, and ascending T eigenvalues go
+    with ascending K eigenvalues lambda = v^T K v. A window of T eigenvectors v
+    around index (1 - nu) N doubles until both edge modes are clipped, and the
+    modes outside it take the dense route's clipped value. At half filling the
+    sublattice sign flip maps lambda to 1 - lambda, so the lambda < 1/2 half is
+    mirrored. ValueError is raised before a window over the memory budget.
+    """
+    _check_interval(L_sub, filling)
+    N, half = L_sub, filling == 0.5
+    top = N // 2 if half else N  # T-indices solved; ascending lambda
+    centre = top if half else round((1.0 - filling) * N)
+    to_eps = _epsilons_from_occupations if not half else (
+        lambda lam: _epsilons_from_singular_values(np.abs(1.0 - 2.0 * lam)))
+    fill_low, fill_high = to_eps(np.array([0.0, 1.0]))
+    cos_kf = 0.0 if half else np.cos(np.pi * filling)
+    width = 32
+    while True:
+        lo, hi = max(0, centre - width), min(top, centre + width)
+        _check_dense_memory(N, _WINDOW_ARRAYS, hi - lo + 1)
+        lam = np.empty(0)
+        if hi > lo:
+            n = np.arange(N, dtype=float)
+            _, V = eigh_tridiagonal(((N - 1 - 2 * n) / 2) ** 2 * cos_kf, n[1:] * (N - n[1:]) / 2,
+                                    select="i", select_range=(lo, hi - 1))
+            column = _sine_kernel_column(N, filling)
+            if half:  # sin(pi d/2) is exactly 0 at even d, as the chiral route takes it
+                column[2::2] = 0.0
+            lam = np.einsum("ij,ij->j", V, matmul_toeplitz(column, V))
+        eps = to_eps(lam)
+        if (lo == 0 or eps[0] == fill_low) and (hi == top or eps[-1] == fill_high):
+            break
+        width *= 2
+    eps = np.concatenate([np.full(lo, fill_low), eps, np.full(top - hi, fill_high)])
+    if half:
+        eps = np.concatenate([-eps, np.zeros(N % 2), eps])
+    return _spectrum_from_epsilons(eps)
+
+
+def _check_interval(L_sub: int, filling: float) -> None:
     if L_sub < 1:
         raise ValueError(f"subsystem length must be at least 1, got {L_sub}")
     if not 0.0 < filling < 1.0:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
-    _check_dense_memory(L_sub, _INTERVAL_ARRAYS)
-    d = np.arange(1, L_sub)
-    row = np.concatenate([[filling], np.sin(np.pi * filling * d) / (np.pi * d)])
-    return CorrelationData(toeplitz(row))
+
+
+def _sine_kernel_column(N: int, filling: float) -> np.ndarray:
+    d = np.arange(1, N)
+    return np.concatenate([[filling], np.sin(np.pi * filling * d) / (np.pi * d)])
 
 
 def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") -> CorrelationData:
@@ -313,11 +365,15 @@ def single_particle_energies(corr: CorrelationData, subsystem=None) -> Entanglem
         return _spectrum_from_epsilons(_epsilons_from_singular_values(sigma))
     eps = _chiral_epsilons(G, positions)
     if eps is None:
-        zeta = np.linalg.eigvalsh(G)
-        _check_occupation_range(zeta)
-        zeta = np.clip(zeta, OCCUPATION_FLOOR, 1.0 - OCCUPATION_FLOOR)
-        eps = np.log((1.0 - zeta) / zeta)
+        eps = _epsilons_from_occupations(np.linalg.eigvalsh(G))
     return _spectrum_from_epsilons(eps)
+
+
+def _epsilons_from_occupations(zeta: np.ndarray) -> np.ndarray:
+    """eps = ln((1 - zeta)/zeta), with zeta clipped to the occupation floor."""
+    _check_occupation_range(zeta)
+    zeta = np.clip(zeta, OCCUPATION_FLOOR, 1.0 - OCCUPATION_FLOOR)
+    return np.log((1.0 - zeta) / zeta)
 
 
 def _check_occupation_range(zeta: np.ndarray, tol: float = 1e-10) -> None:
@@ -328,9 +384,9 @@ def _check_occupation_range(zeta: np.ndarray, tol: float = 1e-10) -> None:
         )
 
 
-def _check_dense_memory(n: int, arrays: int) -> None:
-    """Raise ValueError if `arrays` float64 n x n matrices exceed the memory budget."""
-    need = arrays * 8 * int(n) ** 2  # Python ints: no wraparound for any n
+def _check_dense_memory(n: int, arrays: int, columns: int | None = None) -> None:
+    """Raise ValueError if `arrays` float64 n x columns (default n) matrices exceed the budget."""
+    need = arrays * 8 * int(n) * int(n if columns is None else columns)  # no wraparound
     if need > _MEMORY_BUDGET:
-        raise ValueError(f"{n} sites need about {need / 2**30:.1f} GiB of dense matrices, "
+        raise ValueError(f"{n} sites need about {need / 2**30:.1f} GiB of float64 arrays, "
                          f"over the {_MEMORY_BUDGET >> 30} GiB memory budget")

@@ -424,7 +424,7 @@ class TestEdMemoryPreflight:
 class TestDenseMemoryPreflight:
     @pytest.mark.parametrize("argv", [
         ["scan", "--model", "tfim", "--k", "0.5", "--L", "100000"],
-        ["scan", "--model", "xx", "--L", "100000"],
+        ["scan", "--model", "xx", "--L", "1000000000"],
         ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "50000"],
     ])
     def test_oversized_chain_exits_two(self, capsys, argv):
@@ -434,12 +434,27 @@ class TestDenseMemoryPreflight:
         assert "memory budget" in captured.err
 
 
+class TestWindowReach:
+    def test_intervals_past_the_dense_limit(self, tmp_path):
+        # 32768 sites is twice the largest interval the dense sine kernel admits
+        out = tmp_path / "scan.csv"
+        assert run(["scan", "--model", "xx", "--L", "2048", "4096", "16384", "32768",
+                    "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
+        S1 = {int(r[2]): float(r[4]) for r in rows}
+
+        def c_local(a, b):  # S1 = (c/6) ln L + const for an interval of the infinite line
+            return 6.0 * (S1[b] - S1[a]) / math.log(b / a)
+
+        assert 1.0 < c_local(16384, 32768) < c_local(2048, 4096)
+
+
 class TestExitCodes:
     def test_numerical_failure_maps_to_three(self, monkeypatch, capsys):
         def boom(*a, **k):
             raise np.linalg.LinAlgError("synthetic eigensolver failure")
 
-        monkeypatch.setattr(cli.free_fermion, "single_particle_energies", boom)
+        monkeypatch.setattr(cli.free_fermion, "xx_interval_spectrum", boom)
         assert run(["spectrum", "--model", "xx", "--L", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -447,7 +462,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise MemoryError("Unable to allocate 65.5 TiB")
 
-        monkeypatch.setattr(cli.free_fermion, "xx_correlations_infinite", boom)
+        monkeypatch.setattr(cli.free_fermion, "xx_interval_spectrum", boom)
         assert run(["scan", "--model", "xx", "--L", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -15,6 +15,7 @@ from singlecopy.free_fermion import (
     ground_state_correlations,
     single_particle_energies,
     xx_correlations_infinite,
+    xx_interval_spectrum,
 )
 
 from conftest import (
@@ -152,6 +153,57 @@ class TestTridiagonalRoute:
         monkeypatch.setattr(free_fermion, "eigh_tridiagonal", degenerate)
         with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
             ground_state_correlations(FermionModelSpec(kind="tfim", modulus=0.5, length=8))
+
+
+class TestWindowRoute:
+    """`xx_interval_spectrum` against the dense sine kernel route."""
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        cache = {}
+
+        def spectrum(N, nu):
+            if (N, nu) not in cache:
+                cache[N, nu] = single_particle_energies(xx_correlations_infinite(N, nu))
+            return cache[N, nu]
+
+        return spectrum
+
+    @pytest.mark.parametrize("nu", [0.5, 0.3, 0.1, 0.77])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 64, 65, 1024, 2048])
+    def test_matches_dense_route(self, dense, N, nu):
+        window, ref = xx_interval_spectrum(N, nu), dense(N, nu)
+        assert len(window) == len(ref) == N
+        assert window.zero_mode_count == ref.zero_mode_count
+        a, b = summary_from_single_particle(window), summary_from_single_particle(ref)
+        assert abs(a.S - b.S) <= 1e-12
+        assert abs(a.S1 - b.S1) <= 1e-13
+        if nu == 0.5:
+            assert window.pairing_mismatch() == 0.0
+            # the mirrored half sees the kernel's exact zeros at even offsets, as the
+            # chiral route does; the rounded sin(pi d/2) there would cost 5e-14 at N = 2048
+            assert abs(a.S1 - b.S1) <= 2e-14
+
+    @pytest.mark.parametrize("nu", [0.5, 0.3, 0.1, 0.77])
+    @pytest.mark.parametrize("N", [64, 65, 1024, 2048])
+    def test_modes_outside_window_equal_dense_clipped_value(self, dense, N, nu):
+        # the values the dense route gives modes clipped at the occupation floor
+        if nu == 0.5:
+            eps = free_fermion._epsilons_from_singular_values(np.ones(1))
+            eps = np.concatenate([-eps, eps])
+        else:
+            eps = free_fermion._epsilons_from_occupations(np.array([0.0, 1.0]))
+        clipped = free_fermion._spectrum_from_epsilons(eps).epsilons
+        window, ref = xx_interval_spectrum(N, nu), dense(N, nu)
+        at_cap = np.isin(window.epsilons, clipped)
+        assert np.array_equal(window.epsilons[at_cap], ref.epsilons[at_cap])
+        if N >= 1024:  # all but the few dozen modes below the cap
+            assert np.count_nonzero(at_cap) >= N - 128
+
+    def test_rejects_bad_arguments(self):
+        for args in [(0,), (4, 0.0), (4, 1.0), (4, float("nan"))]:
+            with pytest.raises(ValueError):
+                xx_interval_spectrum(*args)
 
 
 class TestCorrelationData:
@@ -379,6 +431,16 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 0.6 * 8 * self.N**2
 
+    def test_window_route_peak(self):
+        # under 5% of the two 4096 x 4096 arrays the dense interval build holds
+        tracemalloc.start()
+        try:
+            xx_interval_spectrum(4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * 2 * 8 * 4096**2
+
     def test_tfim_ground_state_peak(self):
         # the eigenvectors V and U = D V / sigma, then W and the G/F temporaries
         L = 512
@@ -393,14 +455,15 @@ class TestMemory:
 
 
 class TestMemoryPreflight:
-    """Dense builds over the memory budget fail before allocating."""
+    """Builds over the memory budget fail before allocating."""
 
     @pytest.mark.parametrize("build", [
         lambda: xx_correlations_infinite(100_000),
+        lambda: xx_interval_spectrum(10**9),
         lambda: ground_state_correlations(FermionModelSpec(kind="xx", length=100_000)),
         lambda: ground_state_correlations(
             FermionModelSpec(kind="tfim", modulus=0.5, length=100_000)),
-    ], ids=["xx-interval", "xx-chain", "tfim-chain"])
+    ], ids=["xx-interval", "xx-window", "xx-chain", "tfim-chain"])
     def test_oversized_build_rejected_before_allocating(self, build):
         tracemalloc.start()
         try:
