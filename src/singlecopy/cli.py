@@ -3,7 +3,7 @@
 Subcommands
 -----------
 spectrum        single-particle entanglement spectrum of one subsystem
-scan            (model, parameter, L) sweep -> CSV/JSON scan table
+scan            (model, parameter, L) sweep -> CSV scan table
 fit-c           central-charge report from a scan table
 analytic        evaluate one closed-form prediction
 compare-oracle  XXZ exact diagonalization vs free-fermion route at Delta=0
@@ -68,12 +68,14 @@ def _geometric_range(spec: str) -> list[int]:
     if len(parts) != 3:
         raise ValueError(f"L-range must be START:STOP:FACTOR, got {spec!r}")
     start, stop, factor = int(parts[0]), int(parts[1]), float(parts[2])
-    if start < 1 or stop < start or factor <= 1:
+    if start < 1 or stop < start or start > sys.float_info.max or not 1 < factor < math.inf:
         raise ValueError(f"invalid L-range {spec!r}")
     out, val = [], float(start)
     while (size := round(val)) <= stop:
         out.append(size)
         val *= factor
+        if math.isinf(val):
+            raise ValueError(f"L-range {spec!r} steps past the float range")
         if round(val) == size:  # skip the steps that would repeat this size
             val *= factor ** max(1, math.ceil(math.log((size + 0.5) / val, factor)))
     return out
@@ -106,26 +108,19 @@ def _write_output(text: str, out: str | None) -> None:
 # scan rows
 # ---------------------------------------------------------------------------
 
-def _row(model: str, parameter: float, L: int, summary) -> dict:
-    return {
-        "model": model,
-        "delta_or_k": parameter,
-        "L": L,
-        "S": summary.S,
-        "S1": summary.S1,
-        "w1": summary.w1,
-        "lnZ": summary.lnZ,
-        "E0": summary.E0,
-        "M_max": distillation_bound(summary.w1).M_max,
-    }
+def _row(model: str, parameter: float, L: int, summary) -> str:
+    """One line of the scan table, in SCAN_HEADER's column order."""
+    floats = (summary.S, summary.S1, summary.w1, summary.lnZ, summary.E0)
+    return ",".join((model, _fmt(parameter), str(L), *map(_fmt, floats),
+                     str(distillation_bound(summary.w1).M_max)))
 
 
-def _xx_row(nu: float, L: int) -> dict:
+def _xx_row(nu: float, L: int) -> str:
     summary = summary_from_single_particle(free_fermion.xx_interval_spectrum(L, nu))
     return _row("xx", nu, L, summary)
 
 
-def _tfim_row(k: float, L: int) -> dict:
+def _tfim_row(k: float, L: int) -> str:
     model = free_fermion.FermionModelSpec(kind="tfim", modulus=k, length=L)
     corr = free_fermion.ground_state_correlations(model)
     cut = (L + 1) // 2
@@ -133,7 +128,7 @@ def _tfim_row(k: float, L: int) -> dict:
     return _row("tfim", k, L, summary_from_single_particle(spec))
 
 
-def _xxz_row(delta: float, L: int) -> dict:
+def _xxz_row(delta: float, L: int) -> str:
     (point,) = exact_diag.xxz_scan([delta], [L])
     return _row("xxz-ed", delta, L, point.summary)
 
@@ -158,15 +153,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rows = list(pool.map(worker, tasks))
     else:
         rows = [worker(p) for p in tasks]
-
-    if args.format == "csv":
-        cell = lambda v: _fmt(v) if isinstance(v, float) else str(v)
-        lines = [SCAN_HEADER] + [",".join(cell(r[name]) for name in SCAN_HEADER.split(","))
-                                 for r in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    _write_output(text, args.out)
+    _write_output("\n".join([SCAN_HEADER, *rows]) + "\n", args.out)
     return 0
 
 
@@ -200,16 +187,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _read_scan_csv(path: str) -> list[dict]:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != SCAN_HEADER:
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or lines[0][1] != SCAN_HEADER:
         raise ValueError(f"{path}: not a scan table (expected header {SCAN_HEADER!r})")
     names = SCAN_HEADER.split(",")
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(names):
-            raise ValueError(f"{path}: malformed row {ln!r}")
+            raise ValueError(f"{path}:{lineno}: malformed row {ln!r}")
         row = dict(zip(names, parts))
+        if not all(math.isfinite(float(row[key])) for key in ("L", "S", "S1")):
+            raise ValueError(f"{path}:{lineno}: L, S and S1 must be finite, got {ln!r}")
         rows.append(row)
     return rows
 
@@ -412,7 +401,6 @@ _OPTIONS = {
     "--out": dict(default=None, help="output path (default stdout)"),
     "--threads": dict(type=_worker_count, default=1,
                       help="parallel scan workers (output order is unaffected)"),
-    "--format": dict(choices=["csv", "json"], default="csv"),
 }
 
 
@@ -434,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="entanglement scan table")
     options(p_scan, "--config", "--model", "--delta", "--k", "--nu", "--L", "--L-range",
-            "--out", "--threads", "--format")
+            "--out", "--threads")
 
     p_fit = sub.add_parser("fit-c", help="central-charge report from a scan table")
     p_fit.add_argument("scan_file", help="CSV produced by `sce scan`")

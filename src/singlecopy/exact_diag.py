@@ -6,7 +6,9 @@ in the Sz = 0 sector and of an odd chain in the degenerate Sz = +-1/2 pair,
 of which the +1/2 member is computed (spin-flip symmetry makes the choice
 immaterial for every entanglement quantity). Sector basis states are the
 up-spin configurations enumerated by ascending bit pattern, with site 0 on
-the most significant bit, so any cut splits a state as (left << L_right) | right.
+the most significant bit, so any cut splits a state as (left << L_right) | right
+and each Schmidt block (a fixed number of up spins on the left) is a set of
+contiguous runs of the sector vector, one run of right parts per left part.
 
 Solver: Lanczos (ARPACK, deterministic start vector) for every sector; the
 residual ||H v - E v|| must reach 1e-10. Basis and Hamiltonian are built
@@ -171,18 +173,23 @@ def rdm_weights(state: GroundStateVector, L_left: int) -> RdmSpectrum:
     """Reduced-density-matrix weights of the leftmost L_left sites.
 
     The Schmidt matrix is block diagonal in the number a of up spins on the
-    left; the squared singular values of all blocks are returned descending,
-    and exact zeros below 1e-14 are trimmed.
+    left. Each block is a set of contiguous runs of the sector vector, one
+    run of C(L - L_left, n_up - a) right parts per left part, so a reshape
+    reads it off. The squared singular values of all blocks are returned
+    descending, and exact zeros below 1e-14 are trimmed.
     """
     if not 1 <= L_left < state.length:
         raise ValueError(f"cut must leave both parts nonempty: L_left={L_left}, "
                          f"L={state.length}")
     n_up, right = state.n_up, state.length - L_left
-    basis = _sector_basis(state.length, n_up)
-    s = []
-    for a in range(max(0, n_up - right), min(n_up, L_left) + 1):
-        states = (_sector_basis(L_left, a)[:, None] << right) | _sector_basis(right, n_up - a)
-        s.append(svdvals(state.amplitudes[np.searchsorted(basis, states)]))
+    left = _sector_basis(state.length, n_up) >> right
+    # up spins of each left part, bit by bit (np.bitwise_count needs numpy 2)
+    left_up = np.zeros(len(left), dtype=np.int8)
+    for _ in range(L_left):
+        left_up += left & 1
+        left >>= 1
+    s = [svdvals(state.amplitudes[left_up == a].reshape(-1, math.comb(right, n_up - a)))
+         for a in range(max(0, n_up - right), min(n_up, L_left) + 1)]
     w = np.sort(np.concatenate(s) ** 2)[::-1]
     return RdmSpectrum(w[w > _WEIGHT_TRIM], truncated=False)
 

@@ -123,20 +123,19 @@ class TestScan:
         assert sizes == list(range(64, 129))
         assert peak < 1 << 20
 
+    # an infinite factor, a step past STOP that leaves the float range, and
+    # a START beyond it
+    @pytest.mark.parametrize("spec", ["4:8:inf", "4:8:1e308", f"{10**309}:{10**309}:2"])
+    def test_l_range_past_float_range_exits_two(self, capsys, spec):
+        assert run(["scan", "--model", "xx", "--L-range", spec]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_tfim_scan_runs(self, tmp_path):
         out = tmp_path / "tfim.csv"
         assert run(["scan", "--model", "tfim", "--k", "0.4", "--L", "20", "40",
                     "--out", str(out)]) == 0
         rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
         assert [r[0] for r in rows] == ["tfim", "tfim"]
-
-    def test_json_format(self, tmp_path):
-        out = tmp_path / "scan.json"
-        assert run(["scan", "--model", "xx", "--L", "8", "--format", "json",
-                    "--out", str(out)]) == 0
-        data = json.loads(out.read_text())
-        assert data[0]["model"] == "xx"
-        assert set(data[0]) == set(cli.SCAN_HEADER.split(","))
 
     def test_missing_sizes_exit_two(self, capsys):
         assert run(["scan", "--model", "xx"]) == 2
@@ -188,6 +187,20 @@ class TestFitC:
         assert len(report["c_local"]) == 1
         assert report["c_extrapolated"] is None
         assert report["warnings"]
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_two_and_names_line(self, tmp_path, capsys, value):
+        csv = tmp_path / "synthetic.csv"
+        self.synthetic_csv(csv)
+        lines = csv.read_text().splitlines(True)
+        cells = lines[3].split(",")
+        cells[4] = value  # S1
+        lines[3] = ",".join(cells)
+        csv.write_text("".join(lines), encoding="utf-8")
+        assert run(["fit-c", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{csv}:4:" in captured.err
 
     def test_schema_mismatch_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -340,7 +353,7 @@ class TestConfigValidation:
         assert repr(key) in captured.err
 
     @pytest.mark.parametrize("line", ["nu = half", "model = heisenberg",
-                                      "format = xml", "threads = 1.5", "threads = 0"])
+                                      "threads = 1.5", "threads = 0"])
     def test_values_checked_like_flags(self, tmp_path, capsys, line):
         cfg = self.write(tmp_path, f"L = 6\n{line}\n")
         assert exit_code(["scan", "--config", cfg]) == 2
@@ -370,7 +383,8 @@ class TestOptionsPerSubcommand:
     """Each subcommand takes only the options it reads."""
 
     UNREAD = [("spectrum", "delta", "0.5"), ("spectrum", "geometry", "infinite"),
-              ("spectrum", "threads", "2"), ("scan", "geometry", "infinite")]
+              ("spectrum", "threads", "2"), ("scan", "geometry", "infinite"),
+              ("scan", "format", "json")]
     UNREAD += [("fit-c", key, value) for key, value in [
         ("model", "xx"), ("delta", "0.5"), ("k", "0.5"), ("nu", "0.3"), ("L", "8"),
         ("L-range", "4:8:2"), ("threads", "2")]]

@@ -1,13 +1,16 @@
-"""The README's library quick start runs as written against the public API."""
+"""The README's examples match the code: the library quick start runs as
+written against the public API, and every command line parses."""
 
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import singlecopy as sc
+from singlecopy import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,6 +30,25 @@ def test_quick_start_runs():
     # exact conformal S1 data give back c = 1
     assert namespace["s1"] == pytest.approx(sc.tfim_s1_half(0.5), abs=1e-9)
     assert sc.extrapolate_c(namespace["series"]) == pytest.approx(1.0, abs=1e-9)
+
+
+def command_lines() -> list[str]:
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    match = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert match, "README command line section has no sh block"
+    return [line.split("#", 1)[0].strip() for line in match.group(1).splitlines()
+            if line.startswith("sce ")]
+
+
+def test_command_block_not_empty():
+    assert len(command_lines()) >= 5
+
+
+# parse only: a flag deleted or renamed while the README still shows it fails here
+@pytest.mark.parametrize("line", command_lines())
+def test_command_line_parses(line):
+    argv = shlex.split(line)[1:]
+    assert cli._build_parser().parse_args(argv).command == argv[0]
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(sc.__path__)])
