@@ -8,6 +8,9 @@ fit-c           central-charge report from a scan table
 analytic        evaluate one closed-form prediction
 compare-oracle  XXZ exact diagonalization vs free-fermion route at Delta=0
 
+Each model reads only its own parameter option: xx --nu (1/2 when
+unset), tfim --k, xxz-ed --delta; another model's option exits with 2.
+
 Exit codes: 0 success, 2 invalid configuration or input, 3 numerical
 failure. Output is deterministic byte-for-byte for a fixed configuration:
 rows are sorted by (parameter, L), floats printed with 17 significant
@@ -23,6 +26,7 @@ budget, and any failed allocation, exit with code 2.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -115,17 +119,20 @@ def _row(model: str, parameter: float, L: int, summary) -> str:
                      str(distillation_bound(summary.w1).M_max)))
 
 
+def _half_chain_spectrum(chain: free_fermion.FermionModelSpec, zero_mode: str = "half"):
+    """Entanglement spectrum of the leading ceil(L/2) sites of an open chain's ground state."""
+    corr = free_fermion.ground_state_correlations(chain, zero_mode=zero_mode)
+    return free_fermion.single_particle_energies(corr, range((chain.length + 1) // 2))
+
+
 def _xx_row(nu: float, L: int) -> str:
     summary = summary_from_single_particle(free_fermion.xx_interval_spectrum(L, nu))
     return _row("xx", nu, L, summary)
 
 
 def _tfim_row(k: float, L: int) -> str:
-    model = free_fermion.FermionModelSpec(kind="tfim", modulus=k, length=L)
-    corr = free_fermion.ground_state_correlations(model)
-    cut = (L + 1) // 2
-    spec = free_fermion.single_particle_energies(corr, range(cut))
-    return _row("tfim", k, L, summary_from_single_particle(spec))
+    chain = free_fermion.FermionModelSpec(kind="tfim", modulus=k, length=L)
+    return _row("tfim", k, L, summary_from_single_particle(_half_chain_spectrum(chain)))
 
 
 def _xxz_row(delta: float, L: int) -> str:
@@ -133,18 +140,28 @@ def _xxz_row(delta: float, L: int) -> str:
     return _row("xxz-ed", delta, L, point.summary)
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    lengths = _resolve_lengths(args)
+# the parameter option each model reads; an option of another model exits 2
+_PARAMETER_OPTIONS = {"xx": "nu", "tfim": "k", "xxz-ed": "delta"}
+
+
+def _model_parameters(args: argparse.Namespace) -> list[float]:
+    """The values of the chosen model's parameter option (xx: 1/2 when unset)."""
+    for model, option in _PARAMETER_OPTIONS.items():
+        if model != args.model and getattr(args, option, None) is not None:
+            raise ValueError(f"--{option} is read only by --model {model}, "
+                             f"not by --model {args.model}")
     if args.model == "xx":
-        row, parameters = _xx_row, [args.nu]
-    elif args.model == "tfim":
-        if not args.k:
-            raise ValueError("tfim scan needs --k")
-        row, parameters = _tfim_row, args.k
-    else:
-        if not args.delta:
-            raise ValueError("xxz-ed scan needs --delta")
-        row, parameters = _xxz_row, args.delta
+        return [0.5 if args.nu is None else args.nu]
+    values = getattr(args, _PARAMETER_OPTIONS[args.model])
+    if values is None:
+        raise ValueError(f"{args.model} needs --{_PARAMETER_OPTIONS[args.model]}")
+    return values
+
+
+def cmd_scan(args: argparse.Namespace) -> int:
+    lengths, parameters = _resolve_lengths(args), _model_parameters(args)
+    # looked up per call, so that a rebound row function is the one that runs
+    row = {"xx": _xx_row, "tfim": _tfim_row, "xxz-ed": _xxz_row}[args.model]
     tasks = [(p, L) for p in sorted(set(parameters)) for L in lengths]
     worker = lambda task: row(*task)
 
@@ -162,18 +179,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    lengths = _resolve_lengths(args)
-    if len(lengths) != 1:
-        raise ValueError("spectrum wants exactly one subsystem size")
-    L = lengths[0]
+    lengths, parameters = _resolve_lengths(args), _model_parameters(args)
+    if len(lengths) != 1 or len(parameters) != 1:
+        raise ValueError("spectrum wants exactly one subsystem size and one parameter value")
+    (L,), (parameter,) = lengths, parameters
     if args.model == "xx":
-        spec = free_fermion.xx_interval_spectrum(L, args.nu)
-    else:
-        if not args.k or len(args.k) != 1:
-            raise ValueError("tfim spectrum needs exactly one --k")
-        chain = free_fermion.FermionModelSpec(kind="tfim", modulus=args.k[0], length=2 * L)
-        corr = free_fermion.ground_state_correlations(chain)
-        spec = free_fermion.single_particle_energies(corr, range(L))
+        spec = free_fermion.xx_interval_spectrum(L, parameter)
+    else:  # the leading L sites of a 2L-site chain
+        spec = _half_chain_spectrum(
+            free_fermion.FermionModelSpec(kind="tfim", modulus=parameter, length=2 * L))
     lines = ["k,epsilon,zeta,zero_mode"]
     for i, (eps, zeta) in enumerate(zip(spec.epsilons, spec.occupations)):
         lines.append(f"{i},{_fmt(eps)},{_fmt(zeta)},{int(eps == 0.0)}")
@@ -212,18 +226,13 @@ _GEOMETRIES = {
 
 def cmd_fit_c(args: argparse.Namespace) -> int:
     rows = _read_scan_csv(args.scan_file)
-    params = sorted({r["delta_or_k"] for r in rows}, key=float)
-    if len(params) > 1:
-        raise ValueError(f"{args.scan_file}: fit-c fits one parameter value, but the "
-                         f"table has delta_or_k = {', '.join(params)}")
-    models = sorted({r["model"] for r in rows})
-    if len(models) > 1:
-        raise ValueError(f"{args.scan_file}: fit-c fits one model, but the "
-                         f"table has model = {', '.join(models)}")
-    geometry, observable = args.geometry, args.observable
-    factor = scaling.geometry_factor(_GEOMETRIES[geometry])
-    if observable == "S":
-        factor /= 2.0
+    for column, order in (("delta_or_k", float), ("model", str)):
+        values = sorted({r[column] for r in rows}, key=order)
+        if len(values) > 1:
+            raise ValueError(f"{args.scan_file}: fit-c fits one {column} value, but the "
+                             f"table has {column} = {', '.join(values)}")
+    geometry, observable = _GEOMETRIES[args.geometry], args.observable
+    factor = scaling.geometry_factor(geometry) / (2.0 if observable == "S" else 1.0)
     points = [
         scaling.ScanPoint(L=float(r["L"]), S1=float(r["S1"]), S=float(r["S"]))
         for r in rows
@@ -231,7 +240,7 @@ def cmd_fit_c(args: argparse.Namespace) -> int:
     series = scaling.local_c_estimates(points, factor, observable=observable)
     report = {
         "observable": observable,
-        "geometry": geometry,
+        "geometry": args.geometry,
         "geometry_factor": factor,
         "L_mid": [m for m, _ in series.entries],
         "c_local": [v for _, v in series.entries],
@@ -245,12 +254,8 @@ def cmd_fit_c(args: argparse.Namespace) -> int:
     except ValueError as err:
         report["warnings"].append(f"extrapolation failed: {err}")
     if report["c_extrapolated"] is not None and observable == "S1":
-        geom = _GEOMETRIES[geometry]
-        k1, residual = scaling.fit_conformal_constants(
-            points, geom, report["c_extrapolated"]
-        )
-        report["k1"] = k1
-        report["residual"] = residual
+        report["k1"], report["residual"] = scaling.fit_conformal_constants(
+            points, geometry, report["c_extrapolated"])
     _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -274,18 +279,33 @@ def _kv(params: list[str]) -> dict:
     return out
 
 
-# the keys each formula takes; conformal-s1 alone takes a geometry token
-_ANALYTIC_KEYS = {
-    ("elliptic-k", None): {"k"},
-    ("tfim-s1", None): {"k"},
-    ("tfim-s1-critical", None): {"k"},
-    ("xx-spectrum", None): {"L", "k"},
-    ("conformal-s1", None): {"L", "c", "a", "k1"},
-    ("conformal-s1", "infinite"): {"L", "c", "a", "k1"},
-    ("conformal-s1", "half-infinite"): {"L", "c", "a", "k1"},
-    ("conformal-s1", "finite"): {"L", "l", "c", "a", "k1"},
-    ("conformal-renyi-trace", None): {"L", "n", "c", "a", "bn"},
+def _conformal_s1(geometry, c, a, k1) -> float:
+    return analytic.conformal_s1(geometry, analytic.ConformalParams(c=c, a=a, k1=k1))
+
+
+def _xx_mode_energy(L, k=0.0):
+    if not k.is_integer():
+        raise ValueError(f"mode index k must be an integer, got {k}")
+    return analytic.xx_asymptotic_spectrum(L, int(k))
+
+
+# (formula, geometry token) -> evaluation; its parameters are the keys the entry
+# takes, those with a default optional. conformal-s1 alone takes a geometry token.
+_FORMULAS = {
+    ("elliptic-k", None): lambda k: analytic.elliptic_K(k),
+    ("tfim-s1", None): lambda k: analytic.tfim_s1_half(k),
+    ("tfim-s1-critical", None): lambda k: analytic.tfim_s1_near_critical(k),
+    ("xx-spectrum", None): _xx_mode_energy,
+    ("conformal-s1", "infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
+        _conformal_s1(analytic.InfiniteLineInterval(L), c, a, k1),
+    ("conformal-s1", "half-infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
+        _conformal_s1(analytic.HalfInfiniteEnd(L), c, a, k1),
+    ("conformal-s1", "finite"): lambda L, l, c=1.0, a=1.0, k1=0.0:
+        _conformal_s1(analytic.FiniteChainCut(L, l), c, a, k1),
+    ("conformal-renyi-trace", None): lambda L, n, c=1.0, a=1.0, bn=1.0:
+        analytic.conformal_renyi_trace(L, n, analytic.ConformalParams(c=c, a=a, b_n=bn)),
 }
+_FORMULAS["conformal-s1", None] = _FORMULAS["conformal-s1", "infinite"]  # no token: infinite line
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
@@ -295,40 +315,19 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         geometry = params[0]
         params = params[1:]
     kv = _kv(params)
-    if (formula, None) not in _ANALYTIC_KEYS:
+    if (formula, None) not in _FORMULAS:
         raise ValueError(f"unknown formula {formula!r}")
-    if (formula, geometry) not in _ANALYTIC_KEYS:
+    if (formula, geometry) not in _FORMULAS:
         raise ValueError(f"{formula} takes no geometry token {geometry!r}")
-    unread = sorted(kv.keys() - _ANALYTIC_KEYS[formula, geometry])
+    evaluate = _FORMULAS[formula, geometry]
+    keys = inspect.signature(evaluate).parameters
+    unread = sorted(kv.keys() - keys.keys())
     if unread:
         raise ValueError(f"{formula} takes no key {', '.join(unread)}")
-    if formula == "elliptic-k":
-        value = analytic.elliptic_K(kv["k"])
-    elif formula == "tfim-s1":
-        value = analytic.tfim_s1_half(kv["k"])
-    elif formula == "tfim-s1-critical":
-        value = analytic.tfim_s1_near_critical(kv["k"])
-    elif formula == "xx-spectrum":
-        if not kv.get("k", 0.0).is_integer():
-            raise ValueError(f"mode index k must be an integer, got {kv['k']}")
-        value = analytic.xx_asymptotic_spectrum(kv["L"], int(kv.get("k", 0)))
-    elif formula == "conformal-s1":
-        p = analytic.ConformalParams(
-            c=kv.get("c", 1.0), a=kv.get("a", 1.0), k1=kv.get("k1", 0.0)
-        )
-        if geometry == "finite":
-            geom = analytic.FiniteChainCut(kv["L"], kv["l"])
-        elif geometry == "half-infinite":
-            geom = analytic.HalfInfiniteEnd(kv["L"])
-        else:
-            geom = analytic.InfiniteLineInterval(kv["L"])
-        value = analytic.conformal_s1(geom, p)
-    else:
-        p = analytic.ConformalParams(
-            c=kv.get("c", 1.0), a=kv.get("a", 1.0), b_n=kv.get("bn", 1.0)
-        )
-        value = analytic.conformal_renyi_trace(kv["L"], kv["n"], p)
-    _write_output(f"{value:.12g}\n", args.out)
+    missing = [key for key, p in keys.items() if p.default is p.empty and key not in kv]
+    if missing:
+        raise ValueError(f"{formula} needs {', '.join(missing)}")
+    _write_output(f"{evaluate(**kv):.12g}\n", args.out)
     return 0
 
 
@@ -344,15 +343,12 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
     top = 100
     per_length = {}
     for L in lengths:
-        cut = (L + 1) // 2
         state = exact_diag.xxz_ground_state(exact_diag.XxzSpec(L, 0.0))
-        ed_weights = exact_diag.rdm_weights(state, cut)
+        ed_weights = exact_diag.rdm_weights(state, (L + 1) // 2)
         ed_summary = summary_from_weights(ed_weights)
 
-        chain = free_fermion.FermionModelSpec(kind="xx", length=L)
         # the Sz=+1/2 sector state has the chain zero mode occupied
-        corr = free_fermion.ground_state_correlations(chain, zero_mode="filled")
-        spec = free_fermion.single_particle_energies(corr, range(cut))
+        spec = _half_chain_spectrum(free_fermion.FermionModelSpec(kind="xx", length=L), "filled")
         ff_summary = summary_from_single_particle(spec)
         ff_weights = many_body_spectrum(spec, top)
 
@@ -393,7 +389,7 @@ _OPTIONS = {
     "--model": dict(choices=["xx", "tfim", "xxz-ed"], default="xx"),
     "--delta": dict(nargs="+", type=float, default=None, help="XXZ anisotropies, >= -1"),
     "--k": dict(nargs="+", type=float, default=None, help="Ising couplings (elliptic modulus)"),
-    "--nu": dict(type=float, default=0.5, help="XX filling, default 1/2"),
+    "--nu": dict(type=float, default=None, help="XX filling, default 1/2"),
     "--L": dict(nargs="+", type=int, default=None, help="system sizes"),
     "--L-range": dict(dest="L_range", default=None,
                       help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2"),
@@ -430,8 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
     options(p_fit, "--config", "--geometry", "--out")
 
     p_ana = sub.add_parser("analytic", help="evaluate a closed-form prediction")
-    p_ana.add_argument("formula", help="elliptic-k | tfim-s1 | tfim-s1-critical | "
-                                       "conformal-s1 | conformal-renyi-trace | xx-spectrum")
+    p_ana.add_argument("formula", help="; ".join(
+        " ".join(filter(None, (f, g, str(inspect.signature(fn)))))
+        for (f, g), fn in _FORMULAS.items()))
     p_ana.add_argument("params", nargs="*", help="[geometry] key=value ...")
     options(p_ana, "--config", "--out")
 

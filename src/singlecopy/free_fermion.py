@@ -219,10 +219,7 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
             n = np.arange(N, dtype=float)
             _, V = eigh_tridiagonal(((N - 1 - 2 * n) / 2) ** 2 * cos_kf, n[1:] * (N - n[1:]) / 2,
                                     select="i", select_range=(lo, hi - 1))
-            column = _sine_kernel_column(N, filling)
-            if half:  # sin(pi d/2) is exactly 0 at even d, as the chiral route takes it
-                column[2::2] = 0.0
-            lam = np.einsum("ij,ij->j", V, matmul_toeplitz(column, V))
+            lam = np.einsum("ij,ij->j", V, matmul_toeplitz(_sine_kernel_column(N, filling), V))
         eps = to_eps(lam)
         if (lo == 0 or eps[0] == fill_low) and (hi == top or eps[-1] == fill_high):
             break
@@ -242,7 +239,10 @@ def _check_interval(L_sub: int, filling: float) -> None:
 
 def _sine_kernel_column(N: int, filling: float) -> np.ndarray:
     d = np.arange(1, N)
-    return np.concatenate([[filling], np.sin(np.pi * filling * d) / (np.pi * d)])
+    column = np.concatenate([[filling], np.sin(np.pi * filling * d) / (np.pi * d)])
+    if filling == 0.5:  # sin(pi d/2) is exactly 0 at even d; the rounded argument leaves ~1e-17
+        column[2::2] = 0.0
+    return column
 
 
 def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") -> CorrelationData:

@@ -302,6 +302,21 @@ class TestAnalytic:
         key = next(p.split("=")[0] for p in params if p.endswith("=nan"))
         assert captured.out == "" and f"{key} must be finite" in captured.err
 
+    @pytest.mark.parametrize("params, key", [
+        (["elliptic-k"], "k"),
+        (["tfim-s1"], "k"),
+        (["tfim-s1-critical"], "k"),
+        (["xx-spectrum", "k=1"], "L"),
+        (["conformal-s1", "c=1"], "L"),
+        (["conformal-s1", "finite", "L=100"], "l"),
+        (["conformal-renyi-trace", "L=100"], "n"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_missing_key_exits_two_and_names_it(self, capsys, params, key):
+        assert run(["analytic", *params]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {params[0]} needs {key}\n"
+
 
 class TestCompareOracle:
     def test_small_lengths_report(self, tmp_path):
@@ -424,6 +439,40 @@ class TestOptionsPerSubcommand:
         assert captured.out == ""
         assert "invalid choice" in captured.err
         assert exit_code(["spectrum", "--model", "tfim", "--k", "0.5", "--L", "4"]) == 0
+
+
+class TestParameterOptionPerModel:
+    """Each model reads only its own parameter option: xx --nu, tfim --k, xxz-ed --delta."""
+
+    OWN = {"xx": [], "tfim": ["--k", "0.5"], "xxz-ed": ["--delta", "0.5"]}
+    READER = {"nu": "xx", "k": "tfim", "delta": "xxz-ed"}
+    FOREIGN = [("scan", "xx", "k"), ("scan", "xx", "delta"), ("scan", "tfim", "nu"),
+               ("scan", "tfim", "delta"), ("scan", "xxz-ed", "nu"), ("scan", "xxz-ed", "k"),
+               ("spectrum", "xx", "k"), ("spectrum", "tfim", "nu")]
+
+    def check_refused(self, capsys, argv, model, option):
+        assert exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--{option}" in captured.err
+        assert f"--model {self.READER[option]}" in captured.err
+        assert f"--model {model}" in captured.err
+
+    @pytest.mark.parametrize("command,model,option", FOREIGN)
+    def test_foreign_flag_exits_two(self, capsys, command, model, option):
+        argv = [command, "--model", model, *self.OWN[model], "--L", "8", f"--{option}", "0.3"]
+        self.check_refused(capsys, argv, model, option)
+
+    @pytest.mark.parametrize("command,model,option", FOREIGN)
+    def test_foreign_config_key_exits_two(self, tmp_path, capsys, command, model, option):
+        cfg = tmp_path / "sce.cfg"
+        cfg.write_text(f"{option} = 0.3\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), "--model", model, *self.OWN[model], "--L", "8"]
+        self.check_refused(capsys, argv, model, option)
+
+    def test_xx_filling_defaults_to_half(self, capsys):
+        assert run(["scan", "--model", "xx", "--L", "8"]) == 0
+        assert capsys.readouterr().out.split("\n")[1].startswith("xx,0.5,8,")
 
 
 class TestEdMemoryPreflight:

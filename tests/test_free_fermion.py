@@ -46,6 +46,11 @@ class TestXxInfinite:
         assert corr.G[0, 1] == pytest.approx(math.sin(math.pi * nu) / math.pi, abs=1e-15)
         assert corr.G[0, 3] == pytest.approx(math.sin(3 * math.pi * nu) / (3 * math.pi), abs=1e-15)
 
+    @pytest.mark.parametrize("N", [3, 33, 2048])
+    def test_half_filling_even_offsets_exactly_zero(self, N):
+        # sin(pi d/2) vanishes at even d; the rounded float argument would leave ~1e-17
+        assert np.all(xx_correlations_infinite(N, 0.5).G[0, 2::2] == 0.0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             xx_correlations_infinite(0)
@@ -153,6 +158,34 @@ class TestTridiagonalRoute:
         monkeypatch.setattr(free_fermion, "eigh_tridiagonal", degenerate)
         with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
             ground_state_correlations(FermionModelSpec(kind="tfim", modulus=0.5, length=8))
+
+
+class TestParityZigzag:
+    """The parity oscillation behind the documented A5 failure, on the open XX chain.
+
+    At Delta = 0 the XXZ chain is the open XX chain; with the zero mode filled
+    and the cut at ceil(L/2) it is the state that the A5 grid diagonalizes, and
+    here it reaches a thousand sites. With
+    delta(L) = S1(L) - (S1(L-2) + S1(L+2))/2 and the smooth step
+    step(L) = (S1(L+2) - S1(L-2))/2, S1 on the mixed-parity grid L-2, L, L+2 is
+    monotone only when |delta| < step. Measured: delta * L = 0.313, 0.289, 0.268
+    and |delta| / step = 1.80, 1.67, 1.56 at L = 259, 515, 1027.
+    """
+
+    @staticmethod
+    def s1(L):
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L), "filled")
+        return summary_from_single_particle(single_particle_energies(corr, range((L + 1) // 2))).S1
+
+    def test_amplitude_falls_like_one_over_L_and_outweighs_the_step(self):
+        ratios = []
+        for L in (259, 515, 1027):
+            before, at, after = (self.s1(n) for n in (L - 2, L, L + 2))
+            delta, step = at - (before + after) / 2, (after - before) / 2
+            assert 0.26 < delta * L < 0.32
+            ratios.append(abs(delta) / step)
+        assert all(r > 1.0 for r in ratios)  # still non-monotone at a thousand sites
+        assert ratios[0] > ratios[1] > ratios[2]
 
 
 class TestWindowRoute:
