@@ -24,8 +24,9 @@ print("   k     L_total    S1 lattice      S1 formula      |diff|")
 for k in (0.3, 0.5, 0.7, 0.9):
     xi = 1.0 / (1.0 - k)
     L = 2 * math.ceil(20 * xi)
-    corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
-    spec = single_particle_energies(corr, range(L // 2))
+    corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L),
+                                     sites=L // 2)
+    spec = single_particle_energies(corr)
     s1 = summary_from_single_particle(spec).S1
     formula = tfim_s1_half(k)
     print(f"  {k:.1f}   {L:7d}    {s1:.10f}   {formula:.10f}   {abs(s1 - formula):.1e}")

@@ -121,8 +121,8 @@ def _row(model: str, parameter: float, L: int, summary) -> str:
 
 def _half_chain_spectrum(chain: free_fermion.FermionModelSpec, zero_mode: str = "half"):
     """Entanglement spectrum of the leading ceil(L/2) sites of an open chain's ground state."""
-    corr = free_fermion.ground_state_correlations(chain, zero_mode=zero_mode)
-    return free_fermion.single_particle_energies(corr, range((chain.length + 1) // 2))
+    corr = free_fermion.ground_state_correlations(chain, zero_mode, (chain.length + 1) // 2)
+    return free_fermion.single_particle_energies(corr)
 
 
 def _xx_row(nu: float, L: int) -> str:
@@ -211,8 +211,13 @@ def _read_scan_csv(path: str) -> list[dict]:
         if len(parts) != len(names):
             raise ValueError(f"{path}:{lineno}: malformed row {ln!r}")
         row = dict(zip(names, parts))
-        if not all(math.isfinite(float(row[key])) for key in ("L", "S", "S1")):
-            raise ValueError(f"{path}:{lineno}: L, S and S1 must be finite, got {ln!r}")
+        try:
+            finite = all(math.isfinite(float(row[key])) for key in ("delta_or_k", "L", "S", "S1"))
+        except ValueError:  # not a number
+            finite = False
+        if not finite:
+            raise ValueError(f"{path}:{lineno}: delta_or_k, L, S and S1 must be finite numbers, "
+                             f"got {ln!r}")
         rows.append(row)
     return rows
 

@@ -9,7 +9,8 @@ Two solvable models are covered:
   finite open chain via its tridiagonal hopping matrix;
 * the transverse-field Ising chain in its disordered phase (pairing terms
   present), as a finite open chain via its lower-bidiagonal L x L block
-  D = A - B, from one tridiagonal eigensolve of D^T D.
+  D = A - B, from one tridiagonal eigensolve of D^T D; a subsystem of
+  leading sites is built from the kept rows of the eigenvectors alone.
 
 The reduced density matrix of a subsystem of a Gaussian state is itself
 Gaussian, rho = exp(-H)/Z with quadratic H = sum_k eps_k f_k^dag f_k.
@@ -61,7 +62,8 @@ _EPS_CAP = float(np.log((1.0 - OCCUPATION_FLOOR) / OCCUPATION_FLOOR))
 # Particle-hole symmetry of G is detected elementwise at this tolerance.
 _PH_DETECT_TOL = 1e-10
 # Memory one build or diagonalization may take (exact_diag reads it too), and
-# the float64 n x n (window route: n x (window + 1)) arrays at each traced peak.
+# the float64 n x n (window route: n x (window + 1); open chain: its G/F stage
+# on n kept sites) arrays at each traced peak.
 _MEMORY_BUDGET = 4 << 30
 _INTERVAL_ARRAYS = 2
 _GROUND_STATE_ARRAYS = 5
@@ -245,7 +247,8 @@ def _sine_kernel_column(N: int, filling: float) -> np.ndarray:
     return column
 
 
-def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") -> CorrelationData:
+def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half",
+                              sites: int | None = None) -> CorrelationData:
     """Correlation matrices of the many-body ground state of an open chain.
 
     The chain is H = sum A_ij c^dag_i c_j + (1/2) sum (B_ij c^dag_i c^dag_j + h.c.),
@@ -255,7 +258,10 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") 
     so H = (i/2) sum D_mn a_m b_n in Majoranas, with D = A - B lower bidiagonal
     (2 on the diagonal, -2k below). With D^T D = V diag(sigma^2) V^T and
     U = D V / sigma, the polar factor W = U V^T gives G = (1 - (W + W^T)/2)/2
-    and F = (W - W^T)/4.
+    and F = (W - W^T)/4. With `sites` = n, an integer in 1..L, G and F are
+    the n x n blocks of the leading n sites, built from the first n rows of
+    the eigenvectors alone (Ising W_A = U_A V_A^T, XX G_A = (phi_A occ) phi_A^T);
+    the default is the whole chain.
 
     Negative-energy modes are filled. Modes at exactly zero single-particle
     energy (degenerate ground states, e.g. the odd-length XX chain) are
@@ -273,27 +279,37 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half") 
     no zero mode, since D = 2(1 - kS) for the unit shift S gives
     sigma_min >= 2(1 - k) > 0; sigma_min^2 <= 1e-24 or NaN means a failed
     solve and raises LinAlgError. ValueError is raised before allocating if
-    the L x L arrays are over the memory budget.
+    the arrays of the build are over the memory budget.
     """
     if zero_mode not in ("half", "filled", "empty"):
         raise ValueError(f"unknown zero-mode convention {zero_mode!r}")
     L, k = model.length, model.modulus
-    _check_dense_memory(L, _GROUND_STATE_ARRAYS)
+    if sites is None:
+        sites = L
+    elif isinstance(sites, bool) or not isinstance(sites, (int, np.integer)) or not 1 <= sites <= L:
+        raise ValueError(f"sites must be an integer in 1..{L}, got {sites!r}")
+    n = int(sites)
+    # the L x L eigenvectors with either the eigensolver's L x L workspace or
+    # the kept rows of U (Ising U = D V / sigma, XX phi occ) and their temporary,
+    # then the n x n arrays of the G/F stage
+    _check_dense_memory(L, 1, L + max(L, 2 * n))
+    _check_dense_memory(n, _GROUND_STATE_ARRAYS)
     if model.kind == "xx":
         evals, phi = eigh_tridiagonal(np.zeros(L), np.full(L - 1, 0.5))
         occ = np.where(evals < -1e-12, 1.0, 0.0)
         occ[np.abs(evals) <= 1e-12] = {"half": 0.5, "filled": 1.0, "empty": 0.0}[zero_mode]
-        G = (phi * occ) @ phi.T
+        G = (phi[:n] * occ) @ phi[:n].T
+        del phi  # so that the G stage holds only n x n arrays
         return CorrelationData(0.5 * (G + G.T))
     lam, V = eigh_tridiagonal(np.append(np.full(L - 1, 4 + 4 * k * k), 4.0), np.full(L - 1, -4 * k))
     if not lam[0] > 1e-24:  # negated, so that NaN never reaches sqrt
         raise np.linalg.LinAlgError("zero-energy BdG mode with pairing: degenerate ground state")
     sigma = np.sqrt(lam)
-    U = V * (2.0 / sigma)  # D V / sigma, with D applied as a bidiagonal shift
-    U[1:] -= V[:-1] * (2.0 * k / sigma)
-    W = U @ V.T
-    del U, V  # so that the peak stays at _GROUND_STATE_ARRAYS
-    G = 0.5 * (np.eye(L) - 0.5 * (W + W.T))
+    U = V[:n] * (2.0 / sigma)  # rows of D V / sigma, with D applied as a bidiagonal shift
+    U[1:] -= V[:n - 1] * (2.0 * k / sigma)
+    W = U @ V[:n].T
+    del U, V  # so that the G/F stage holds only n x n arrays
+    G = 0.5 * (np.eye(n) - 0.5 * (W + W.T))
     return CorrelationData(G, 0.25 * (W - W.T))
 
 

@@ -188,19 +188,27 @@ class TestFitC:
         assert report["c_extrapolated"] is None
         assert report["warnings"]
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_value_exits_two_and_names_line(self, tmp_path, capsys, value):
+    def refused_cell(self, tmp_path, capsys, column, value):
+        """fit-c on the synthetic table with one cell of line 4 replaced exits 2 and names the line."""
         csv = tmp_path / "synthetic.csv"
         self.synthetic_csv(csv)
         lines = csv.read_text().splitlines(True)
         cells = lines[3].split(",")
-        cells[4] = value  # S1
+        cells[column] = value
         lines[3] = ",".join(cells)
         csv.write_text("".join(lines), encoding="utf-8")
         assert run(["fit-c", str(csv)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{csv}:4:" in captured.err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_two_and_names_line(self, tmp_path, capsys, value):
+        self.refused_cell(tmp_path, capsys, 4, value)  # S1
+
+    @pytest.mark.parametrize("column, value", [(1, "abc"), (1, "nan"), (2, "x"), (3, "")])
+    def test_non_numeric_value_exits_two_and_names_line(self, tmp_path, capsys, column, value):
+        self.refused_cell(tmp_path, capsys, column, value)  # delta_or_k, L, S
 
     def test_schema_mismatch_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -489,6 +497,9 @@ class TestDenseMemoryPreflight:
         ["scan", "--model", "tfim", "--k", "0.5", "--L", "100000"],
         ["scan", "--model", "xx", "--L", "1000000000"],
         ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "50000"],
+        # one site past the half-chain limits: 16,384 sites, and --L 8192 of a 2L chain
+        ["scan", "--model", "tfim", "--k", "0.5", "--L", "16385"],
+        ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "8193"],
     ])
     def test_oversized_chain_exits_two(self, capsys, argv):
         assert run(argv) == 2

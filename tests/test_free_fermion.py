@@ -122,9 +122,13 @@ class TestTridiagonalRoute:
     @pytest.mark.parametrize("L", [2, 3, 7, 64, 400])
     def test_tfim_matches_svd_polar_factor(self, k, L):
         G, F = tfim_polar_correlations(L, k)
-        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
-        assert np.max(np.abs(corr.G - G)) <= 1e-12
-        assert np.max(np.abs(corr.F - F)) <= 1e-12
+        chain = FermionModelSpec(kind="tfim", modulus=k, length=L)
+        for n in (None, 1, (L + 1) // 2, L):
+            corr = ground_state_correlations(chain, sites=n)
+            m = L if n is None else n
+            assert corr.G.shape == (m, m)
+            assert np.max(np.abs(corr.G - G[:m, :m])) <= 1e-12
+            assert np.max(np.abs(corr.F - F[:m, :m])) <= 1e-12
 
     @pytest.mark.parametrize("k", [0.3, 0.75, 0.95])
     @pytest.mark.parametrize("L", [400, 800])
@@ -139,11 +143,32 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("zero_mode, occupation", [("half", 0.5), ("filled", 1.0),
                                                        ("empty", 0.0)])
-    @pytest.mark.parametrize("L", [2, 3, 9, 101])
+    @pytest.mark.parametrize("L", [2, 3, 7, 9, 64, 101, 400])
     def test_xx_matches_closed_form_modes(self, L, zero_mode, occupation):
-        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L), zero_mode)
-        assert corr.F is None
-        assert np.max(np.abs(corr.G - open_xx_correlations(L, occupation))) <= 1e-12
+        G = open_xx_correlations(L, occupation)
+        chain = FermionModelSpec(kind="xx", length=L)
+        for n in (None, 1, (L + 1) // 2, L):
+            corr = ground_state_correlations(chain, zero_mode, n)
+            m = L if n is None else n
+            assert corr.F is None
+            assert corr.G.shape == (m, m)
+            assert np.max(np.abs(corr.G - G[:m, :m])) <= 1e-12
+
+    @pytest.mark.parametrize("kind, k", [("xx", None), ("tfim", 0.75)])
+    @pytest.mark.parametrize("L", [2, 7, 64])
+    def test_all_sites_equal_whole_chain_exactly(self, kind, k, L):
+        chain = FermionModelSpec(kind=kind, modulus=k, length=L)
+        whole = ground_state_correlations(chain)
+        block = ground_state_correlations(chain, sites=np.int64(L))  # numpy integers count too
+        assert np.array_equal(block.G, whole.G)
+        assert (block.F is None) if whole.F is None else np.array_equal(block.F, whole.F)
+
+    @pytest.mark.parametrize("sites", [0, -1, 9, 2.0, "3", True, np.float64(4)])
+    @pytest.mark.parametrize("kind, k", [("xx", None), ("tfim", 0.5)])
+    def test_sites_outside_the_chain_rejected(self, kind, k, sites):
+        with pytest.raises(ValueError, match="sites must be an integer in 1..8"):
+            ground_state_correlations(FermionModelSpec(kind=kind, modulus=k, length=8),
+                                      sites=sites)
 
     @pytest.mark.parametrize("smallest", [np.nan, -1e-20, 0.0, 1e-24])
     def test_zero_or_failed_mode_raises(self, monkeypatch, smallest):
@@ -486,6 +511,19 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 7.5 * 8 * L**2
 
+    def test_tfim_half_chain_peak(self):
+        # V with the eigensolver's workspace, or V with the kept rows of U and
+        # their shifted temporary: 2 L x L either way; the n x n G/F stage is less
+        L = 512
+        chain = FermionModelSpec(kind="tfim", modulus=0.5, length=L)
+        tracemalloc.start()
+        try:
+            ground_state_correlations(chain, sites=L // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * L**2
+
 
 class TestMemoryPreflight:
     """Builds over the memory budget fail before allocating."""
@@ -496,7 +534,9 @@ class TestMemoryPreflight:
         lambda: ground_state_correlations(FermionModelSpec(kind="xx", length=100_000)),
         lambda: ground_state_correlations(
             FermionModelSpec(kind="tfim", modulus=0.5, length=100_000)),
-    ], ids=["xx-interval", "xx-window", "xx-chain", "tfim-chain"])
+        lambda: ground_state_correlations(
+            FermionModelSpec(kind="tfim", modulus=0.5, length=100_000), sites=50_000),
+    ], ids=["xx-interval", "xx-window", "xx-chain", "tfim-chain", "tfim-half-chain"])
     def test_oversized_build_rejected_before_allocating(self, build):
         tracemalloc.start()
         try:
