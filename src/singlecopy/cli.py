@@ -121,8 +121,11 @@ def _row(model: str, parameter: float, L: int, summary) -> str:
 
 def _half_chain_spectrum(chain: free_fermion.FermionModelSpec, zero_mode: str = "half"):
     """Entanglement spectrum of the leading ceil(L/2) sites of an open chain's ground state."""
-    corr = free_fermion.ground_state_correlations(chain, zero_mode, (chain.length + 1) // 2)
-    return free_fermion.single_particle_energies(corr)
+    n = (chain.length + 1) // 2
+    if chain.kind == "tfim":
+        return free_fermion.tfim_block_spectrum(chain, n)
+    return free_fermion.single_particle_energies(
+        free_fermion.ground_state_correlations(chain, zero_mode, n))
 
 
 def _xx_row(nu: float, L: int) -> str:

@@ -10,7 +10,9 @@ Two solvable models are covered:
 * the transverse-field Ising chain in its disordered phase (pairing terms
   present), as a finite open chain via its lower-bidiagonal L x L block
   D = A - B, from one tridiagonal eigensolve of D^T D; a subsystem of
-  leading sites is built from the kept rows of the eigenvectors alone.
+  leading sites is built from the kept rows of the eigenvectors alone, or,
+  for its spectrum, solved from a window of the cut block's largest
+  singular values (`tfim_block_spectrum`).
 
 The reduced density matrix of a subsystem of a Gaussian state is itself
 Gaussian, rho = exp(-H)/Z with quadratic H = sum_k eps_k f_k^dag f_k.
@@ -20,7 +22,9 @@ from the eigenvalues zeta of G = <c^dag c> via eps = ln((1-zeta)/zeta).
 With pairing, every spectrum is the singular values of one real block in
 the Majorana basis a = c + c^dag, b = i(c^dag - c): the ground state is the
 polar factor of D (Peschel 2004), and eps = 2 artanh(sigma) for the singular
-values of the restricted block 2G - 1 - 2F (Peschel 2003; Vidal et al. 2003).
+values of the restricted block 2G - 1 - 2F (Peschel 2003; Vidal et al. 2003),
+or eps = 2 arccosh(1/tau) for the singular values tau = sqrt(1 - sigma^2) of
+the polar factor's cut block.
 
 Numerical policy: occupations are clipped to [1e-12, 1-1e-12] before
 logarithms, which caps |eps| at ~27.63. Each capped mode contributes at
@@ -50,6 +54,7 @@ __all__ = [
     "xx_correlations_infinite",
     "xx_interval_spectrum",
     "ground_state_correlations",
+    "tfim_block_spectrum",
     "single_particle_energies",
 ]
 
@@ -59,6 +64,8 @@ OCCUPATION_FLOOR = 1e-12
 ZERO_MODE_TOL = 1e-8
 # Largest representable |eps| after clipping, ln((1-floor)/floor).
 _EPS_CAP = float(np.log((1.0 - OCCUPATION_FLOOR) / OCCUPATION_FLOOR))
+# The cut-block value sech(cap/2) that goes with the capped Majorana value tanh(cap/2).
+_TAU_CAP = float(1.0 / np.cosh(0.5 * _EPS_CAP))
 # Particle-hole symmetry of G is detected elementwise at this tolerance.
 _PH_DETECT_TOL = 1e-10
 # Memory one build or diagonalization may take (exact_diag reads it too), and
@@ -177,6 +184,18 @@ def _epsilons_from_singular_values(sigma: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctanh(np.minimum(sigma, np.tanh(0.5 * _EPS_CAP)))
 
 
+def _epsilons_from_cut_values(tau: np.ndarray) -> np.ndarray:
+    """eps = 2 arccosh(1/tau) for cut-block singular values tau = sqrt(1 - sigma^2).
+
+    No eps exceeds the value `_epsilons_from_singular_values` gives sigma = 1
+    (27.630988, below the cap), and tau at or below the cap takes that value.
+    """
+    _check_occupation_range(0.5 * (1.0 - tau))  # tau <= 1 + 2e-10
+    clipped = _epsilons_from_singular_values(np.ones(1))
+    eps = 2.0 * np.arccosh(1.0 / np.clip(tau, _TAU_CAP, 1.0))
+    return np.where(tau > _TAU_CAP, np.minimum(eps, clipped), clipped)
+
+
 def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationData:
     """Correlation matrix of an L_sub-site interval of the infinite XX chain.
 
@@ -283,17 +302,9 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half",
     """
     if zero_mode not in ("half", "filled", "empty"):
         raise ValueError(f"unknown zero-mode convention {zero_mode!r}")
-    L, k = model.length, model.modulus
-    if sites is None:
-        sites = L
-    elif isinstance(sites, bool) or not isinstance(sites, (int, np.integer)) or not 1 <= sites <= L:
-        raise ValueError(f"sites must be an integer in 1..{L}, got {sites!r}")
-    n = int(sites)
-    # the L x L eigenvectors with either the eigensolver's L x L workspace or
-    # the kept rows of U (Ising U = D V / sigma, XX phi occ) and their temporary,
-    # then the n x n arrays of the G/F stage
-    _check_dense_memory(L, 1, L + max(L, 2 * n))
-    _check_dense_memory(n, _GROUND_STATE_ARRAYS)
+    L = model.length
+    n = _kept_sites(L, L if sites is None else sites)
+    _check_dense_memory(n, _GROUND_STATE_ARRAYS)  # the n x n arrays of the G/F stage
     if model.kind == "xx":
         evals, phi = eigh_tridiagonal(np.zeros(L), np.full(L - 1, 0.5))
         occ = np.where(evals < -1e-12, 1.0, 0.0)
@@ -301,16 +312,70 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half",
         G = (phi[:n] * occ) @ phi[:n].T
         del phi  # so that the G stage holds only n x n arrays
         return CorrelationData(0.5 * (G + G.T))
+    U, V = _ising_rows(model.modulus, L, n)
+    W = U @ V[:n].T
+    del U, V  # so that the G/F stage holds only n x n arrays
+    G = 0.5 * (np.eye(n) - 0.5 * (W + W.T))
+    return CorrelationData(G, 0.25 * (W - W.T))
+
+
+def tfim_block_spectrum(model: FermionModelSpec, sites: int) -> EntanglementSpectrum:
+    """`single_particle_energies(ground_state_correlations(model, sites=sites))`, without n x n arrays.
+
+    The polar factor W = U V^T of the Ising chain is orthogonal, so by its CS
+    decomposition the singular values sigma of the kept block W_A and tau of
+    the cut block X = U_A V_B^T (kept rows against the other L - n) pair up as
+    sigma^2 + tau^2 = 1, and eps = 2 artanh(sigma) = 2 arccosh(1/tau). Only
+    the largest tau are below the cap. A seeded range finder (Halko,
+    Martinsson and Tropp 2011) gets them without forming X: Q = qr(U_A V_B^T
+    Omega) for a Gaussian test matrix Omega of p columns, then tau =
+    svdvals(Q^T X), of which the first p - 8 are kept. p starts at 16 and
+    doubles until the last kept mode is clipped, or until Q spans the range
+    of X (exact). Modes outside the window take the dense route's clipped
+    value. Deep modes come out to relative accuracy in tau, not in sigma.
+    """
+    if model.kind != "tfim":
+        raise ValueError(f"the cut-block route solves the Ising chain, not {model.kind!r}")
+    L = model.length
+    n = _kept_sites(L, sites)
+    U_A, V = _ising_rows(model.modulus, L, n)
+    V_B = V[n:]
+    width = min(16, L - n)
+    while True:
+        omega = np.random.default_rng(0).standard_normal((L - n, width))
+        Q = np.linalg.qr(U_A @ (V_B.T @ omega))[0]
+        tau = svdvals((Q.T @ U_A) @ V_B.T)  # descending
+        exact = width >= min(n, L - n)
+        if not exact:
+            tau = tau[:width - 8]
+        if exact or tau[-1] <= _TAU_CAP:
+            break
+        width = min(2 * width, L - n)
+    # the modes outside the window lie below the cap
+    tau = np.concatenate([tau, np.zeros(n - len(tau))])
+    return _spectrum_from_epsilons(_epsilons_from_cut_values(tau))
+
+
+def _kept_sites(L: int, sites) -> int:
+    """Validate `sites` of an L-site chain and check the memory of its eigenvector stage."""
+    if isinstance(sites, bool) or not isinstance(sites, (int, np.integer)) or not 1 <= sites <= L:
+        raise ValueError(f"sites must be an integer in 1..{L}, got {sites!r}")
+    n = int(sites)
+    # the L x L eigenvectors with either the eigensolver's L x L workspace or
+    # the kept rows of U (Ising U = D V / sigma, XX phi occ) and their temporary
+    _check_dense_memory(L, 1, L + max(L, 2 * n))
+    return n
+
+
+def _ising_rows(k: float, L: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n rows of U = D V / sigma and all of V, from D^T D = V diag(sigma^2) V^T."""
     lam, V = eigh_tridiagonal(np.append(np.full(L - 1, 4 + 4 * k * k), 4.0), np.full(L - 1, -4 * k))
     if not lam[0] > 1e-24:  # negated, so that NaN never reaches sqrt
         raise np.linalg.LinAlgError("zero-energy BdG mode with pairing: degenerate ground state")
     sigma = np.sqrt(lam)
     U = V[:n] * (2.0 / sigma)  # rows of D V / sigma, with D applied as a bidiagonal shift
     U[1:] -= V[:n - 1] * (2.0 * k / sigma)
-    W = U @ V[:n].T
-    del U, V  # so that the G/F stage holds only n x n arrays
-    G = 0.5 * (np.eye(n) - 0.5 * (W + W.T))
-    return CorrelationData(G, 0.25 * (W - W.T))
+    return U, V
 
 
 def _chiral_epsilons(G: np.ndarray, positions: np.ndarray) -> np.ndarray | None:

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from singlecopy import cli
+from singlecopy import cli, free_fermion
+from singlecopy.analytic import elliptic_K
 from singlecopy.entanglement import summary_from_single_particle
 from singlecopy.free_fermion import (
     FermionModelSpec,
@@ -61,6 +62,19 @@ class TestSpectrum:
         rows = [ln.split(",") for ln in out.read_text().strip().split("\n")[1:]]
         assert len(rows) == 6
         assert all(float(r[1]) >= 0 for r in rows)
+
+    @pytest.mark.parametrize("k", [0.5, 0.9, 0.95])
+    def test_tfim_modes_below_the_cap_on_the_ladder(self, tmp_path, k):
+        # half of a 600-site chain: eps_j = (2j + 1) pi K(k')/K(k) up to the
+        # deepest mode below the cap (measured 2.0e-10 off at most)
+        out = tmp_path / "spec.csv"
+        assert run(["spectrum", "--model", "tfim", "--k", str(k), "--L", "300",
+                    "--out", str(out)]) == 0
+        eps = np.array([float(ln.split(",")[1]) for ln in out.read_text().splitlines()[1:]])
+        live = eps[eps < free_fermion._epsilons_from_singular_values(np.ones(1))[0]]
+        step = math.pi * elliptic_K(math.sqrt(1.0 - k * k)) / elliptic_K(k)
+        assert len(live) >= 3
+        assert np.max(np.abs(live - (2 * np.arange(len(live)) + 1) * step)) <= 1e-8
 
 
 class TestScan:

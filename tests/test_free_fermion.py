@@ -14,6 +14,7 @@ from singlecopy.free_fermion import (
     FermionModelSpec,
     ground_state_correlations,
     single_particle_energies,
+    tfim_block_spectrum,
     xx_correlations_infinite,
     xx_interval_spectrum,
 )
@@ -166,9 +167,12 @@ class TestTridiagonalRoute:
     @pytest.mark.parametrize("sites", [0, -1, 9, 2.0, "3", True, np.float64(4)])
     @pytest.mark.parametrize("kind, k", [("xx", None), ("tfim", 0.5)])
     def test_sites_outside_the_chain_rejected(self, kind, k, sites):
+        chain = FermionModelSpec(kind=kind, modulus=k, length=8)
         with pytest.raises(ValueError, match="sites must be an integer in 1..8"):
-            ground_state_correlations(FermionModelSpec(kind=kind, modulus=k, length=8),
-                                      sites=sites)
+            ground_state_correlations(chain, sites=sites)
+        if kind == "tfim":
+            with pytest.raises(ValueError, match="sites must be an integer in 1..8"):
+                tfim_block_spectrum(chain, sites)
 
     @pytest.mark.parametrize("smallest", [np.nan, -1e-20, 0.0, 1e-24])
     def test_zero_or_failed_mode_raises(self, monkeypatch, smallest):
@@ -181,8 +185,11 @@ class TestTridiagonalRoute:
             return lam, V
 
         monkeypatch.setattr(free_fermion, "eigh_tridiagonal", degenerate)
+        chain = FermionModelSpec(kind="tfim", modulus=0.5, length=8)
         with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
-            ground_state_correlations(FermionModelSpec(kind="tfim", modulus=0.5, length=8))
+            ground_state_correlations(chain)
+        with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
+            tfim_block_spectrum(chain, 4)
 
 
 class TestParityZigzag:
@@ -262,6 +269,65 @@ class TestWindowRoute:
         for args in [(0,), (4, 0.0), (4, 1.0), (4, float("nan"))]:
             with pytest.raises(ValueError):
                 xx_interval_spectrum(*args)
+
+
+class TestIsingWindowRoute:
+    """`tfim_block_spectrum` against the block route and the dense SVD polar factor."""
+
+    @staticmethod
+    def block(k, L, n):
+        chain = FermionModelSpec(kind="tfim", modulus=k, length=L)
+        return single_particle_energies(ground_state_correlations(chain, sites=n))
+
+    @staticmethod
+    def window(k, L, n):
+        return tfim_block_spectrum(FermionModelSpec(kind="tfim", modulus=k, length=L), n)
+
+    @pytest.mark.parametrize("k", [0.05, 0.3, 0.75, 0.95])
+    @pytest.mark.parametrize("L", [2, 3, 7, 64, 201, 400])
+    def test_matches_block_route(self, k, L):
+        for n in sorted({1, (L + 1) // 2, L - 1, L}):
+            window, ref = self.window(k, L, n), self.block(k, L, n)
+            assert len(window) == len(ref) == n
+            assert window.zero_mode_count == ref.zero_mode_count
+            a, b = summary_from_single_particle(window), summary_from_single_particle(ref)
+            assert abs(a.S - b.S) <= 1e-12
+            assert abs(a.S1 - b.S1) <= 1e-13
+
+    @pytest.mark.parametrize("k", [0.3, 0.95])
+    @pytest.mark.parametrize("L, n", [(7, 7), (64, 32), (400, 200), (401, 201)])
+    def test_modes_at_the_cap_equal_dense_clipped_value(self, k, L, n):
+        clipped = free_fermion._epsilons_from_singular_values(np.ones(1))
+        window, ref = self.window(k, L, n), self.block(k, L, n)
+        at_cap = window.epsilons == clipped[0]
+        assert np.array_equal(window.epsilons[at_cap], ref.epsilons[at_cap])
+        assert np.count_nonzero(at_cap) == np.count_nonzero(ref.epsilons == clipped[0])
+        if n >= 200:  # all but the few modes below the cap
+            assert np.count_nonzero(at_cap) >= n - 8
+
+    def test_deterministic(self):
+        first, second = self.window(0.75, 400, 200), self.window(0.75, 400, 200)
+        assert np.array_equal(first.epsilons, second.epsilons)
+        assert np.array_equal(first.occupations, second.occupations)
+
+    def test_doubled_window_closer_to_svd_oracle(self):
+        # nine modes below the cap, one more than the first 16-column pass keeps.
+        # Against the dense SVD polar factor the window route is 1.2e-12 off on S
+        # and 8.3e-13 on S1; the block route 1.4e-11 and 1.5e-12
+        k, L, n = 0.99, 400, 200
+        oracle = summary_from_single_particle(
+            single_particle_energies(CorrelationData(*tfim_polar_correlations(L, k)), range(n)))
+        window = self.window(k, L, n)
+        clipped = free_fermion._epsilons_from_singular_values(np.ones(1))[0]
+        assert np.count_nonzero(window.epsilons < clipped) == 9
+        a, b = summary_from_single_particle(window), summary_from_single_particle(self.block(k, L, n))
+        assert abs(a.S - oracle.S) <= 5e-12
+        assert abs(a.S1 - oracle.S1) <= 2e-12
+        assert abs(a.S - oracle.S) < abs(b.S - oracle.S)
+
+    def test_rejects_xx_chain(self):
+        with pytest.raises(ValueError, match="Ising"):
+            tfim_block_spectrum(FermionModelSpec(kind="xx", length=8), 4)
 
 
 class TestCorrelationData:
@@ -458,11 +524,13 @@ class TestTfimRoute:
         cut = data.draw(st.integers(1, L - 1), label="cut")
         _, gs = dense_ground_state(tfim_dense_hamiltonian(L, k))
         S_ed, S1_ed = entropies_from_weights(rdm_weights_dense(gs, L, cut))
-        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
-        summ = summary_from_single_particle(single_particle_energies(corr, range(cut)))
-        assert summ.S == pytest.approx(S_ed, abs=1e-9)
-        assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
-        assert summ.S1 <= summ.S
+        chain = FermionModelSpec(kind="tfim", modulus=k, length=L)
+        corr = ground_state_correlations(chain)
+        for spec in (single_particle_energies(corr, range(cut)), tfim_block_spectrum(chain, cut)):
+            summ = summary_from_single_particle(spec)
+            assert summ.S == pytest.approx(S_ed, abs=1e-9)
+            assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
+            assert summ.S1 <= summ.S
 
 
 class TestMemory:
@@ -524,6 +592,19 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 2.1 * 8 * L**2
 
+    def test_tfim_window_peak(self):
+        # V and the kept rows of U set the peak, as for the block route; the
+        # window's arrays are n x p and p x L
+        L = 512
+        chain = FermionModelSpec(kind="tfim", modulus=0.5, length=L)
+        tracemalloc.start()
+        try:
+            tfim_block_spectrum(chain, L // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * L**2
+
 
 class TestMemoryPreflight:
     """Builds over the memory budget fail before allocating."""
@@ -536,7 +617,10 @@ class TestMemoryPreflight:
             FermionModelSpec(kind="tfim", modulus=0.5, length=100_000)),
         lambda: ground_state_correlations(
             FermionModelSpec(kind="tfim", modulus=0.5, length=100_000), sites=50_000),
-    ], ids=["xx-interval", "xx-window", "xx-chain", "tfim-chain", "tfim-half-chain"])
+        lambda: tfim_block_spectrum(FermionModelSpec(kind="tfim", modulus=0.5, length=100_000),
+                                    50_000),
+    ], ids=["xx-interval", "xx-window", "xx-chain", "tfim-chain", "tfim-half-chain",
+            "tfim-cut-window"])
     def test_oversized_build_rejected_before_allocating(self, build):
         tracemalloc.start()
         try:
