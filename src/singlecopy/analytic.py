@@ -168,16 +168,18 @@ def elliptic_K(k: float) -> float:
 def tfim_s1_half(k: float) -> float:
     """Half-chain S1 of the transverse-field Ising chain, disordered phase.
 
-    S1 = (1/24) [ ln(16/(k^2 k'^2)) - pi K(k')/K(k) ],  k' = sqrt(1-k^2),
-    for a chain divided into two halves; k in (0,1) measures the coupling
-    (Ising bond over transverse field). Vanishes as k -> 0 (product state)
-    and diverges logarithmically at the critical point k = 1.
+    S1 = sum_j ln(1 + q^(2j+1)),  q = exp(-pi K(k')/K(k)),  k' = sqrt(1-k^2),
+    the corner-transfer-matrix ladder (Peschel, Kaulke and Legeza 1999); it is
+    (1/24) [ln(16/(k^2 k'^2)) - pi K(k')/K(k)] without that form's cancellation
+    as k -> 0. k in (0,1) is the Ising bond over the transverse field. Vanishes
+    as k -> 0 (product state), diverges logarithmically at the critical k = 1.
     """
     if not 0.0 < k < 1.0:
         raise ValueError(f"modulus must lie in (0, 1), got {k}")
-    kp2 = (1.0 - k) * (1.0 + k)
-    kp = math.sqrt(kp2)
-    return (math.log(16.0 / (k * k * kp2)) - math.pi * elliptic_K(kp) / elliptic_K(k)) / 24.0
+    eps = math.pi * float(ellipkm1(k * k)) / elliptic_K(k)  # K(k') from k^2 unrounded
+    # each term is exp(-2 eps) times the last; stop below 1e-17 of the first
+    return math.fsum(math.log1p(math.exp(-(2 * j + 1) * eps))
+                     for j in range(1 + math.ceil(20 / eps)))
 
 
 def tfim_s1_near_critical(k: float) -> float:

@@ -192,7 +192,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         spec = _half_chain_spectrum(
             free_fermion.FermionModelSpec(kind="tfim", modulus=parameter, length=2 * L))
     lines = ["k,epsilon,zeta,zero_mode"]
-    for i, (eps, zeta) in enumerate(zip(spec.epsilons, spec.occupations)):
+    epsilons = spec.all_epsilons()
+    for i, (eps, zeta) in enumerate(zip(epsilons, 1.0 / (1.0 + np.exp(epsilons)))):
         lines.append(f"{i},{_fmt(eps)},{_fmt(zeta)},{int(eps == 0.0)}")
     _write_output("\n".join(lines) + "\n", args.out)
     return 0

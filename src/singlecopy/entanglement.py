@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .free_fermion import EntanglementSpectrum
+from .free_fermion import EPS_CAP, EntanglementSpectrum
 
 __all__ = [
     "EntanglementSummary",
@@ -90,17 +90,17 @@ def summary_from_single_particle(spec: EntanglementSpectrum) -> EntanglementSumm
 
     Evaluated mode by mode in numerically safe form; S is accumulated as
     S1 plus a nonnegative remainder so S >= S1 holds exactly, and each
-    zero mode contributes exactly ln 2 to both.
+    zero mode contributes exactly ln 2 to both. Capped modes contribute
+    exactly 0 to S and S1; each one at -cap puts -cap into E0 and meanH and
+    +cap into lnZ, so that S1 = lnZ + E0 still holds.
     """
     eps = spec.epsilons
-    if len(eps) == 0:
-        return EntanglementSummary(S=0.0, S1=0.0, w1=1.0, lnZ=0.0, E0=0.0, meanH=0.0)
+    shift = spec.capped[0] * EPS_CAP
     abs_eps = np.abs(eps)
-    lnZ = float(np.sum(np.logaddexp(0.0, -eps)))
-    E0 = float(np.sum(eps[eps < 0.0]))
-    meanH = float(np.sum(eps * expit(-eps)))
-    s1_terms = np.logaddexp(0.0, -abs_eps)
-    S1 = float(np.sum(s1_terms))
+    lnZ = float(np.sum(np.logaddexp(0.0, -eps))) + shift
+    E0 = float(np.sum(eps[eps < 0.0])) - shift
+    meanH = float(np.sum(eps * expit(-eps))) - shift
+    S1 = float(np.sum(np.logaddexp(0.0, -abs_eps)))
     S = S1 + float(np.sum(abs_eps * expit(-abs_eps)))
     return EntanglementSummary(S=S, S1=S1, w1=math.exp(-S1), lnZ=lnZ, E0=E0, meanH=meanH)
 
@@ -136,9 +136,7 @@ def renyi_ln_trace(spec: EntanglementSpectrum, n: float) -> float:
     """
     if not n > 0:
         raise ValueError(f"Renyi index must be positive, got {n}")
-    eps = spec.epsilons
-    if len(eps) == 0:
-        return 0.0
+    eps = spec.epsilons  # a capped mode contributes 0
     ln_zeta = -np.logaddexp(0.0, eps)
     ln_one_minus = -np.logaddexp(0.0, -eps)
     return float(np.sum(np.logaddexp(n * ln_zeta, n * ln_one_minus)))
@@ -152,7 +150,8 @@ def many_body_spectrum(spec: EntanglementSpectrum, M: int) -> RdmSpectrum:
     products are kept after each mode. This is exact: each of the M
     largest weights over k + 1 modes extends one of the M largest over k
     modes, since a weight outside those M is outranked by M others that
-    take the same factor.
+    take the same factor. Capped modes are left out: they put a factor 1
+    on each kept weight and an exactly-0 weight beside it.
     """
     if M < 1:
         raise ValueError(f"need at least one weight, got M = {M}")

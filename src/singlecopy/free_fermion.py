@@ -26,11 +26,11 @@ values of the restricted block 2G - 1 - 2F (Peschel 2003; Vidal et al. 2003),
 or eps = 2 arccosh(1/tau) for the singular values tau = sqrt(1 - sigma^2) of
 the polar factor's cut block.
 
-Numerical policy: occupations are clipped to [1e-12, 1-1e-12] before
-logarithms, which caps |eps| at ~27.63. Each capped mode contributes at
-most 1.0e-12 to S1 and 2.9e-11 to S, so the total grows with the number of
-capped modes (4.1e-9 on S1 and 1.2e-7 on S for a 4096-site XX interval,
-where 4050 modes sit at the cap). |eps| < 1e-8 is treated as an exact zero
+Numerical policy: a mode with |eps| >= EPS_CAP = ln((1-1e-12)/1e-12) =
+27.631021 (occupation within 1e-12 of 0 or 1) is capped: a spectrum keeps
+only the count of such modes at -cap and +cap, and they contribute exactly
+0 to S and S1 downstream (their true weight, at most 1.0e-12 to S1 and
+2.9e-11 to S each, is dropped). |eps| < 1e-8 is treated as an exact zero
 mode, contributing exactly ln 2 to the entropies downstream. At half
 filling the restricted G is particle-hole symmetric and the spectrum is
 computed from the singular values of the sublattice block of 2G - 1
@@ -47,6 +47,7 @@ from scipy.linalg import eigh_tridiagonal, matmul_toeplitz, svdvals, toeplitz
 
 __all__ = [
     "OCCUPATION_FLOOR",
+    "EPS_CAP",
     "ZERO_MODE_TOL",
     "FermionModelSpec",
     "CorrelationData",
@@ -58,14 +59,12 @@ __all__ = [
     "single_particle_energies",
 ]
 
-# Occupations within this distance of 0 or 1 are clipped before taking logs.
+# Occupations within this distance of 0 or 1 are capped.
 OCCUPATION_FLOOR = 1e-12
+# |eps| at or above this, ln((1-floor)/floor), counts as a capped mode.
+EPS_CAP = float(np.log((1.0 - OCCUPATION_FLOOR) / OCCUPATION_FLOOR))
 # |eps| below this counts as a zero mode (well above the solvers' accuracy).
 ZERO_MODE_TOL = 1e-8
-# Largest representable |eps| after clipping, ln((1-floor)/floor).
-_EPS_CAP = float(np.log((1.0 - OCCUPATION_FLOOR) / OCCUPATION_FLOOR))
-# The cut-block value sech(cap/2) that goes with the capped Majorana value tanh(cap/2).
-_TAU_CAP = float(1.0 / np.cosh(0.5 * _EPS_CAP))
 # Particle-hole symmetry of G is detected elementwise at this tolerance.
 _PH_DETECT_TOL = 1e-10
 # Memory one build or diagonalization may take (exact_diag reads it too), and
@@ -145,55 +144,59 @@ class CorrelationData:
 class EntanglementSpectrum:
     """Single-particle entanglement energies of a Gaussian reduced state.
 
-    epsilons      : sorted ascending; entries snapped to exactly 0 within
-                    ZERO_MODE_TOL and capped at +-ln((1-floor)/floor)
+    epsilons      : the live modes, |eps| < EPS_CAP, sorted ascending; entries
+                    snapped to exactly 0 within ZERO_MODE_TOL
     occupations   : zeta_k = 1/(1 + exp(eps_k)), same order
     zero_mode_count : number of exact zero modes
+    capped        : (modes at -EPS_CAP, modes at +EPS_CAP), of occupation 1
+                    and 0 within 1e-12; they contribute exactly 0 to S and S1
     """
 
     epsilons: np.ndarray = field(repr=False)
     occupations: np.ndarray = field(repr=False)
     zero_mode_count: int
+    capped: tuple[int, int] = (0, 0)
 
     def __len__(self) -> int:
-        return len(self.epsilons)
+        return len(self.epsilons) + sum(self.capped)
+
+    def all_epsilons(self) -> np.ndarray:
+        """Every mode, sorted ascending, the capped ones at -EPS_CAP and +EPS_CAP."""
+        low, high = self.capped
+        return np.concatenate([np.full(low, -EPS_CAP), self.epsilons, np.full(high, EPS_CAP)])
 
     def pairing_mismatch(self) -> float:
         """max |eps_i + eps_paired(i)| when the sorted spectrum is folded."""
-        if len(self.epsilons) == 0:
-            return 0.0
-        return float(np.max(np.abs(self.epsilons + self.epsilons[::-1])))
+        eps = self.all_epsilons()
+        return float(np.max(np.abs(eps + eps[::-1]), initial=0.0))
 
 
-def _spectrum_from_epsilons(eps: np.ndarray) -> EntanglementSpectrum:
-    eps = np.asarray(eps, dtype=float)
-    eps = np.clip(eps, -_EPS_CAP, _EPS_CAP)
+def _spectrum_from_epsilons(eps: np.ndarray, outside=(0, 0)) -> EntanglementSpectrum:
+    """The modes eps, capped where |eps| >= EPS_CAP, plus `outside` unsolved (-cap, +cap) ones."""
+    eps = np.sort(np.asarray(eps, dtype=float))
     eps[np.abs(eps) < ZERO_MODE_TOL] = 0.0
-    eps = np.sort(eps)
-    occ = 1.0 / (1.0 + np.exp(eps))
+    low, high = eps <= -EPS_CAP, eps >= EPS_CAP
+    eps = eps[~(low | high)]  # NaN stays live, so that it reaches the summary
     return EntanglementSpectrum(
         epsilons=eps,
-        occupations=occ,
+        occupations=1.0 / (1.0 + np.exp(eps)),
         zero_mode_count=int(np.count_nonzero(eps == 0.0)),
+        capped=(outside[0] + int(low.sum()), outside[1] + int(high.sum())),
     )
 
 
 def _epsilons_from_singular_values(sigma: np.ndarray) -> np.ndarray:
-    """eps = 2 artanh(sigma) >= 0 for Majorana-block singular values |1 - 2 zeta|."""
+    """eps = 2 artanh(sigma) >= 0 for Majorana-block singular values |1 - 2 zeta|, inf at 1."""
     _check_occupation_range(0.5 * (1.0 - sigma))  # sigma <= 1 + 2e-10
-    return 2.0 * np.arctanh(np.minimum(sigma, np.tanh(0.5 * _EPS_CAP)))
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.arctanh(np.minimum(sigma, 1.0))
 
 
 def _epsilons_from_cut_values(tau: np.ndarray) -> np.ndarray:
-    """eps = 2 arccosh(1/tau) for cut-block singular values tau = sqrt(1 - sigma^2).
-
-    No eps exceeds the value `_epsilons_from_singular_values` gives sigma = 1
-    (27.630988, below the cap), and tau at or below the cap takes that value.
-    """
+    """eps = 2 arccosh(1/tau) for cut-block singular values tau = sqrt(1 - sigma^2), inf at 0."""
     _check_occupation_range(0.5 * (1.0 - tau))  # tau <= 1 + 2e-10
-    clipped = _epsilons_from_singular_values(np.ones(1))
-    eps = 2.0 * np.arccosh(1.0 / np.clip(tau, _TAU_CAP, 1.0))
-    return np.where(tau > _TAU_CAP, np.minimum(eps, clipped), clipped)
+    with np.errstate(divide="ignore"):
+        return 2.0 * np.arccosh(1.0 / np.minimum(tau, 1.0))
 
 
 def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationData:
@@ -218,8 +221,8 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
     Slepian's T (T[n, n] = ((N-1-2n)/2)^2 cos(pi nu), T[n, n+1] = (n+1)(N-1-n)/2,
     N = L_sub) commutes with the sine kernel K, and ascending T eigenvalues go
     with ascending K eigenvalues lambda = v^T K v. A window of T eigenvectors v
-    around index (1 - nu) N doubles until both edge modes are clipped, and the
-    modes outside it take the dense route's clipped value. At half filling the
+    around index (1 - nu) N doubles until both edge modes are capped, and the
+    modes outside it are counted as capped. At half filling the
     sublattice sign flip maps lambda to 1 - lambda, so the lambda < 1/2 half is
     mirrored. ValueError is raised before a window over the memory budget.
     """
@@ -229,9 +232,9 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
     centre = top if half else round((1.0 - filling) * N)
     to_eps = _epsilons_from_occupations if not half else (
         lambda lam: _epsilons_from_singular_values(np.abs(1.0 - 2.0 * lam)))
-    fill_low, fill_high = to_eps(np.array([0.0, 1.0]))
     cos_kf = 0.0 if half else np.cos(np.pi * filling)
-    width = 32
+    # about 2.9 ln N modes per side lie below the cap, so 32 covers N up to 2^15
+    width = max(32, int(np.ceil(3.0 * np.log(N))))
     while True:
         lo, hi = max(0, centre - width), min(top, centre + width)
         _check_dense_memory(N, _WINDOW_ARRAYS, hi - lo + 1)
@@ -241,14 +244,13 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
             _, V = eigh_tridiagonal(((N - 1 - 2 * n) / 2) ** 2 * cos_kf, n[1:] * (N - n[1:]) / 2,
                                     select="i", select_range=(lo, hi - 1))
             lam = np.einsum("ij,ij->j", V, matmul_toeplitz(_sine_kernel_column(N, filling), V))
-        eps = to_eps(lam)
-        if (lo == 0 or eps[0] == fill_low) and (hi == top or eps[-1] == fill_high):
+        eps = to_eps(lam)  # descending: T-indices below lo are at +cap, from hi on at -cap
+        if (lo == 0 or eps[0] >= EPS_CAP) and (hi == top or eps[-1] <= -EPS_CAP):
             break
         width *= 2
-    eps = np.concatenate([np.full(lo, fill_low), eps, np.full(top - hi, fill_high)])
-    if half:
-        eps = np.concatenate([-eps, np.zeros(N % 2), eps])
-    return _spectrum_from_epsilons(eps)
+    if half:  # the lambda > 1/2 half mirrors the solved one
+        return _spectrum_from_epsilons(np.concatenate([-eps, np.zeros(N % 2), eps]), (lo, lo))
+    return _spectrum_from_epsilons(eps, (top - hi, lo))
 
 
 def _check_interval(L_sub: int, filling: float) -> None:
@@ -330,9 +332,9 @@ def tfim_block_spectrum(model: FermionModelSpec, sites: int) -> EntanglementSpec
     Martinsson and Tropp 2011) gets them without forming X: Q = qr(U_A V_B^T
     Omega) for a Gaussian test matrix Omega of p columns, then tau =
     svdvals(Q^T X), of which the first p - 8 are kept. p starts at 16 and
-    doubles until the last kept mode is clipped, or until Q spans the range
-    of X (exact). Modes outside the window take the dense route's clipped
-    value. Deep modes come out to relative accuracy in tau, not in sigma.
+    doubles until the last kept mode is capped, or until Q spans the range
+    of X (exact). Modes outside the window are counted as capped. Deep
+    modes come out to relative accuracy in tau, not in sigma.
     """
     if model.kind != "tfim":
         raise ValueError(f"the cut-block route solves the Ising chain, not {model.kind!r}")
@@ -346,14 +348,11 @@ def tfim_block_spectrum(model: FermionModelSpec, sites: int) -> EntanglementSpec
         Q = np.linalg.qr(U_A @ (V_B.T @ omega))[0]
         tau = svdvals((Q.T @ U_A) @ V_B.T)  # descending
         exact = width >= min(n, L - n)
-        if not exact:
-            tau = tau[:width - 8]
-        if exact or tau[-1] <= _TAU_CAP:
+        eps = _epsilons_from_cut_values(tau if exact else tau[:width - 8])  # ascending
+        if exact or eps[-1] >= EPS_CAP:
             break
         width = min(2 * width, L - n)
-    # the modes outside the window lie below the cap
-    tau = np.concatenate([tau, np.zeros(n - len(tau))])
-    return _spectrum_from_epsilons(_epsilons_from_cut_values(tau))
+    return _spectrum_from_epsilons(eps, (0, n - len(eps)))  # tau = 0 past the range of X too
 
 
 def _kept_sites(L: int, sites) -> int:
@@ -439,8 +438,6 @@ def single_particle_energies(corr: CorrelationData, subsystem=None) -> Entanglem
         sel = np.ix_(positions, positions)
         G, F = G[sel], None if F is None else F[sel]
     n = len(positions)
-    if n == 0:
-        return _spectrum_from_epsilons(np.empty(0))
     if F is not None and np.any(F):
         sigma = svdvals(2.0 * G - np.eye(n) - 2.0 * F)
         return _spectrum_from_epsilons(_epsilons_from_singular_values(sigma))
@@ -451,10 +448,11 @@ def single_particle_energies(corr: CorrelationData, subsystem=None) -> Entanglem
 
 
 def _epsilons_from_occupations(zeta: np.ndarray) -> np.ndarray:
-    """eps = ln((1 - zeta)/zeta), with zeta clipped to the occupation floor."""
+    """eps = ln((1 - zeta)/zeta), with zeta clipped to [0, 1]; +-inf at 0 and 1."""
     _check_occupation_range(zeta)
-    zeta = np.clip(zeta, OCCUPATION_FLOOR, 1.0 - OCCUPATION_FLOOR)
-    return np.log((1.0 - zeta) / zeta)
+    zeta = np.clip(zeta, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        return np.log((1.0 - zeta) / zeta)
 
 
 def _check_occupation_range(zeta: np.ndarray, tol: float = 1e-10) -> None:

@@ -1,5 +1,6 @@
 """Shared brute-force oracles, independent of the library's own routes."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh, svd, svdvals
@@ -93,6 +94,44 @@ def entropies_from_weights(w):
     w = w / np.sum(w)
     S = float(-np.sum(w * np.log(w)))
     return S, float(-np.log(w[0]))
+
+
+def sine_kernel_entropies_mp(N, nu, dps=40):
+    """(S, S1) of an N-site interval of the infinite XX chain at filling nu, in mpmath.
+
+    The sine kernel G[m, n] = sin(pi nu (m-n)) / (pi (m-n)), G[m, m] = nu, is
+    built and diagonalized at `dps` digits, so every mode counts, however
+    close its occupation is to 0 or 1.
+    """
+    with mpmath.workdps(dps):
+        nu = mpmath.mpf(nu)
+        column = [nu] + [mpmath.sin(mpmath.pi * nu * d) / (mpmath.pi * d) for d in range(1, N)]
+        G = mpmath.matrix(N, N)
+        for m in range(N):
+            for n in range(N):
+                G[m, n] = column[abs(m - n)]
+        S = S1 = mpmath.mpf(0)
+        for z in mpmath.eigsy(G, eigvals_only=True):
+            z = min(max(z, mpmath.mpf(0)), mpmath.mpf(1))
+            S -= (z * mpmath.log(z) if z > 0 else 0) + (
+                (1 - z) * mpmath.log(1 - z) if z < 1 else 0)
+            S1 -= mpmath.log(max(z, 1 - z))
+        return float(S), float(S1)
+
+
+def ising_ladder_entropies_mp(k, dps=30):
+    """(S, S1) of the half-infinite disordered Ising chain from its level ladder, in mpmath.
+
+    The corner-transfer-matrix modes eps_j = (2j+1) pi K(k')/K(k) (Peschel,
+    Kaulke and Legeza 1999) give S1 = sum ln(1 + e^-eps) and
+    S = S1 + sum eps/(e^eps + 1).
+    """
+    with mpmath.workdps(dps):
+        k = mpmath.mpf(k)
+        step = mpmath.pi * mpmath.ellipk(1 - k * k) / mpmath.ellipk(k * k)  # ellipk takes m = k^2
+        eps = [(2 * j + 1) * step for j in range(int(80 / step) + 1)]
+        S1 = mpmath.fsum(mpmath.log1p(mpmath.exp(-e)) for e in eps)
+        return float(S1 + mpmath.fsum(e / (mpmath.exp(e) + 1) for e in eps)), float(S1)
 
 
 def brute_force_products(occupations):

@@ -174,13 +174,24 @@ class TestTfimClosedForm:
     def test_frozen_value(self):
         assert tfim_s1_half(0.5) == pytest.approx(0.017818600075036734, abs=1e-14)
 
-    @pytest.mark.parametrize("k", [0.3, 0.5, 0.8, 0.95])
-    def test_equals_level_ladder_sum(self, k):
-        # independent route: S1 = sum_j ln(1 + e^-(2j+1) eps) with the
-        # corner-transfer-matrix level spacing eps = pi K(k')/K(k)
-        eps = math.pi * elliptic_K(math.sqrt(1 - k * k)) / elliptic_K(k)
-        ladder = sum(math.log1p(math.exp(-(2 * j + 1) * eps)) for j in range(400))
-        assert tfim_s1_half(k) == pytest.approx(ladder, abs=1e-12)
+    @pytest.mark.parametrize("k", [0.05, 0.3, 0.5, 0.8, 0.95])
+    def test_equals_log_difference_form(self, k):
+        # independent route: S1 = (1/24) [ln(16/(k^2 k'^2)) - pi K(k')/K(k)],
+        # whose two terms cancel too much below k = 0.05
+        kp = math.sqrt(1 - k * k)
+        closed = (math.log(16 / (k * k * kp * kp)) - math.pi * elliptic_K(kp) / elliptic_K(k)) / 24
+        assert tfim_s1_half(k) == pytest.approx(closed, abs=1e-14, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1e-4, 5e-4, 0.01, 0.5, 1 - 1e-9])
+    def test_against_mpmath(self, k):
+        # the log-difference form at 50 digits; the double-precision form was
+        # off by 0.91, 5.0e-4 and 1.5e-9 (relative) at the three smallest k
+        with mpmath.workdps(50):
+            k_ = mpmath.mpf(k)
+            m = k_ * k_
+            exact = (mpmath.log(16 / (m * (1 - m)))
+                     - mpmath.pi * mpmath.ellipk(1 - m) / mpmath.ellipk(m)) / 24
+        assert abs(tfim_s1_half(k) - exact) <= 1e-14 * exact
 
     def test_deep_disordered_limit(self):
         value = tfim_s1_half(1e-3)

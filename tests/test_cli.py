@@ -16,6 +16,8 @@ from singlecopy.free_fermion import (
     single_particle_energies,
 )
 
+from conftest import ising_ladder_entropies_mp
+
 
 def run(argv):
     return cli.main(argv)
@@ -71,10 +73,21 @@ class TestSpectrum:
         assert run(["spectrum", "--model", "tfim", "--k", str(k), "--L", "300",
                     "--out", str(out)]) == 0
         eps = np.array([float(ln.split(",")[1]) for ln in out.read_text().splitlines()[1:]])
-        live = eps[eps < free_fermion._epsilons_from_singular_values(np.ones(1))[0]]
+        live = eps[eps < free_fermion.EPS_CAP]
         step = math.pi * elliptic_K(math.sqrt(1.0 - k * k)) / elliptic_K(k)
         assert len(live) >= 3
         assert np.max(np.abs(live - (2 * np.arange(len(live)) + 1) * step)) <= 1e-8
+
+
+    @pytest.mark.parametrize("model, option", [("tfim", "--k=0.9"), ("xx", "--nu=0.5")])
+    def test_capped_rows_at_the_one_cap(self, capsys, model, option):
+        assert run(["spectrum", "--model", model, option, "--L", "300"]) == 0
+        eps = np.array([float(ln.split(",")[1]) for ln in capsys.readouterr().out.splitlines()[1:]])
+        assert len(eps) == 300
+        capped = eps[np.abs(eps) >= free_fermion.EPS_CAP]
+        assert len(capped) > 250
+        assert np.all(np.abs(capped) == free_fermion.EPS_CAP)
+        assert cli._fmt(free_fermion.EPS_CAP) == "27.631021115927549"
 
 
 class TestScan:
@@ -101,6 +114,19 @@ class TestScan:
             assert run(args + ["--out", str(path)] + extra) == 0
             outs.append(read(path))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_tfim_rows_match_the_level_ladder(self, capsys):
+        # the half-infinite chain's corner-transfer-matrix ladder; the finite chain
+        # and the dropped weight of the capped modes stay below both bounds
+        ks, lengths = (0.05, 0.3, 0.5, 0.75, 0.9, 0.95), (400, 800, 1600)
+        assert run(["scan", "--model", "tfim", "--k", *map(str, ks),
+                    "--L", *map(str, lengths)]) == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == len(ks) * len(lengths)
+        for r in rows:
+            S, S1 = ising_ladder_entropies_mp(float(r[1]))
+            assert abs(float(r[4]) - S1) <= 1e-11
+            assert abs(float(r[3]) - S) <= 1e-10
 
     def test_xxz_rows_match_fermion_route(self, tmp_path):
         out = tmp_path / "xxz.csv"

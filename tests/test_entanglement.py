@@ -15,7 +15,12 @@ from singlecopy.entanglement import (
     summary_from_single_particle,
     summary_from_weights,
 )
-from singlecopy.free_fermion import CorrelationData, EntanglementSpectrum, single_particle_energies
+from singlecopy.free_fermion import (
+    EPS_CAP,
+    CorrelationData,
+    EntanglementSpectrum,
+    single_particle_energies,
+)
 
 from conftest import brute_force_products
 
@@ -35,7 +40,7 @@ def spectrum_from_epsilons(eps):
     return EntanglementSpectrum(eps, expit(-eps), int(np.count_nonzero(eps == 0.0)))
 
 
-# single-particle energies up to the clip cap |eps| ~ 27.63, zero modes included
+# single-particle energies up to the cap |eps| ~ 27.63, zero modes included
 EPSILON_LISTS = st.lists(st.one_of(st.just(0.0), st.floats(-27.6, 27.6)),
                          min_size=1, max_size=12)
 
@@ -61,6 +66,23 @@ class TestSummaryFromSingleParticle:
         corr = CorrelationData(np.zeros((0, 0)), np.zeros((0, 0)))
         s = summary_from_single_particle(single_particle_energies(corr))
         assert s.S == 0.0 and s.S1 == 0.0 and s.w1 == 1.0
+
+    def test_capped_modes_contribute_exactly_zero(self):
+        live = spectrum_from_occupations([0.9])
+        spec = spectrum_from_occupations([0.9, 0.0, 1.0, 1.0, 1e-13])
+        assert spec.capped == (2, 2) and len(spec) == 5
+        assert np.array_equal(spec.all_epsilons(),
+                              [-EPS_CAP, -EPS_CAP, live.epsilons[0], EPS_CAP, EPS_CAP])
+        s, ref = summary_from_single_particle(spec), summary_from_single_particle(live)
+        assert (s.S, s.S1, s.w1) == (ref.S, ref.S1, ref.w1)
+        # each mode at -cap carries -cap in E0 and meanH, +cap in lnZ
+        assert s.lnZ == ref.lnZ + 2 * EPS_CAP
+        assert s.E0 == ref.E0 - 2 * EPS_CAP
+        assert s.meanH == ref.meanH - 2 * EPS_CAP
+        assert s.S1 == pytest.approx(s.lnZ + s.E0, abs=1e-13)
+        assert renyi_ln_trace(spec, 3.0) == renyi_ln_trace(live, 3.0)
+        assert np.array_equal(many_body_spectrum(spec, 4).weights,
+                              many_body_spectrum(live, 4).weights)
 
     def test_identities_on_random_spectra(self, rng):
         for _ in range(100):
