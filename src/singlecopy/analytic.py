@@ -20,7 +20,6 @@ from typing import ClassVar
 from scipy.special import ellipkm1
 
 __all__ = [
-    "ConformalParams",
     "InfiniteLineInterval",
     "HalfInfiniteEnd",
     "FiniteChainCut",
@@ -32,29 +31,6 @@ __all__ = [
     "tfim_s1_half",
     "tfim_s1_near_critical",
 ]
-
-
-@dataclass(frozen=True)
-class ConformalParams:
-    """Parameters of the CFT prediction formulas.
-
-    c   : central charge (> 0)
-    a   : short-distance cutoff in lattice units (> 0, default 1)
-    k1  : non-universal additive constant, nats (default 0)
-    b_n : non-universal prefactor of the Renyi trace power law; equals 1
-          at n = 1 by normalization of the density matrix
-    """
-
-    c: float = 1.0
-    a: float = 1.0
-    k1: float = 0.0
-    b_n: float = 1.0
-
-    def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"central charge must be positive, got {self.c}")
-        if not self.a > 0:
-            raise ValueError(f"cutoff a must be positive, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -101,39 +77,50 @@ class FiniteChainCut:
 Geometry = InfiniteLineInterval | HalfInfiniteEnd | FiniteChainCut
 
 
-def conformal_s1(geom: Geometry, p: ConformalParams = ConformalParams()) -> float:
+def _check_c_a(c: float, a: float) -> None:
+    if not c > 0:
+        raise ValueError(f"central charge must be positive, got {c}")
+    if not a > 0:
+        raise ValueError(f"cutoff a must be positive, got {a}")
+
+
+def conformal_s1(geom: Geometry, c: float = 1.0, a: float = 1.0, k1: float = 0.0) -> float:
     """CFT prediction for the single-copy entanglement S1.
 
     Infinite-line interval:  (c/6) ln(L/a) + k1
     Half-infinite end:       (c/12) ln(L/a) + k1      (prefactor halved)
     Finite chain cut:        (c/12) ln[(2L/pi a) sin(pi l/L)] + k1
 
-    The logarithmic coefficient c/geom.slope is half the one of the
+    Keywords: the central charge c > 0, the short-distance cutoff a > 0 in
+    lattice units and the non-universal additive constant k1 in nats. The
+    logarithmic coefficient c/geom.slope is half the one of the
     entanglement entropy S in each geometry.
     """
+    _check_c_a(c, a)
     if isinstance(geom, FiniteChainCut):
-        arg = (2.0 * geom.L_chain / (math.pi * p.a)) * math.sin(
-            math.pi * geom.l / geom.L_chain
-        )
+        arg = (2.0 * geom.L_chain / (math.pi * a)) * math.sin(math.pi * geom.l / geom.L_chain)
     else:
-        arg = geom.L / p.a
+        arg = geom.L / a
     if arg <= 0:
         raise ValueError(f"logarithm argument must be positive, got {arg}")
-    return (p.c / geom.slope) * math.log(arg) + p.k1
+    return (c / geom.slope) * math.log(arg) + k1
 
 
-def conformal_renyi_trace(L: float, n: float, p: ConformalParams = ConformalParams()) -> float:
+def conformal_renyi_trace(L: float, n: float, c: float = 1.0, a: float = 1.0,
+                          b_n: float = 1.0) -> float:
     """Power-law Renyi trace tr(rho^n) = b_n (L/a)^(-(c/6)(n - 1/n)).
 
-    The exponent vanishes at n = 1 where normalization fixes b_1 = 1;
-    -(1/n) ln of the result approaches the infinite-interval S1 slope
-    as n -> infinity.
+    Keywords: the central charge c > 0, the cutoff a > 0 and the
+    non-universal prefactor b_n. The exponent vanishes at n = 1 where
+    normalization fixes b_1 = 1; -(1/n) ln of the result approaches the
+    infinite-interval S1 slope as n -> infinity.
     """
+    _check_c_a(c, a)
     if not L > 0:
         raise ValueError(f"L must be positive, got {L}")
     if not n > 0:
         raise ValueError(f"Renyi index must be positive, got {n}")
-    return p.b_n * (L / p.a) ** (-(p.c / 6.0) * (n - 1.0 / n))
+    return b_n * (L / a) ** (-(c / 6.0) * (n - 1.0 / n))
 
 
 def xx_asymptotic_spectrum(L: float, k: int) -> float:

@@ -119,13 +119,13 @@ def _row(model: str, parameter: float, L: int, summary) -> str:
                      str(distillation_bound(summary.w1).M_max)))
 
 
-def _half_chain_spectrum(chain: free_fermion.FermionModelSpec, zero_mode: str = "half"):
+def _half_chain_spectrum(chain: free_fermion.FermionModelSpec):
     """Entanglement spectrum of the leading ceil(L/2) sites of an open chain's ground state."""
     n = (chain.length + 1) // 2
     if chain.kind == "tfim":
         return free_fermion.tfim_block_spectrum(chain, n)
-    return free_fermion.single_particle_energies(
-        free_fermion.ground_state_correlations(chain, zero_mode, n))
+    return free_fermion.single_particle_energies(  # XX: zero mode filled, Sz = +1/2 if L is odd
+        free_fermion.ground_state_correlations(chain, "filled", n))
 
 
 def _xx_row(nu: float, L: int) -> str:
@@ -288,10 +288,6 @@ def _kv(params: list[str]) -> dict:
     return out
 
 
-def _conformal_s1(geometry, c, a, k1) -> float:
-    return analytic.conformal_s1(geometry, analytic.ConformalParams(c=c, a=a, k1=k1))
-
-
 def _xx_mode_energy(L, k=0.0):
     if not k.is_integer():
         raise ValueError(f"mode index k must be an integer, got {k}")
@@ -306,13 +302,13 @@ _FORMULAS = {
     ("tfim-s1-critical", None): lambda k: analytic.tfim_s1_near_critical(k),
     ("xx-spectrum", None): _xx_mode_energy,
     ("conformal-s1", "infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
-        _conformal_s1(analytic.InfiniteLineInterval(L), c, a, k1),
+        analytic.conformal_s1(analytic.InfiniteLineInterval(L), c, a, k1),
     ("conformal-s1", "half-infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
-        _conformal_s1(analytic.HalfInfiniteEnd(L), c, a, k1),
+        analytic.conformal_s1(analytic.HalfInfiniteEnd(L), c, a, k1),
     ("conformal-s1", "finite"): lambda L, l, c=1.0, a=1.0, k1=0.0:
-        _conformal_s1(analytic.FiniteChainCut(L, l), c, a, k1),
+        analytic.conformal_s1(analytic.FiniteChainCut(L, l), c, a, k1),
     ("conformal-renyi-trace", None): lambda L, n, c=1.0, a=1.0, bn=1.0:
-        analytic.conformal_renyi_trace(L, n, analytic.ConformalParams(c=c, a=a, b_n=bn)),
+        analytic.conformal_renyi_trace(L, n, c, a, bn),
 }
 _FORMULAS["conformal-s1", None] = _FORMULAS["conformal-s1", "infinite"]  # no token: infinite line
 
@@ -357,7 +353,7 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
         ed_summary = summary_from_weights(ed_weights)
 
         # the Sz=+1/2 sector state has the chain zero mode occupied
-        spec = _half_chain_spectrum(free_fermion.FermionModelSpec(kind="xx", length=L), "filled")
+        spec = _half_chain_spectrum(free_fermion.FermionModelSpec(kind="xx", length=L))
         ff_summary = summary_from_single_particle(spec)
         ff_weights = many_body_spectrum(spec, top)
 

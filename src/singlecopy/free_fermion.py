@@ -107,8 +107,7 @@ class FermionModelSpec:
             raise ValueError(f"tfim coupling must lie in (0, 1), got {self.modulus}")
         if self.kind == "xx" and self.modulus is not None:
             raise ValueError(f"the XX chain takes no modulus, got {self.modulus}")
-        if self.length is None or self.length < 2:
-            raise ValueError(f"open chain needs at least 2 sites, got {self.length}")
+        _check_size("open chain length", self.length, 2)
 
 
 @dataclass(frozen=True)
@@ -254,8 +253,7 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
 
 
 def _check_interval(L_sub: int, filling: float) -> None:
-    if L_sub < 1:
-        raise ValueError(f"subsystem length must be at least 1, got {L_sub}")
+    _check_size("subsystem length", L_sub, 1)
     if not 0.0 < filling < 1.0:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
 
@@ -357,13 +355,20 @@ def tfim_block_spectrum(model: FermionModelSpec, sites: int) -> EntanglementSpec
 
 def _kept_sites(L: int, sites) -> int:
     """Validate `sites` of an L-site chain and check the memory of its eigenvector stage."""
-    if isinstance(sites, bool) or not isinstance(sites, (int, np.integer)) or not 1 <= sites <= L:
-        raise ValueError(f"sites must be an integer in 1..{L}, got {sites!r}")
-    n = int(sites)
+    n = _check_size("sites", sites, 1, L)
     # the L x L eigenvectors with either the eigensolver's L x L workspace or
     # the kept rows of U (Ising U = D V / sigma, XX phi occ) and their temporary
     _check_dense_memory(L, 1, L + max(L, 2 * n))
     return n
+
+
+def _check_size(name: str, value, low: int, high: int | None = None) -> int:
+    """`value` as an int if a Python or numpy integer (not a bool) in low..high, else ValueError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
 
 
 def _ising_rows(k: float, L: int, n: int) -> tuple[np.ndarray, np.ndarray]:

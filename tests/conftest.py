@@ -96,22 +96,41 @@ def entropies_from_weights(w):
     return S, float(-np.log(w[0]))
 
 
-def sine_kernel_entropies_mp(N, nu, dps=40):
+def sine_kernel_entropies_mp(N, nu, dps=40, split=True):
     """(S, S1) of an N-site interval of the infinite XX chain at filling nu, in mpmath.
 
     The sine kernel G[m, n] = sin(pi nu (m-n)) / (pi (m-n)), G[m, m] = nu, is
     built and diagonalized at `dps` digits, so every mode counts, however
-    close its occupation is to 0 or 1.
+    close its occupation is to 0 or 1. G is centrosymmetric, so with `split`
+    its eigenvalues are those of the symmetric and antisymmetric blocks
+    G[m, n] +- G[m, N-1-n] over the first ceil(N/2) and floor(N/2) sites; for
+    odd N the middle row and column of the symmetric block are divided by
+    sqrt(2), which makes its basis orthonormal. Without `split`, G is
+    diagonalized whole.
     """
     with mpmath.workdps(dps):
         nu = mpmath.mpf(nu)
         column = [nu] + [mpmath.sin(mpmath.pi * nu * d) / (mpmath.pi * d) for d in range(1, N)]
-        G = mpmath.matrix(N, N)
-        for m in range(N):
-            for n in range(N):
-                G[m, n] = column[abs(m - n)]
+
+        def block(size, sign):  # G[m, n] + sign G[m, N-1-n]; sign 0 gives G itself
+            B = mpmath.matrix(size, size)
+            for m in range(size):
+                for n in range(size):
+                    B[m, n] = column[abs(m - n)] + sign * column[abs(N - 1 - n - m)]
+            return B
+
+        if not split:
+            blocks = [block(N, 0)]
+        else:
+            blocks = [block((N + 1) // 2, 1)]
+            if N % 2:
+                for n in range(N // 2 + 1):
+                    blocks[0][N // 2, n] /= mpmath.sqrt(2)
+                    blocks[0][n, N // 2] /= mpmath.sqrt(2)
+            if N > 1:
+                blocks.append(block(N // 2, -1))
         S = S1 = mpmath.mpf(0)
-        for z in mpmath.eigsy(G, eigvals_only=True):
+        for z in (z for B in blocks for z in mpmath.eigsy(B, eigvals_only=True)):
             z = min(max(z, mpmath.mpf(0)), mpmath.mpf(1))
             S -= (z * mpmath.log(z) if z > 0 else 0) + (
                 (1 - z) * mpmath.log(1 - z) if z < 1 else 0)

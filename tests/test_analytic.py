@@ -8,7 +8,6 @@ import pytest
 from scipy.integrate import quad
 
 from singlecopy.analytic import (
-    ConformalParams,
     FiniteChainCut,
     HalfInfiniteEnd,
     InfiniteLineInterval,
@@ -37,26 +36,26 @@ def elliptic_K_quadrature(k):
 class TestConformalS1:
     def test_infinite_interval_arithmetic(self):
         geom = InfiniteLineInterval(math.exp(6.0))
-        assert conformal_s1(geom, ConformalParams(c=1.0)) == pytest.approx(1.0, abs=1e-12)
+        assert conformal_s1(geom, c=1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_cut_midpoint(self):
         L = 100.0
         geom = FiniteChainCut(L, L / 2)
         expected = math.log(2 * L / math.pi) / 12
-        assert conformal_s1(geom, ConformalParams()) == pytest.approx(expected, abs=1e-12)
+        assert conformal_s1(geom) == pytest.approx(expected, abs=1e-12)
 
     def test_xx_slope_is_one_sixth(self):
-        p = ConformalParams(c=1.0, k1=0.37)
-        s_a = conformal_s1(InfiniteLineInterval(100.0), p)
-        s_b = conformal_s1(InfiniteLineInterval(1000.0), p)
+        s_a = conformal_s1(InfiniteLineInterval(100.0), c=1.0, k1=0.37)
+        s_b = conformal_s1(InfiniteLineInterval(1000.0), c=1.0, k1=0.37)
         slope = (s_b - s_a) / (math.log(1000.0) - math.log(100.0))
         assert slope == pytest.approx(1.0 / 6.0, abs=1e-14)
 
     def test_half_infinite_factor_two_rule(self):
-        p = ConformalParams(c=1.3, a=2.0, k1=0.1)
+        c, a, k1 = 1.3, 2.0, 0.1
         for L in (10.0, 250.0):
-            diff = conformal_s1(InfiniteLineInterval(L), p) - conformal_s1(HalfInfiniteEnd(L), p)
-            assert diff == pytest.approx((p.c / 12) * math.log(L / p.a), abs=1e-13)
+            diff = (conformal_s1(InfiniteLineInterval(L), c, a, k1)
+                    - conformal_s1(HalfInfiniteEnd(L), c, a, k1))
+            assert diff == pytest.approx((c / 12) * math.log(L / a), abs=1e-13)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -66,15 +65,17 @@ class TestConformalS1:
         with pytest.raises(ValueError):
             FiniteChainCut(10.0, -1.0)
         with pytest.raises(ValueError):
-            ConformalParams(c=-1.0)
+            conformal_s1(InfiniteLineInterval(10.0), c=-1.0)
+        with pytest.raises(ValueError):
+            conformal_renyi_trace(10.0, 2.0, a=0.0)
 
 
 NAN = float("nan")
 
 
 @pytest.mark.parametrize("build", [
-    lambda: ConformalParams(c=NAN),
-    lambda: ConformalParams(a=NAN),
+    lambda: conformal_s1(InfiniteLineInterval(10.0), c=NAN),
+    lambda: conformal_s1(InfiniteLineInterval(10.0), a=NAN),
     lambda: InfiniteLineInterval(NAN),
     lambda: HalfInfiniteEnd(NAN),
     lambda: FiniteChainCut(NAN, 5.0),
@@ -97,21 +98,21 @@ class TestConformalRenyiTrace:
             assert conformal_renyi_trace(L, 1.0) == 1.0
 
     def test_arithmetic_point(self):
-        value = conformal_renyi_trace(math.exp(6.0), 2.0, ConformalParams(c=1.0))
+        value = conformal_renyi_trace(math.exp(6.0), 2.0, c=1.0)
         assert value == pytest.approx(math.exp(-1.5), abs=1e-15)
 
     def test_slope_approaches_s1_slope(self):
         # -(1/n) ln tr(rho^n) = (c/6)(1 - 1/n^2) ln(L/a) - (ln b_n)/n;
         # small L keeps the trace above the double-precision floor at n=1e3
-        p = ConformalParams(c=1.0, b_n=2.0)
+        c, b_n = 1.0, 2.0
         n = 1e3
         L1, L2 = 4.0, 32.0
         slope = (
-            -(1 / n) * math.log(conformal_renyi_trace(L2, n, p))
-            + (1 / n) * math.log(conformal_renyi_trace(L1, n, p))
+            -(1 / n) * math.log(conformal_renyi_trace(L2, n, c=c, b_n=b_n))
+            + (1 / n) * math.log(conformal_renyi_trace(L1, n, c=c, b_n=b_n))
         ) / (math.log(L2) - math.log(L1))
-        bound = (p.c / 6) / n**2 + abs(math.log(p.b_n)) / (n * math.log(L1))
-        assert abs(slope - p.c / 6) <= bound
+        bound = (c / 6) / n**2 + abs(math.log(b_n)) / (n * math.log(L1))
+        assert abs(slope - c / 6) <= bound
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

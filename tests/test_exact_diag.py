@@ -75,6 +75,11 @@ class TestGroundState:
         with pytest.raises(ValueError):
             XxzSpec(1, 0.0)
 
+    @pytest.mark.parametrize("length", [9.0, 9.5, np.float64(8), True, "8"])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ValueError, match="chain length must be an integer"):
+            XxzSpec(length, 0.0)
+
     def test_rejects_delta_below_minus_one(self):
         # below -1 the ground state leaves the Sz = 0 / +1/2 sector: at
         # L = 8, delta = -2 the sector state has E = -2.634, the chain -3.5
@@ -113,6 +118,19 @@ class TestSectorBuilders:
                 Hs = _sector_hamiltonian(L, delta, basis).toarray()
                 assert np.array_equal(Hs, H[np.ix_(basis, basis)])
 
+    def test_build_peak(self):
+        # the build holds its row, column and value arrays once, beside the
+        # CSR result, which keeps it level with the Lanczos solve (about 45)
+        L = 16
+        basis = _sector_basis(L, L // 2)
+        tracemalloc.start()
+        try:
+            H = _sector_hamiltonian(L, 0.5, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 52 * H.nnz
+
 
 class TestRdmWeights:
     def test_singlet_cut(self):
@@ -134,6 +152,14 @@ class TestRdmWeights:
         for cut in (0, 4, 5):
             with pytest.raises(ValueError):
                 rdm_weights(state, cut)
+
+    @pytest.mark.parametrize("cut", [2.5, 2.0, np.float64(2), True])
+    def test_non_integer_cut_rejected(self, cut):
+        state = xxz_ground_state(XxzSpec(4, 0.0))
+        with pytest.raises(ValueError, match="cut L_left must be an integer in 1..3"):
+            rdm_weights(state, cut)
+        assert np.array_equal(rdm_weights(state, np.int64(2)).weights,
+                              rdm_weights(state, 2).weights)
 
     def test_cut_orientation(self):
         # singlet on sites (0,1) times spin-up on site 2: entangled across

@@ -61,6 +61,13 @@ class TestXxInfinite:
         with pytest.raises(ValueError):
             xx_correlations_infinite(4, 1.0)
 
+    @pytest.mark.parametrize("L_sub", [2.5, 3.0, np.float64(64), True, "3"])
+    def test_non_integer_length_rejected(self, L_sub):
+        with pytest.raises(ValueError, match="subsystem length must be an integer"):
+            xx_correlations_infinite(L_sub)
+        with pytest.raises(ValueError, match="subsystem length must be an integer"):
+            xx_interval_spectrum(L_sub)
+
 
 class TestBuildBdg:
     def test_tfim_modulus_validated(self):
@@ -83,6 +90,13 @@ class TestBuildBdg:
     def test_rejects_short_chain(self):
         with pytest.raises(ValueError):
             FermionModelSpec(kind="xx", length=1)
+
+    @pytest.mark.parametrize("length", [10.5, 10.0, np.float64(8), True])
+    @pytest.mark.parametrize("kind, k", [("xx", None), ("tfim", 0.5)])
+    def test_non_integer_length_rejected(self, kind, k, length):
+        with pytest.raises(ValueError, match="open chain length must be an integer"):
+            FermionModelSpec(kind=kind, modulus=k, length=length)
+        assert FermionModelSpec(kind=kind, modulus=k, length=np.int64(8)).length == 8
 
 
 class TestGroundStateCorrelations:
@@ -296,6 +310,12 @@ class TestSineKernelOracle:
         summary, (S, S1) = summary_from_single_particle(spec), oracle(N, nu)
         assert abs(summary.S1 - S1) <= 2e-12
         assert abs(summary.S - S) <= 1e-10
+
+    @pytest.mark.parametrize("nu", [0.5, 0.3])
+    @pytest.mark.parametrize("N", [16, 17])
+    def test_split_oracle_matches_whole_kernel(self, oracle, N, nu):
+        # the blocks differ from the whole kernel by ~1e-38, far below a double's rounding
+        assert oracle(N, nu) == sine_kernel_entropies_mp(N, nu, split=False)
 
 
 class TestIsingWindowRoute:

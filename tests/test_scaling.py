@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from singlecopy.analytic import (
-    ConformalParams,
     FiniteChainCut,
     HalfInfiniteEnd,
     InfiniteLineInterval,
@@ -145,8 +144,7 @@ class TestConstantFit:
     )
     def test_recovers_k1_from_conformal_data(self, at_size):
         c, k1_true = 0.8, -0.21
-        params = ConformalParams(c=c, k1=k1_true)
-        points = [ScanPoint(L=L, S1=conformal_s1(at_size(L), params)) for L in LADDER]
+        points = [ScanPoint(L=L, S1=conformal_s1(at_size(L), c=c, k1=k1_true)) for L in LADDER]
         k1, residual = fit_conformal_constants(points, at_size(10.0), c)
         assert k1 == pytest.approx(k1_true, abs=1e-12)
         assert residual <= 1e-12
