@@ -10,15 +10,14 @@ subsystem size, so the distillable rank grows without bound, if slowly.
 from singlecopy import (
     distillation_bound,
     many_body_spectrum,
-    single_particle_energies,
     summary_from_single_particle,
-    xx_correlations_infinite,
+    xx_interval_spectrum,
 )
 
 print("=== XX chain intervals ===")
 print("    L        w1        S1 = -ln w1    M_max")
 for L in (4, 16, 64, 256, 1024, 4096):
-    spec = single_particle_energies(xx_correlations_infinite(L))
+    spec = xx_interval_spectrum(L)
     s = summary_from_single_particle(spec)
     M = distillation_bound(s.w1).M_max
     print(f"{L:6d}   {s.w1:.6f}     {s.S1:8.5f}     {M:5d}")
@@ -26,7 +25,7 @@ for L in (4, 16, 64, 256, 1024, 4096):
 print("\nw1 ~ L^(-1/6) here, so doubling M costs a 64-fold longer interval.")
 
 print("\n=== the weight ladder behind the bound (L = 64) ===")
-spec = single_particle_energies(xx_correlations_infinite(64))
+spec = xx_interval_spectrum(64)
 rdm = many_body_spectrum(spec, 8)
 print("top 8 many-body weights:", [f"{w:.5f}" for w in rdm.weights])
 print("their sum:", f"{rdm.weight_sum:.5f}", "(truncated:", rdm.truncated, ")")

@@ -116,8 +116,9 @@ class CorrelationData:
 
     G[m, n] = <c^dag_m c_n>  (real symmetric, eigenvalues in [0, 1]),
     F[m, n] = <c^dag_m c^dag_n>  (real antisymmetric), or None for a
-    particle-conserving state. Row m belongs to the site at position m;
-    a subsystem is a set of rows (`single_particle_energies`).
+    particle-conserving state. Row m belongs to the site at position m.
+    `single_particle_energies` solves all of them, so a subsystem is chosen
+    when the correlations are built, or by slicing G and F.
     """
 
     G: np.ndarray = field(repr=False)
@@ -382,71 +383,50 @@ def _ising_rows(k: float, L: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return U, V
 
 
-def _chiral_epsilons(G: np.ndarray, positions: np.ndarray) -> np.ndarray | None:
+def _chiral_epsilons(G: np.ndarray) -> np.ndarray | None:
     """Spectrum of a particle-hole symmetric G from the sublattice block.
 
-    With S = diag((-1)^position), S G S = 1 - G holds exactly when both
-    same-sublattice blocks of 2G are the identity (the opposite-sublattice
-    terms cancel identically); otherwise this returns None. Then M = 2G - 1
-    anticommutes with S, so in the even/odd-sublattice basis it is purely
-    off-diagonal and its eigenvalues are +-(singular values of the block),
-    plus | #even - #odd | exact zeros. eps = -2 artanh(eigenvalue of M)
-    then pairs exactly, and odd intervals carry an exact zero mode.
+    With S = diag((-1)^row), S G S = 1 - G holds exactly when both
+    same-sublattice blocks of 2G, G[p::2, p::2], are the identity (the
+    opposite-sublattice terms cancel identically); otherwise this returns
+    None. Then M = 2G - 1 anticommutes with S, so in the even/odd-row basis
+    it is purely off-diagonal and its eigenvalues are +-(singular values of
+    the block G[0::2, 1::2], doubled), plus len(G) % 2 exact zeros.
+    eps = -2 artanh(eigenvalue of M) then pairs exactly, and odd intervals
+    carry an exact zero mode. Counting parity from row 0 is exact for any
+    contiguous block, since -S serves as well as S.
     """
-    parity = positions % 2
-    even = np.flatnonzero(parity == 0)
-    odd = np.flatnonzero(parity == 1)
-    for block in (even, odd):
-        defect = 2.0 * G[np.ix_(block, block)]
-        defect[np.diag_indices(len(block))] -= 1.0
+    for p in (0, 1):
+        defect = 2.0 * G[p::2, p::2]
+        defect[np.diag_indices(len(defect))] -= 1.0
         if not np.max(np.abs(defect, out=defect), initial=0.0) <= _PH_DETECT_TOL:
             return None
         del defect  # one block alive at a time
-    # the off-diagonal block of 2G - 1 is 2G; it is empty on a single sublattice
-    eps_pos = _epsilons_from_singular_values(svdvals(2.0 * G[np.ix_(even, odd)]))
-    zeros = np.zeros(abs(len(even) - len(odd)))
-    return np.concatenate([-eps_pos, zeros, eps_pos])
+    # the off-diagonal block of 2G - 1 is 2G; it is empty for a single site
+    eps_pos = _epsilons_from_singular_values(svdvals(2.0 * G[0::2, 1::2]))
+    return np.concatenate([-eps_pos, np.zeros(len(G) % 2), eps_pos])
 
 
-def single_particle_energies(corr: CorrelationData, subsystem=None) -> EntanglementSpectrum:
-    """Entanglement spectrum of a subsystem from its correlation matrices.
+def single_particle_energies(corr: CorrelationData) -> EntanglementSpectrum:
+    """Entanglement spectrum of the sites of `corr` from their correlation matrices.
 
-    Parameters
-    ----------
-    corr : CorrelationData
-        Correlations of the full system (or any superset of the subsystem).
-    subsystem : sequence of int, optional
-        Positions of the kept sites, i.e. rows of `corr.G`, each in
-        0..len(G)-1 and none repeated; defaults to all of them, which
-        copies nothing. Sublattice parity is read from the positions.
+    The subsystem is every row of `corr.G`: it is chosen where the
+    correlations are built (`ground_state_correlations(..., sites=n)`,
+    `xx_correlations_infinite(n)`) or by slicing G and F. Sublattice parity
+    is the row parity.
 
-    Without pairing the occupations zeta are the eigenvalues of the
-    restricted G and eps = ln((1-zeta)/zeta). With pairing the restricted
-    real Majorana block 2G - 1 - 2F (the correlations <a_m b_n>/i up to
-    sign) has singular values sigma = |2 zeta - 1|, and eps = 2 artanh(sigma),
-    which fixes eps >= 0 (entropies are insensitive to this gauge).
+    Without pairing the occupations zeta are the eigenvalues of G and
+    eps = ln((1-zeta)/zeta). With pairing the real Majorana block
+    2G - 1 - 2F (the correlations <a_m b_n>/i up to sign) has singular
+    values sigma = |2 zeta - 1|, and eps = 2 artanh(sigma), which fixes
+    eps >= 0 (entropies are insensitive to this gauge).
     Occupations must lie in [-1e-10, 1 + 1e-10].
     """
-    G, F = corr.G, corr.F
-    if subsystem is None:
-        positions = np.arange(len(G))
-    else:
-        positions = np.asarray(list(subsystem))
-        if positions.size and not np.issubdtype(positions.dtype, np.integer):
-            raise ValueError(f"subsystem sites must be integer positions, not {positions.dtype}")
-        outside = positions[(positions < 0) | (positions >= len(G))]
-        if outside.size:
-            raise ValueError(f"site {outside[0]} outside the {len(G)} sites of the correlations")
-        values, counts = np.unique(positions, return_counts=True)
-        if np.any(counts > 1):
-            raise ValueError(f"site {values[counts > 1][0]} given twice")
-        sel = np.ix_(positions, positions)
-        G, F = G[sel], None if F is None else F[sel]
-    n = len(positions)
-    if F is not None and np.any(F):
-        sigma = svdvals(2.0 * G - np.eye(n) - 2.0 * F)
+    G = corr.G
+    if corr.has_pairing:
+        sigma = svdvals(2.0 * G - np.eye(len(G)) - 2.0 * corr.F)
         return _spectrum_from_epsilons(_epsilons_from_singular_values(sigma))
-    eps = _chiral_epsilons(G, positions)
+    eps = _chiral_epsilons(G)
     if eps is None:
         eps = _epsilons_from_occupations(np.linalg.eigvalsh(G))
     return _spectrum_from_epsilons(eps)
@@ -456,7 +436,8 @@ def _epsilons_from_occupations(zeta: np.ndarray) -> np.ndarray:
     """eps = ln((1 - zeta)/zeta), with zeta clipped to [0, 1]; +-inf at 0 and 1."""
     _check_occupation_range(zeta)
     zeta = np.clip(zeta, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
+    # a subnormal zeta overflows the ratio to inf, the capped mode it is
+    with np.errstate(divide="ignore", over="ignore"):
         return np.log((1.0 - zeta) / zeta)
 
 

@@ -113,8 +113,8 @@ class TestA3:
             xi = 1.0 / (1.0 - k)
             L_total = 2 * math.ceil(20.0 * xi)  # >= 40 xi, even, middle cut
             model = FermionModelSpec(kind="tfim", modulus=k, length=L_total)
-            corr = ground_state_correlations(model)
-            spec = single_particle_energies(corr, range(L_total // 2))
+            corr = ground_state_correlations(model, sites=L_total // 2)
+            spec = single_particle_energies(corr)
             s1_numeric = summary_from_single_particle(spec).S1
             dev = abs(s1_numeric - tfim_s1_half(k))
             worst = max(worst, dev)

@@ -136,8 +136,8 @@ class TestScan:
         for r in rows:
             L = int(r[2])
             corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L),
-                                             zero_mode="filled")
-            spec = single_particle_energies(corr, range((L + 1) // 2))
+                                             zero_mode="filled", sites=(L + 1) // 2)
+            spec = single_particle_energies(corr)
             expected = summary_from_single_particle(spec).S1
             assert float(r[4]) == pytest.approx(expected, abs=1e-9)
 

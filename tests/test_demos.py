@@ -1,7 +1,7 @@
 """The quick demos run to the end against the current public API.
 
-Demos 05 (XXZ exact diagonalization up to 21 sites, about half a minute)
-and 06 (an XX interval of 4096 sites) are too slow for this suite.
+Demo 05 (XXZ exact diagonalization up to 21 sites, about half a minute)
+is too slow for this suite; CI runs it as a step of its own.
 """
 
 import runpy
@@ -11,7 +11,8 @@ import pytest
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 QUICK = ["01_xx_entanglement_spectrum.py", "02_single_copy_vs_entropy.py",
-         "03_central_charge_extraction.py", "04_ising_closed_form.py"]
+         "03_central_charge_extraction.py", "04_ising_closed_form.py",
+         "06_distillation_bound.py"]
 
 
 @pytest.mark.parametrize("name", QUICK)

@@ -36,8 +36,8 @@ def xx_open_energy(L):
 
 def free_fermion_summary(L, cut):
     corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L),
-                                     zero_mode="filled")
-    return summary_from_single_particle(single_particle_energies(corr, range(cut)))
+                                     zero_mode="filled", sites=cut)
+    return summary_from_single_particle(single_particle_energies(corr))
 
 
 class TestGroundState:
@@ -277,11 +277,11 @@ class TestFreeFermionEquivalence:
     @pytest.mark.parametrize("L", list(range(2, 17)))
     def test_all_cuts(self, L):
         state = xxz_ground_state(XxzSpec(L, 0.0))
-        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L),
-                                         zero_mode="filled")
+        chain = FermionModelSpec(kind="xx", length=L)
         for cut in range(1, L):
             ed = summary_from_weights(rdm_weights(state, cut))
-            ff = summary_from_single_particle(single_particle_energies(corr, range(cut)))
+            corr = ground_state_correlations(chain, zero_mode="filled", sites=cut)
+            ff = summary_from_single_particle(single_particle_energies(corr))
             assert abs(ed.S - ff.S) < 1e-9
             assert abs(ed.S1 - ff.S1) < 1e-9
 

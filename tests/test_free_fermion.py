@@ -149,11 +149,13 @@ class TestTridiagonalRoute:
     @pytest.mark.parametrize("k", [0.3, 0.75, 0.95])
     @pytest.mark.parametrize("L", [400, 800])
     def test_tfim_half_chain_entropies_match_svd_polar_factor(self, k, L):
-        half = range(L // 2)
+        n = L // 2
+        G, F = tfim_polar_correlations(L, k)
         oracle = summary_from_single_particle(
-            single_particle_energies(CorrelationData(*tfim_polar_correlations(L, k)), half))
-        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
-        summ = summary_from_single_particle(single_particle_energies(corr, half))
+            single_particle_energies(CorrelationData(G[:n, :n], F[:n, :n])))
+        chain = FermionModelSpec(kind="tfim", modulus=k, length=L)
+        summ = summary_from_single_particle(single_particle_energies(
+            ground_state_correlations(chain, sites=n)))
         assert summ.S == pytest.approx(oracle.S, abs=1e-12)
         assert summ.S1 == pytest.approx(oracle.S1, abs=1e-12)
 
@@ -221,8 +223,9 @@ class TestParityZigzag:
 
     @staticmethod
     def s1(L):
-        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L), "filled")
-        return summary_from_single_particle(single_particle_energies(corr, range((L + 1) // 2))).S1
+        chain = FermionModelSpec(kind="xx", length=L)
+        corr = ground_state_correlations(chain, "filled", (L + 1) // 2)
+        return summary_from_single_particle(single_particle_energies(corr)).S1
 
     def test_amplitude_falls_like_one_over_L_and_outweighs_the_step(self):
         ratios = []
@@ -281,6 +284,13 @@ class TestWindowRoute:
         for args in [(0,), (4, 0.0), (4, 1.0), (4, float("nan"))]:
             with pytest.raises(ValueError):
                 xx_interval_spectrum(*args)
+
+    @pytest.mark.parametrize("route", ["dense", "window"])
+    def test_extreme_filling_caps_without_overflow(self, dense, route):
+        # at filling 1e-300 subnormal occupations overflow (1 - zeta)/zeta to inf, the
+        # capped mode; the suite turns a RuntimeWarning into an error
+        spec = dense(5, 1e-300) if route == "dense" else xx_interval_spectrum(5, 1e-300)
+        assert spec.capped == (0, 5)
 
 
 class TestSineKernelOracle:
@@ -360,8 +370,9 @@ class TestIsingWindowRoute:
         # Against the dense SVD polar factor the window route is 1.2e-12 off on S
         # and 8.3e-13 on S1; the block route 1.4e-11 and 1.5e-12
         k, L, n = 0.99, 400, 200
+        G, F = tfim_polar_correlations(L, k)
         oracle = summary_from_single_particle(
-            single_particle_energies(CorrelationData(*tfim_polar_correlations(L, k)), range(n)))
+            single_particle_energies(CorrelationData(G[:n, :n], F[:n, :n])))
         window = self.window(k, L, n)
         assert len(window.epsilons) == 9
         a, b = summary_from_single_particle(window), summary_from_single_particle(self.block(k, L, n))
@@ -413,25 +424,6 @@ class TestCorrelationData:
         corr = CorrelationData(np.empty((0, 0)))
         assert len(single_particle_energies(corr)) == 0
 
-    def test_restrict_unknown_site(self):
-        corr = xx_correlations_infinite(4)
-        with pytest.raises(ValueError, match="site 9"):
-            single_particle_energies(corr, [0, 9])
-
-    @pytest.mark.parametrize("subsystem", [[-1, 0], [0, 4, 1]])
-    def test_out_of_range_site_rejected(self, subsystem):
-        with pytest.raises(ValueError, match="outside the 4 sites"):
-            single_particle_energies(xx_correlations_infinite(4), subsystem)
-
-    def test_repeated_site_rejected(self):
-        # a repeated row would give a spurious spectrum (S ~ 5.7e-11), not an error
-        with pytest.raises(ValueError, match="site 0 given twice"):
-            single_particle_energies(xx_correlations_infinite(8), [0, 0])
-
-    def test_non_integer_site_rejected(self):
-        with pytest.raises(ValueError, match="integer positions"):
-            single_particle_energies(xx_correlations_infinite(4), [0.0, 1.5])
-
 
 class TestSpectrum:
     def test_single_site_half(self):
@@ -456,15 +448,13 @@ class TestSpectrum:
         spec = single_particle_energies(xx_correlations_infinite(L_sub))
         assert spec.zero_mode_count == 1
 
-    def test_non_contiguous_half_filled_sites_take_exact_pairing(self):
-        # sites (1, 2, 4, 7): two per sublattice, still particle-hole symmetric
-        sites = (1, 2, 4, 7)
-        corr = xx_correlations_infinite(8)
-        spec = single_particle_energies(corr, sites)
+    def test_odd_offset_block_takes_exact_pairing(self):
+        # rows 1..8 of a half-filled interval: sublattice parity counts from the block's row 0
+        G = xx_correlations_infinite(9).G[1:9, 1:9]
+        spec = single_particle_energies(CorrelationData(G))
         assert spec.pairing_mismatch() == 0.0
-        zeta = np.linalg.eigvalsh(corr.G[np.ix_(sites, sites)])
-        assert np.allclose(np.sort(spec.epsilons), np.sort(np.log((1 - zeta) / zeta)),
-                           atol=1e-12)
+        zeta = np.linalg.eigvalsh(G)
+        assert np.allclose(spec.epsilons, np.sort(np.log((1 - zeta) / zeta)), atol=1e-12)
 
     def test_near_half_filling_takes_eigvalsh(self):
         # a same-sublattice defect above 1e-10 breaks particle-hole symmetry
@@ -485,8 +475,8 @@ class TestSpectrum:
             assert zeta.max() < 1 + 1e-10
 
     def test_subsystem_selection(self):
-        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=12))
-        spec = single_particle_energies(corr, range(4))
+        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=12), sites=4)
+        spec = single_particle_energies(corr)
         assert len(spec) == 4
 
     # symmetric but not valid correlation matrices; the second is particle-hole
@@ -520,9 +510,10 @@ class TestRestrictionConsistency:
     """
 
     def _zetas(self, L_sub, L_total):
-        corr = ground_state_correlations(FermionModelSpec(kind="xx", length=L_total))
+        G = ground_state_correlations(FermionModelSpec(kind="xx", length=L_total)).G
         start = (L_total - L_sub) // 2
-        spec_open = single_particle_energies(corr, range(start, start + L_sub))
+        block = slice(start, start + L_sub)
+        spec_open = single_particle_energies(CorrelationData(G[block, block]))
         spec_inf = single_particle_energies(xx_correlations_infinite(L_sub))
         return np.sort(spec_open.occupations), np.sort(spec_inf.occupations)
 
@@ -541,11 +532,11 @@ class TestTfimRoute:
     def test_matches_dense_spin_diagonalization(self, k):
         L = 8
         _, gs = dense_ground_state(tfim_dense_hamiltonian(L, k))
-        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
+        chain = FermionModelSpec(kind="tfim", modulus=k, length=L)
         for cut in (2, 4, 6):
             w = rdm_weights_dense(gs, L, cut)
             S_ed, S1_ed = entropies_from_weights(w)
-            spec = single_particle_energies(corr, range(cut))
+            spec = single_particle_energies(ground_state_correlations(chain, sites=cut))
             summ = summary_from_single_particle(spec)
             assert summ.S == pytest.approx(S_ed, abs=1e-9)
             assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
@@ -556,8 +547,8 @@ class TestTfimRoute:
 
         k = 0.5
         L = 120
-        corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=k, length=L))
-        spec = single_particle_energies(corr, range(L // 2))
+        chain = FermionModelSpec(kind="tfim", modulus=k, length=L)
+        spec = single_particle_energies(ground_state_correlations(chain, sites=L // 2))
         step = math.pi * elliptic_K(math.sqrt(1 - k * k)) / elliptic_K(k)
         lowest = np.sort(spec.epsilons[spec.epsilons > 1e-9])[:3]
         assert np.allclose(lowest / step, [1.0, 3.0, 5.0], atol=1e-4)
@@ -569,8 +560,8 @@ class TestTfimRoute:
         _, gs = dense_ground_state(tfim_dense_hamiltonian(L, k))
         S_ed, S1_ed = entropies_from_weights(rdm_weights_dense(gs, L, cut))
         chain = FermionModelSpec(kind="tfim", modulus=k, length=L)
-        corr = ground_state_correlations(chain)
-        for spec in (single_particle_energies(corr, range(cut)), tfim_block_spectrum(chain, cut)):
+        corr = ground_state_correlations(chain, sites=cut)
+        for spec in (single_particle_energies(corr), tfim_block_spectrum(chain, cut)):
             summ = summary_from_single_particle(spec)
             assert summ.S == pytest.approx(S_ed, abs=1e-9)
             assert summ.S1 == pytest.approx(S1_ed, abs=1e-9)
