@@ -241,16 +241,15 @@ def cmd_fit_c(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.scan_file}: fit-c fits one {column} value, but the "
                              f"table has {column} = {', '.join(values)}")
     geometry, observable = _GEOMETRIES[args.geometry], args.observable
-    factor = scaling.geometry_factor(geometry) / (2.0 if observable == "S" else 1.0)
     points = [
         scaling.ScanPoint(L=float(r["L"]), S1=float(r["S1"]), S=float(r["S"]))
         for r in rows
     ]
-    series = scaling.local_c_estimates(points, factor, observable=observable)
+    series = scaling.local_c_estimates(points, geometry, observable)
     report = {
         "observable": observable,
         "geometry": args.geometry,
-        "geometry_factor": factor,
+        "geometry_factor": series.factor,
         "L_mid": [m for m, _ in series.entries],
         "c_local": [v for _, v in series.entries],
         "c_extrapolated": None,
@@ -392,7 +391,7 @@ def ff_ground_energy(L: int) -> float:
 _OPTIONS = {
     "--config": dict(default=None, help="key = value config file; flags take precedence"),
     "--model": dict(choices=["xx", "tfim", "xxz-ed"], default="xx"),
-    "--delta": dict(nargs="+", type=float, default=None, help="XXZ anisotropies, >= -1"),
+    "--delta": dict(nargs="+", type=float, default=None, help="XXZ anisotropies, finite, >= -1"),
     "--k": dict(nargs="+", type=float, default=None, help="Ising couplings (elliptic modulus)"),
     "--nu": dict(type=float, default=None, help="XX filling, default 1/2"),
     "--L": dict(nargs="+", type=int, default=None, help="system sizes"),

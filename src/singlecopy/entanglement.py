@@ -159,7 +159,7 @@ def many_body_spectrum(spec: EntanglementSpectrum, M: int) -> RdmSpectrum:
     for zeta in spec.occupations:
         pair = np.array([max(zeta, 1 - zeta), min(zeta, 1 - zeta)])
         weights = np.sort(np.outer(pair, weights).ravel())[::-1][:M]
-    return RdmSpectrum(weights, truncated=M < 1 << len(spec.occupations))
+    return RdmSpectrum(weights, truncated=M < 1 << len(spec.epsilons))
 
 
 def distillation_bound(w1: float) -> DistillationBound:

@@ -51,9 +51,10 @@ class XxzSpec:
     """Open XXZ chain: `length` sites, anisotropy `delta`.
 
     The chain is critical (central charge 1) for -1 < delta <= 1. delta = -1
-    (the ferromagnetic point) and delta > 1 are accepted, with `is_critical`
-    False. delta < -1 is rejected: there the ground state leaves the
-    Sz = 0 / +1/2 sector that the diagonalization works in.
+    (the ferromagnetic point) and finite delta > 1 are accepted, with
+    `is_critical` False. delta < -1 is rejected: there the ground state
+    leaves the Sz = 0 / +1/2 sector that the diagonalization works in; so
+    are +inf and NaN, which no Hamiltonian entry can hold.
     """
 
     length: int
@@ -61,8 +62,8 @@ class XxzSpec:
 
     def __post_init__(self):
         _check_size("chain length", self.length, 2)
-        if not self.delta >= -1.0:
-            raise ValueError(f"anisotropy must be >= -1, got {self.delta}")
+        if not -1.0 <= self.delta < math.inf:
+            raise ValueError(f"anisotropy must be finite and >= -1, got {self.delta}")
 
     @property
     def is_critical(self) -> bool:

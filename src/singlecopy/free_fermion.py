@@ -144,18 +144,25 @@ class CorrelationData:
 class EntanglementSpectrum:
     """Single-particle entanglement energies of a Gaussian reduced state.
 
-    epsilons      : the live modes, |eps| < EPS_CAP, sorted ascending; entries
-                    snapped to exactly 0 within ZERO_MODE_TOL
-    occupations   : zeta_k = 1/(1 + exp(eps_k)), same order
-    zero_mode_count : number of exact zero modes
-    capped        : (modes at -EPS_CAP, modes at +EPS_CAP), of occupation 1
-                    and 0 within 1e-12; they contribute exactly 0 to S and S1
+    epsilons : the live modes, |eps| < EPS_CAP, sorted ascending; entries
+               snapped to exactly 0 within ZERO_MODE_TOL. The occupations
+               and the zero-mode count are derived from them alone.
+    capped   : (modes at -EPS_CAP, modes at +EPS_CAP), of occupation 1 and 0
+               within 1e-12; they contribute exactly 0 to S and S1
     """
 
     epsilons: np.ndarray = field(repr=False)
-    occupations: np.ndarray = field(repr=False)
-    zero_mode_count: int
     capped: tuple[int, int] = (0, 0)
+
+    @property
+    def occupations(self) -> np.ndarray:
+        """zeta_k = 1/(1 + exp(eps_k)) of the live modes, in their order."""
+        return 1.0 / (1.0 + np.exp(self.epsilons))
+
+    @property
+    def zero_mode_count(self) -> int:
+        """Number of exact zero modes."""
+        return int(np.count_nonzero(self.epsilons == 0.0))
 
     def __len__(self) -> int:
         return len(self.epsilons) + sum(self.capped)
@@ -177,12 +184,7 @@ def _spectrum_from_epsilons(eps: np.ndarray, outside=(0, 0)) -> EntanglementSpec
     eps[np.abs(eps) < ZERO_MODE_TOL] = 0.0
     low, high = eps <= -EPS_CAP, eps >= EPS_CAP
     eps = eps[~(low | high)]  # NaN stays live, so that it reaches the summary
-    return EntanglementSpectrum(
-        epsilons=eps,
-        occupations=1.0 / (1.0 + np.exp(eps)),
-        zero_mode_count=int(np.count_nonzero(eps == 0.0)),
-        capped=(outside[0] + int(low.sum()), outside[1] + int(high.sum())),
-    )
+    return EntanglementSpectrum(eps, (outside[0] + int(low.sum()), outside[1] + int(high.sum())))
 
 
 def _epsilons_from_singular_values(sigma: np.ndarray) -> np.ndarray:
@@ -267,7 +269,7 @@ def _sine_kernel_column(N: int, filling: float) -> np.ndarray:
     return column
 
 
-def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half",
+def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = None,
                               sites: int | None = None) -> CorrelationData:
     """Correlation matrices of the many-body ground state of an open chain.
 
@@ -283,33 +285,36 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str = "half",
     the eigenvectors alone (Ising W_A = U_A V_A^T, XX G_A = (phi_A occ) phi_A^T);
     the default is the whole chain.
 
-    Negative-energy modes are filled. Modes at exactly zero single-particle
-    energy (degenerate ground states, e.g. the odd-length XX chain) are
+    Negative-energy modes are filled. Modes of the XX chain at exactly zero
+    single-particle energy (degenerate ground states, e.g. odd length) are
     occupied according to `zero_mode`:
 
     * "half"   -- occupation 1/2; the resulting Gaussian state is the even
                   mixture of the two degenerate Slater determinants and
-                  reproduces the ln 2 zero-mode entropy rule (default);
+                  reproduces the ln 2 zero-mode entropy rule (default: None);
     * "filled" -- occupy the zero mode: the pure ground state with one
                   extra fermion (spin sector +1/2 after Jordan-Wigner);
     * "empty"  -- leave it empty (sector -1/2).
 
     The pure-state conventions are the ones that match a spin-chain
-    diagonalization in a fixed magnetization sector. With pairing there is
-    no zero mode, since D = 2(1 - kS) for the unit shift S gives
-    sigma_min >= 2(1 - k) > 0; sigma_min^2 <= 1e-24 or NaN means a failed
-    solve and raises LinAlgError. ValueError is raised before allocating if
-    the arrays of the build are over the memory budget.
+    diagonalization in a fixed magnetization sector. The Ising chain has no
+    zero mode (D = 2(1 - kS) for the unit shift S gives sigma_min >= 2(1 - k)),
+    so a `zero_mode` for it raises ValueError; sigma_min^2 <= 1e-24 or NaN
+    means a failed solve and raises LinAlgError. ValueError is raised before
+    allocating if the arrays of the build are over the memory budget.
     """
-    if zero_mode not in ("half", "filled", "empty"):
+    occupation = {None: 0.5, "half": 0.5, "filled": 1.0, "empty": 0.0}
+    if zero_mode not in occupation:
         raise ValueError(f"unknown zero-mode convention {zero_mode!r}")
+    if model.kind == "tfim" and zero_mode is not None:
+        raise ValueError(f"the Ising chain has no zero mode, got zero_mode={zero_mode!r}")
     L = model.length
     n = _kept_sites(L, L if sites is None else sites)
     _check_dense_memory(n, _GROUND_STATE_ARRAYS)  # the n x n arrays of the G/F stage
     if model.kind == "xx":
         evals, phi = eigh_tridiagonal(np.zeros(L), np.full(L - 1, 0.5))
         occ = np.where(evals < -1e-12, 1.0, 0.0)
-        occ[np.abs(evals) <= 1e-12] = {"half": 0.5, "filled": 1.0, "empty": 0.0}[zero_mode]
+        occ[np.abs(evals) <= 1e-12] = occupation[zero_mode]
         G = (phi[:n] * occ) @ phi[:n].T
         del phi  # so that the G stage holds only n x n arrays
         return CorrelationData(0.5 * (G + G.T))

@@ -5,8 +5,8 @@ c_local = f * dS1/d(ln L) between consecutive scan points, plotted against
 1/ln L at the geometric midpoint, followed by a second-order polynomial
 extrapolation in 1/ln L to the infinite-size value. The slope factor f is
 the geometry's `slope`: 6 for an interval of an infinite chain and 12 for
-a half-infinite end or a finite cut (use half these values to fit the
-entanglement entropy S instead of S1).
+a half-infinite end or a finite cut. S grows at twice the rate of S1, so
+`local_c_estimates` halves f when it fits S; that rule lives there alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .analytic import FiniteChainCut, Geometry
 __all__ = [
     "ScanPoint",
     "CEstimateSeries",
-    "geometry_factor",
     "local_c_estimates",
     "extrapolate_c",
     "fit_conformal_constants",
@@ -43,21 +42,14 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class CEstimateSeries:
-    """Local central-charge estimates (L_mid, c_local), ordered by L_mid."""
+    """Local central-charge estimates (L_mid, c_local), ordered by L_mid.
+
+    `factor` is the slope factor f that turned slopes into c_local: the
+    geometry's slope for S1, half of it for S.
+    """
 
     entries: tuple[tuple[float, float], ...]
-
-
-def geometry_factor(geom: Geometry | float) -> float:
-    """Slope-inversion factor for S1: the geometry's `slope`, 6 or 12.
-
-    A bare number passes through, which is how the S-route factors 3 and 6
-    are supplied.
-    """
-    factor = float(getattr(geom, "slope", geom))
-    if not factor > 0:
-        raise ValueError(f"slope factor must be positive, got {factor}")
-    return factor
+    factor: float
 
 
 def _values(points, observable):
@@ -70,14 +62,12 @@ def _values(points, observable):
     raise ValueError(f"unknown observable {observable!r}")
 
 
-def local_c_estimates(
-    points,
-    geom: Geometry | float,
-    observable: str = "S1",
-) -> CEstimateSeries:
+def local_c_estimates(points, geom: Geometry, observable: str = "S1") -> CEstimateSeries:
     """Finite-difference c_local between consecutive points.
 
-    c_local = f (S1(L2) - S1(L1)) / (ln L2 - ln L1) at L_mid = sqrt(L1 L2).
+    c_local = f (y(L2) - y(L1)) / (ln L2 - ln L1) at L_mid = sqrt(L1 L2), for
+    y the observable "S1" or "S". f is `geom.slope` for S1 and half of it
+    for S, and is returned as the series' `factor`.
     """
     points = sorted(points, key=lambda p: p.L)
     L = np.array([p.L for p in points], dtype=float)
@@ -85,11 +75,11 @@ def local_c_estimates(
         raise ValueError("need at least two scan points")
     if np.any(np.diff(L) <= 0):
         raise ValueError("scan points must have strictly increasing distinct L")
-    f = geometry_factor(geom)
     y = _values(points, observable)
+    f = geom.slope / (2.0 if observable == "S" else 1.0)
     c = f * np.diff(y) / np.diff(np.log(L))
     mids = np.sqrt(L[:-1] * L[1:])
-    return CEstimateSeries(entries=tuple((float(m), float(v)) for m, v in zip(mids, c)))
+    return CEstimateSeries(tuple((float(m), float(v)) for m, v in zip(mids, c)), f)
 
 
 def extrapolate_c(series: CEstimateSeries) -> float:

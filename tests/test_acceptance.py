@@ -224,12 +224,14 @@ class TestA6:
         # affine and reparametrization invariance of the c pipeline
         Ls = [64.0, 128.0, 256.0, 512.0]
         s1 = [math.log(L) / 6 + 0.11 / math.log(L) for L in Ls]
-        base = local_c_estimates([ScanPoint(L=L, S1=v) for L, v in zip(Ls, s1)], 6)
+        base = local_c_estimates(
+            [ScanPoint(L=L, S1=v) for L, v in zip(Ls, s1)], InfiniteLineInterval(1.0)
+        )
         shifted = local_c_estimates(
-            [ScanPoint(L=L, S1=v + 3.3) for L, v in zip(Ls, s1)], 6
+            [ScanPoint(L=L, S1=v + 3.3) for L, v in zip(Ls, s1)], InfiniteLineInterval(1.0)
         )
         scaled = local_c_estimates(
-            [ScanPoint(L=5 * L, S1=v) for L, v in zip(Ls, s1)], 6
+            [ScanPoint(L=5 * L, S1=v) for L, v in zip(Ls, s1)], InfiniteLineInterval(1.0)
         )
         for other in (shifted, scaled):
             assert np.allclose(

@@ -147,6 +147,12 @@ class TestScan:
         assert captured.out == ""
         assert "-1" in captured.err
 
+    def test_xxz_infinite_delta_exits_two_before_building(self, capsys):
+        assert run(["scan", "--model", "xxz-ed", "--delta", "inf", "--L", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error:")
+
     def test_l_range_rows_distinct(self, capsys):
         assert run(["scan", "--model", "xx", "--L-range", "1:6:1.2"]) == 0
         rows = capsys.readouterr().out.strip().split("\n")[1:]

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import expit
 
 from singlecopy.entanglement import (
     RdmSpectrum,
@@ -36,8 +35,7 @@ def spectrum_from_occupations(zetas):
 
 
 def spectrum_from_epsilons(eps):
-    eps = np.sort(np.asarray(eps, dtype=float))
-    return EntanglementSpectrum(eps, expit(-eps), int(np.count_nonzero(eps == 0.0)))
+    return EntanglementSpectrum(np.sort(np.asarray(eps, dtype=float)))
 
 
 # single-particle energies up to the cap |eps| ~ 27.63, zero modes included

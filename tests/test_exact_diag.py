@@ -88,6 +88,12 @@ class TestGroundState:
                 XxzSpec(8, delta)
         assert not XxzSpec(8, -1.0).is_critical
 
+    def test_rejects_infinite_delta(self):
+        # no Hamiltonian entry can hold it; the sector build would meet inf - inf
+        with pytest.raises(ValueError, match="finite"):
+            XxzSpec(4, math.inf)
+        assert not XxzSpec(4, 1e300).is_critical
+
 
 def combinations_basis(L, n_up):
     """Sector basis by explicit enumeration of up-spin site sets."""

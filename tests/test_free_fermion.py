@@ -123,6 +123,15 @@ class TestGroundStateCorrelations:
         assert np.max(np.abs(S @ half.G @ S + half.G - np.eye(9))) < 1e-12
         with pytest.raises(ValueError):
             ground_state_correlations(chain, zero_mode="maybe")
+        default = ground_state_correlations(chain)
+        assert np.array_equal(default.G, half.G)
+
+    @pytest.mark.parametrize("zero_mode", ["half", "filled", "empty"])
+    def test_ising_chain_takes_no_zero_mode(self, zero_mode):
+        # the Ising chain has no zero mode, so a convention would be silently unread
+        chain = FermionModelSpec(kind="tfim", modulus=0.5, length=10)
+        with pytest.raises(ValueError, match="no zero mode"):
+            ground_state_correlations(chain, zero_mode, 5)
 
     def test_tfim_small_coupling_near_vacuum(self):
         corr = ground_state_correlations(FermionModelSpec(kind="tfim", modulus=0.05, length=20))

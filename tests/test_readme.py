@@ -1,5 +1,5 @@
 """The README's examples match the code: the library quick start runs as
-written against the public API, and every command line parses."""
+written against the public API, and every command line parses and runs."""
 
 import importlib
 import pkgutil
@@ -49,6 +49,14 @@ def test_command_block_not_empty():
 def test_command_line_parses(line):
     argv = shlex.split(line)[1:]
     assert cli._build_parser().parse_args(argv).command == argv[0]
+
+
+def test_command_block_runs_in_order(tmp_path, monkeypatch, capsys):
+    # in order, so that `fit-c xx.csv` reads the table an earlier line wrote
+    monkeypatch.chdir(tmp_path)
+    for line in command_lines():
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(sc.__path__)])

@@ -18,7 +18,6 @@ from singlecopy.scaling import (
     ScanPoint,
     extrapolate_c,
     fit_conformal_constants,
-    geometry_factor,
     local_c_estimates,
 )
 
@@ -32,7 +31,7 @@ def quadratic_series(c, alpha, beta, Ls):
     for L in Ls:
         x = 1.0 / math.log(L)
         entries.append((float(L), c + alpha * x + beta * x * x))
-    return CEstimateSeries(entries=tuple(entries))
+    return CEstimateSeries(entries=tuple(entries), factor=6.0)
 
 
 LADDER = [64, 128, 256, 512, 1024]
@@ -50,22 +49,30 @@ class TestScanPoint:
 
 class TestGeometryFactor:
     def test_mapping(self):
-        assert geometry_factor(InfiniteLineInterval(10)) == 6.0
-        assert geometry_factor(HalfInfiniteEnd(10)) == 12.0
-        assert geometry_factor(FiniteChainCut(10, 5)) == 12.0
-        assert geometry_factor(3) == 3.0
+        points = line_points(1.0 / 6, 0.0, LADDER)
+        assert local_c_estimates(points, InfiniteLineInterval(10)).factor == 6.0
+        assert local_c_estimates(points, HalfInfiniteEnd(10)).factor == 12.0
+        assert local_c_estimates(points, FiniteChainCut(10, 5)).factor == 12.0
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometry_factor(0)
-        with pytest.raises(ValueError):
-            geometry_factor(float("nan"))
+    def test_entropy_halves_the_factor(self):
+        # S grows at twice the rate of S1, so the same c needs half the factor
+        points = [ScanPoint(L=L, S1=math.log(L) / 6, S=math.log(L) / 3) for L in LADDER]
+        s1 = local_c_estimates(points, InfiniteLineInterval(1.0))
+        s = local_c_estimates(points, InfiniteLineInterval(1.0), observable="S")
+        assert s.factor == 3.0
+        assert local_c_estimates(points, FiniteChainCut(10, 5), observable="S").factor == 6.0
+        assert np.allclose([c for _, c in s.entries], [c for _, c in s1.entries], atol=1e-12)
+
+    def test_bare_number_rejected(self):
+        # the factor comes from a geometry only, so a pre-halved number cannot slip in
+        with pytest.raises(AttributeError):
+            local_c_estimates(line_points(1.0 / 6, 0.0, LADDER), 6)
 
 
 class TestLocalEstimates:
     def test_exact_line_factor_twelve(self):
         points = line_points(1.0 / 12, 0.3, LADDER)
-        series = local_c_estimates(points, 12)
+        series = local_c_estimates(points, HalfInfiniteEnd(1.0))
         assert all(abs(c - 1.0) < 1e-12 for _, c in series.entries)
         mids = [m for m, _ in series.entries]
         assert mids[0] == pytest.approx(math.sqrt(64 * 128))
@@ -77,26 +84,27 @@ class TestLocalEstimates:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            local_c_estimates(line_points(1, 0, [64]), 6)
+            local_c_estimates(line_points(1, 0, [64]), InfiniteLineInterval(1.0))
         with pytest.raises(ValueError):
-            local_c_estimates(line_points(1, 0, [64, 64, 128]), 6)
+            local_c_estimates(line_points(1, 0, [64, 64, 128]), InfiniteLineInterval(1.0))
         with pytest.raises(ValueError):
-            local_c_estimates(line_points(1, 0, LADDER), 6, observable="S")
+            local_c_estimates(line_points(1, 0, LADDER), InfiniteLineInterval(1.0),
+                              observable="S")
 
     def test_affine_invariance(self, rng):
         s1 = 0.2 + rng.uniform(0, 0.01, size=len(LADDER)) + np.log(LADDER) / 6
         base = [ScanPoint(L=L, S1=v) for L, v in zip(LADDER, s1)]
         shifted = [ScanPoint(L=L, S1=v + 5.5) for L, v in zip(LADDER, s1)]
-        ca = local_c_estimates(base, 6).entries
-        cb = local_c_estimates(shifted, 6).entries
+        ca = local_c_estimates(base, InfiniteLineInterval(1.0)).entries
+        cb = local_c_estimates(shifted, InfiniteLineInterval(1.0)).entries
         assert np.allclose([c for _, c in ca], [c for _, c in cb], atol=1e-12)
 
     def test_reparametrization_invariance(self, rng):
         s1 = np.log(LADDER) / 6 + rng.uniform(0, 0.01, size=len(LADDER))
         base = [ScanPoint(L=L, S1=v) for L, v in zip(LADDER, s1)]
         scaled = [ScanPoint(L=3 * L, S1=v) for L, v in zip(LADDER, s1)]
-        ca = local_c_estimates(base, 6).entries
-        cb = local_c_estimates(scaled, 6).entries
+        ca = local_c_estimates(base, InfiniteLineInterval(1.0)).entries
+        cb = local_c_estimates(scaled, InfiniteLineInterval(1.0)).entries
         assert np.allclose([c for _, c in ca], [c for _, c in cb], atol=1e-12)
 
 
@@ -107,18 +115,18 @@ class TestExtrapolation:
 
     def test_constant_entries(self):
         series = CEstimateSeries(
-            entries=tuple((float(L), 0.97) for L in LADDER)
+            entries=tuple((float(L), 0.97) for L in LADDER), factor=6.0
         )
         assert extrapolate_c(series) == pytest.approx(0.97, abs=1e-12)
 
     def test_needs_three_entries(self):
-        series = CEstimateSeries(entries=((64.0, 1.0), (128.0, 1.0)))
+        series = CEstimateSeries(entries=((64.0, 1.0), (128.0, 1.0)), factor=6.0)
         with pytest.raises(ValueError):
             extrapolate_c(series)
 
     def test_degenerate_design_matrix(self):
         series = CEstimateSeries(
-            entries=((64.0, 1.0), (64.0, 1.0), (64.0, 1.0))
+            entries=((64.0, 1.0), (64.0, 1.0), (64.0, 1.0)), factor=6.0
         )
         with pytest.raises(ValueError):
             extrapolate_c(series)
@@ -130,7 +138,7 @@ class TestExtrapolation:
         points = [
             ScanPoint(L=L, S1=math.log(L) / 6 + 0.3 / math.log(L) + 0.1) for L in Ls
         ]
-        series = local_c_estimates(points, 6)
+        series = local_c_estimates(points, InfiniteLineInterval(1.0))
         c_inf = extrapolate_c(series)
         last_local = series.entries[-1][1]
         assert abs(c_inf - 1.0) < abs(last_local - 1.0)
