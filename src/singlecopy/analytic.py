@@ -41,8 +41,8 @@ class InfiniteLineInterval:
     L: float
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"interval length must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"interval length must be positive and finite, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,8 @@ class HalfInfiniteEnd:
     L: float
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"subsystem length must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"subsystem length must be positive and finite, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class FiniteChainCut:
     l: float
 
     def __post_init__(self):
-        if not (self.L_chain > 0 and self.l > 0):
-            raise ValueError("chain and piece lengths must be positive")
+        if not (0 < self.L_chain < math.inf and self.l > 0):
+            raise ValueError("chain and piece lengths must be positive and finite")
         if not self.l < self.L_chain:
             raise ValueError(
                 f"piece length {self.l} must be smaller than chain {self.L_chain}"
@@ -116,8 +116,8 @@ def conformal_renyi_trace(L: float, n: float, c: float = 1.0, a: float = 1.0,
     infinite-interval S1 slope as n -> infinity.
     """
     _check_c_a(c, a)
-    if not L > 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not 0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L}")
     if not n > 0:
         raise ValueError(f"Renyi index must be positive, got {n}")
     return b_n * (L / a) ** (-(c / 6.0) * (n - 1.0 / n))
@@ -128,12 +128,13 @@ def xx_asymptotic_spectrum(L: float, k: int) -> float:
 
     The spectrum becomes linear and dense, eps_k = pi^2 (2k+1) / (2 ln L)
     for k = 0, 1, 2, ...; consecutive levels are spaced by pi^2/ln L and
-    eps_1/eps_0 = 3.
+    eps_1/eps_0 = 3. An integral float such as 1.0 is the mode k = 1; a
+    bool, a fractional or a negative k is rejected.
     """
-    if not L >= 2:
-        raise ValueError(f"L must be at least 2, got {L}")
-    if not k >= 0:
-        raise ValueError(f"mode index must be nonnegative, got {k}")
+    if not 2 <= L < math.inf:
+        raise ValueError(f"L must be finite and at least 2, got {L}")
+    if isinstance(k, bool) or not (k >= 0 and float(k).is_integer()):
+        raise ValueError(f"mode index must be a nonnegative integer, got {k}")
     return math.pi**2 * (2 * k + 1) / (2.0 * math.log(L))
 
 

@@ -30,7 +30,6 @@ import inspect
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -83,12 +82,6 @@ def _geometric_range(spec: str) -> list[int]:
         if round(val) == size:  # skip the steps that would repeat this size
             val *= factor ** max(1, math.ceil(math.log((size + 0.5) / val, factor)))
     return out
-
-
-def _worker_count(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
 
 
 def _resolve_lengths(args: argparse.Namespace) -> list[int]:
@@ -165,14 +158,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     lengths, parameters = _resolve_lengths(args), _model_parameters(args)
     # looked up per call, so that a rebound row function is the one that runs
     row = {"xx": _xx_row, "tfim": _tfim_row, "xxz-ed": _xxz_row}[args.model]
-    tasks = [(p, L) for p in sorted(set(parameters)) for L in lengths]
-    worker = lambda task: row(*task)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(worker, tasks))
-    else:
-        rows = [worker(p) for p in tasks]
+    rows = [row(p, L) for p in sorted(set(parameters)) for L in lengths]
     _write_output("\n".join([SCAN_HEADER, *rows]) + "\n", args.out)
     return 0
 
@@ -287,19 +273,13 @@ def _kv(params: list[str]) -> dict:
     return out
 
 
-def _xx_mode_energy(L, k=0.0):
-    if not k.is_integer():
-        raise ValueError(f"mode index k must be an integer, got {k}")
-    return analytic.xx_asymptotic_spectrum(L, int(k))
-
-
 # (formula, geometry token) -> evaluation; its parameters are the keys the entry
 # takes, those with a default optional. conformal-s1 alone takes a geometry token.
 _FORMULAS = {
     ("elliptic-k", None): lambda k: analytic.elliptic_K(k),
     ("tfim-s1", None): lambda k: analytic.tfim_s1_half(k),
     ("tfim-s1-critical", None): lambda k: analytic.tfim_s1_near_critical(k),
-    ("xx-spectrum", None): _xx_mode_energy,
+    ("xx-spectrum", None): lambda L, k=0.0: analytic.xx_asymptotic_spectrum(L, k),
     ("conformal-s1", "infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
         analytic.conformal_s1(analytic.InfiniteLineInterval(L), c, a, k1),
     ("conformal-s1", "half-infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
@@ -399,8 +379,8 @@ _OPTIONS = {
                       help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2"),
     "--geometry": dict(choices=sorted(_GEOMETRIES), default="infinite"),
     "--out": dict(default=None, help="output path (default stdout)"),
-    "--threads": dict(type=_worker_count, default=1,
-                      help="parallel scan workers (output order is unaffected)"),
+    "--threads": dict(type=int, choices=[1], default=1,
+                      help="accepted only as 1; removed once no caller passes it"),
 }
 
 

@@ -36,8 +36,10 @@ class ScanPoint:
     S: float | None = None
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"L must be positive, got {self.L}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"L must be positive and finite, got {self.L}")
+        if not math.isfinite(self.S1) or not (self.S is None or math.isfinite(self.S)):
+            raise ValueError(f"S1 and S must be finite, got S1 = {self.S1}, S = {self.S}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Shared brute-force oracles, independent of the library's own routes."""
 
+import functools
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -136,6 +139,49 @@ def sine_kernel_entropies_mp(N, nu, dps=40, split=True):
                 (1 - z) * mpmath.log(1 - z) if z < 1 else 0)
             S1 -= mpmath.log(max(z, 1 - z))
         return float(S), float(S1)
+
+
+def _fisher_hartwig_constant(inner):
+    """Integral over t > 0 of [inner(t) / sinh t - e^(-2t) / 6] / t, at 80 digits.
+
+    The integrand cancels near t = 0 (a 30-digit call over (0, inf) gives
+    -5.86 for Upsilon_inf), so the quadrature starts at 1e-8 and adds 1e-8
+    times the integrand there, where it is flat.
+    """
+    with mpmath.workdps(80):
+        def integrand(t):
+            return (inner(t) / mpmath.sinh(t) - mpmath.exp(-2 * t) / 6) / t
+
+        a = mpmath.mpf("1e-8")
+        return float(mpmath.quad(integrand, [a, 1, mpmath.inf]) + a * integrand(a))
+
+
+@functools.cache
+def jin_korepin_constants():
+    """(Upsilon_1, Upsilon_inf) of the Fisher-Hartwig XX-interval entropies.
+
+    Upsilon_a = (1 + 1/a) * integral of dt/t [(1 - a^-2)^-1 (1/(a sinh(t/a))
+    - 1/sinh t) / sinh t - e^(-2t)/6] (Jin and Korepin, J. Stat. Phys. 116,
+    79 (2004)). At a = 1 the bracket's limit is (t coth t - 1) / (2 sinh t);
+    as a -> infinity it is 1/t - 1/sinh t. Values 0.4950179081, 0.2797001508.
+    """
+    one = 2 * _fisher_hartwig_constant(
+        lambda t: (t / mpmath.tanh(t) - 1) / (2 * mpmath.sinh(t)))
+    infinity = _fisher_hartwig_constant(lambda t: 1 / t - 1 / mpmath.sinh(t))
+    return one, infinity
+
+
+def jin_korepin_entropies(L, nu):
+    """Leading (S, S1) of an L-site interval of the infinite XX chain at filling nu.
+
+    S = (1/3) ln(2 L sin(pi nu)) + Upsilon_1 and
+    S1 = (1/6) ln(2 L sin(pi nu)) + Upsilon_inf, the Renyi index 1 and
+    infinity of the Fisher-Hartwig form; the corrections fall like L^-2 for
+    S and like 1/ln L for S1.
+    """
+    one, infinity = jin_korepin_constants()
+    log = math.log(2 * L * math.sin(math.pi * nu))
+    return log / 3 + one, log / 6 + infinity
 
 
 def ising_ladder_entropies_mp(k, dps=30):

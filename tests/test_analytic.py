@@ -85,8 +85,15 @@ NAN = float("nan")
     lambda: xx_asymptotic_spectrum(NAN, 0),
     lambda: xx_asymptotic_spectrum(10.0, NAN),
     lambda: elliptic_K(NAN),
+    lambda: InfiniteLineInterval(math.inf),
+    lambda: HalfInfiniteEnd(math.inf),
+    lambda: FiniteChainCut(math.inf, 5.0),
+    lambda: conformal_renyi_trace(math.inf, 2.0),
+    lambda: xx_asymptotic_spectrum(math.inf, 0),
 ], ids=["c", "a", "infinite-L", "half-infinite-L", "finite-L_chain", "finite-l",
-        "renyi-L", "renyi-n", "xx-spectrum-L", "xx-spectrum-k", "elliptic-k"])
+        "renyi-L", "renyi-n", "xx-spectrum-L", "xx-spectrum-k", "elliptic-k",
+        "infinite-L-inf", "half-infinite-L-inf", "finite-L_chain-inf", "renyi-L-inf",
+        "xx-spectrum-L-inf"])
 def test_nan_rejected(build):
     with pytest.raises(ValueError):
         build()
@@ -140,6 +147,14 @@ class TestXxAsymptoticSpectrum:
             xx_asymptotic_spectrum(1.5, 0)
         with pytest.raises(ValueError):
             xx_asymptotic_spectrum(10.0, -1)
+
+    @pytest.mark.parametrize("k", [0.5, True, False, -1.0, math.inf])
+    def test_rejects_a_mode_index_that_is_not_a_nonnegative_integer(self, k):
+        with pytest.raises(ValueError):
+            xx_asymptotic_spectrum(10.0, k)
+
+    def test_integral_float_is_that_mode(self):
+        assert xx_asymptotic_spectrum(100.0, 1.0) == xx_asymptotic_spectrum(100.0, 1)
 
 
 class TestEllipticK:

@@ -106,10 +106,10 @@ class TestScan:
         for r in rows:
             assert float(r[5]) == pytest.approx(math.exp(-float(r[4])), abs=1e-12)
 
-    def test_byte_determinism_and_thread_independence(self, tmp_path):
+    def test_byte_determinism_with_and_without_threads_flag(self, tmp_path):
         args = ["scan", "--model", "xx", "--L", "12", "24", "48"]
         outs = []
-        for name, extra in (("a", []), ("b", []), ("c", ["--threads", "3"])):
+        for name, extra in (("a", []), ("b", []), ("c", ["--threads", "1"])):
             path = tmp_path / f"{name}.csv"
             assert run(args + ["--out", str(path)] + extra) == 0
             outs.append(read(path))
@@ -422,7 +422,7 @@ class TestConfigValidation:
         assert repr(key) in captured.err
 
     @pytest.mark.parametrize("line", ["nu = half", "model = heisenberg",
-                                      "threads = 1.5", "threads = 0"])
+                                      "threads = 1.5", "threads = 0", "threads = 2"])
     def test_values_checked_like_flags(self, tmp_path, capsys, line):
         cfg = self.write(tmp_path, f"L = 6\n{line}\n")
         assert exit_code(["scan", "--config", cfg]) == 2
@@ -430,6 +430,11 @@ class TestConfigValidation:
 
     def test_threads_flag_below_one_exits_two(self, capsys):
         assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "-3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_threads_flag_above_one_exits_two(self, capsys):
+        # scans run on one thread; a thread count is refused, never ignored
+        assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "2"]) == 2
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("text", ["L = 8\nL = 16\n", "L-range = 4:8:2\nL_range = 4:16:2\n"])

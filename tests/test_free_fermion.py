@@ -1,5 +1,6 @@
 """Correlation matrices and single-particle entanglement spectra."""
 
+import functools
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from singlecopy.free_fermion import (
 from conftest import (
     dense_ground_state,
     entropies_from_weights,
+    jin_korepin_entropies,
     open_xx_correlations,
     rdm_weights_dense,
     sine_kernel_entropies_mp,
@@ -335,6 +337,44 @@ class TestSineKernelOracle:
     def test_split_oracle_matches_whole_kernel(self, oracle, N, nu):
         # the blocks differ from the whole kernel by ~1e-38, far below a double's rounding
         assert oracle(N, nu) == sine_kernel_entropies_mp(N, nu, split=False)
+
+
+class TestJinKorepinOracle:
+    """Window-route XX intervals against the Fisher-Hartwig closed forms.
+
+    The only oracle past the dense route's 16,384 sites. Measured: S minus
+    Jin-Korepin is -0.0167/L^2 at nu = 1/2 and -0.0607/L^2 at nu = 0.3, even
+    and odd L, and -5.6e-11 at 32,768 sites, the weight of the capped modes.
+    S1 at half filling keeps a 1/ln L term whose sign follows the parity of L.
+    """
+
+    @staticmethod
+    @functools.cache
+    def summary(L, nu=0.5):
+        return summary_from_single_particle(xx_interval_spectrum(L, nu))
+
+    def s1_deviation(self, L):
+        return self.summary(L).S1 - jin_korepin_entropies(L, 0.5)[1]
+
+    @pytest.mark.parametrize("L, nu, bound", [
+        *((L, nu, bound) for nu, bound in ((0.5, 0.02), (0.3, 0.07))
+          for L in (64, 65, 1024, 1025)),
+        (32768, 0.5, 0.02),  # the first size past the dense limit
+    ])
+    def test_entropy_within_the_l_squared_correction(self, L, nu, bound):
+        S, _ = jin_korepin_entropies(L, nu)
+        assert abs(self.summary(L, nu).S - S) <= bound / L**2 + 1e-10
+
+    @pytest.mark.parametrize("L", [64, 1024, 4096])
+    def test_odd_deviation_is_minus_twice_the_even_one(self, L):
+        # the even-L ladder is a midpoint sum and the odd-L one a trapezoid sum with
+        # the zero mode, so their 1/ln L errors stand at -1 : 2 (Euler-Maclaurin)
+        assert self.s1_deviation(L + 1) / self.s1_deviation(L) == pytest.approx(-2, abs=0.01)
+
+    @pytest.mark.parametrize("L", [64, 1024, 4096])
+    def test_parity_weighted_single_copy_entropy_on_the_asymptote(self, L):
+        # measured 1.5e-5, 1.4e-5 and 9.4e-6
+        assert abs(2 * self.s1_deviation(L) + self.s1_deviation(L + 1)) / 3 <= 2e-5
 
 
 class TestIsingWindowRoute:

@@ -46,6 +46,18 @@ class TestScanPoint:
         with pytest.raises(ValueError):
             ScanPoint(L=float("nan"), S1=0.7)
 
+    @pytest.mark.parametrize("fields", [
+        dict(L=math.inf, S1=0.7),
+        dict(L=64, S1=math.nan),
+        dict(L=64, S1=math.inf),
+        dict(L=64, S1=0.7, S=math.nan),
+        dict(L=64, S1=0.7, S=-math.inf),
+    ], ids=["L-inf", "S1-nan", "S1-inf", "S-nan", "S-minus-inf"])
+    def test_non_finite_rejected(self, fields):
+        # a non-finite point would give an (inf, 0) or a nan entry of c_local
+        with pytest.raises(ValueError):
+            ScanPoint(**fields)
+
 
 class TestGeometryFactor:
     def test_mapping(self):
