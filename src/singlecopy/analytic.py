@@ -78,10 +78,10 @@ Geometry = InfiniteLineInterval | HalfInfiniteEnd | FiniteChainCut
 
 
 def _check_c_a(c: float, a: float) -> None:
-    if not c > 0:
-        raise ValueError(f"central charge must be positive, got {c}")
-    if not a > 0:
-        raise ValueError(f"cutoff a must be positive, got {a}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"central charge must be positive and finite, got {c}")
+    if not 0 < a < math.inf:
+        raise ValueError(f"cutoff a must be positive and finite, got {a}")
 
 
 def conformal_s1(geom: Geometry, c: float = 1.0, a: float = 1.0, k1: float = 0.0) -> float:
@@ -92,11 +92,13 @@ def conformal_s1(geom: Geometry, c: float = 1.0, a: float = 1.0, k1: float = 0.0
     Finite chain cut:        (c/12) ln[(2L/pi a) sin(pi l/L)] + k1
 
     Keywords: the central charge c > 0, the short-distance cutoff a > 0 in
-    lattice units and the non-universal additive constant k1 in nats. The
-    logarithmic coefficient c/geom.slope is half the one of the
-    entanglement entropy S in each geometry.
+    lattice units and the non-universal additive constant k1 in nats, all
+    finite. The logarithmic coefficient c/geom.slope is half the one of
+    the entanglement entropy S in each geometry.
     """
     _check_c_a(c, a)
+    if not math.isfinite(k1):
+        raise ValueError(f"k1 must be finite, got {k1}")
     if isinstance(geom, FiniteChainCut):
         arg = (2.0 * geom.L_chain / (math.pi * a)) * math.sin(math.pi * geom.l / geom.L_chain)
     else:
@@ -111,15 +113,17 @@ def conformal_renyi_trace(L: float, n: float, c: float = 1.0, a: float = 1.0,
     """Power-law Renyi trace tr(rho^n) = b_n (L/a)^(-(c/6)(n - 1/n)).
 
     Keywords: the central charge c > 0, the cutoff a > 0 and the
-    non-universal prefactor b_n. The exponent vanishes at n = 1 where
-    normalization fixes b_1 = 1; -(1/n) ln of the result approaches the
-    infinite-interval S1 slope as n -> infinity.
+    non-universal prefactor b_n > 0, all finite. The exponent vanishes at
+    n = 1 where normalization fixes b_1 = 1; -(1/n) ln of the result
+    approaches the infinite-interval S1 slope as n -> infinity.
     """
     _check_c_a(c, a)
     if not 0 < L < math.inf:
         raise ValueError(f"L must be positive and finite, got {L}")
-    if not n > 0:
-        raise ValueError(f"Renyi index must be positive, got {n}")
+    if not 0 < n < math.inf:
+        raise ValueError(f"Renyi index must be positive and finite, got {n}")
+    if not 0 < b_n < math.inf:
+        raise ValueError(f"prefactor b_n must be positive and finite, got {b_n}")
     return b_n * (L / a) ** (-(c / 6.0) * (n - 1.0 / n))
 
 

@@ -14,13 +14,10 @@ unset), tfim --k, xxz-ed --delta; another model's option exits with 2.
 Exit codes: 0 success, 2 invalid configuration or input, 3 numerical
 failure. Output is deterministic byte-for-byte for a fixed configuration:
 rows are sorted by (parameter, L), floats printed with 17 significant
-digits. Options may also come from a config file of `key = value` lines
-(`#` comments; keys are the long option names of the subcommand;
-list-valued options are whitespace-separated; each key at most once).
-File values are checked like flags; command-line flags win over the
-file, which wins over built-in defaults. A free-fermion build or
-an exact diagonalization whose estimated memory is over the 4 GiB
-budget, and any failed allocation, exit with code 2.
+digits. An argument `@FILE` is replaced by the whitespace-separated
+flags of FILE (`#` starts a comment), so a later flag wins. A
+free-fermion build or an exact diagonalization whose estimated memory
+is over the 4 GiB budget, and any failed allocation, exit with code 2.
 """
 
 from __future__ import annotations
@@ -46,23 +43,6 @@ SCAN_HEADER = "model,delta_or_k,L,S,S1,w1,lnZ,E0,M_max"
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _parse_config_file(path: str) -> dict:
-    values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key in values:
-                raise ValueError(f"{path}:{lineno}: key {key} given twice")
-            values[key] = value.strip()
-    return values
 
 
 def _geometric_range(spec: str) -> list[int]:
@@ -369,7 +349,6 @@ def ff_ground_energy(L: int) -> float:
 
 # every option a subcommand may take; each subcommand lists the ones it reads
 _OPTIONS = {
-    "--config": dict(default=None, help="key = value config file; flags take precedence"),
     "--model": dict(choices=["xx", "tfim", "xxz-ed"], default="xx"),
     "--delta": dict(nargs="+", type=float, default=None, help="XXZ anisotropies, finite, >= -1"),
     "--k": dict(nargs="+", type=float, default=None, help="Ising couplings (elliptic modulus)"),
@@ -389,58 +368,43 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sce",
         description="Single-copy entanglement toolkit for quantum chains.",
+        fromfile_prefix_chars="@",
     )
+    parser.convert_arg_line_to_args = lambda line: line.partition("#")[0].split()
     sub = parser.add_subparsers(dest="command", required=True)
 
     def options(p, *flags):
         for flag in flags:
             p.add_argument(flag, **_OPTIONS[flag])
 
-    p_spec = sub.add_parser("spectrum", help="single-particle entanglement spectrum")
+    # no abbreviated options: a flag, on the command line or in @FILE, is spelled out
+    p_spec = sub.add_parser("spectrum", allow_abbrev=False,
+                            help="single-particle entanglement spectrum")
     p_spec.add_argument("--model", choices=["xx", "tfim"], default="xx")
-    options(p_spec, "--config", "--k", "--nu", "--L", "--L-range", "--out")
+    options(p_spec, "--k", "--nu", "--L", "--L-range", "--out")
 
-    p_scan = sub.add_parser("scan", help="entanglement scan table")
-    options(p_scan, "--config", "--model", "--delta", "--k", "--nu", "--L", "--L-range",
+    p_scan = sub.add_parser("scan", allow_abbrev=False, help="entanglement scan table")
+    options(p_scan, "--model", "--delta", "--k", "--nu", "--L", "--L-range",
             "--out", "--threads")
 
-    p_fit = sub.add_parser("fit-c", help="central-charge report from a scan table")
+    p_fit = sub.add_parser("fit-c", allow_abbrev=False,
+                           help="central-charge report from a scan table")
     p_fit.add_argument("scan_file", help="CSV produced by `sce scan`")
     p_fit.add_argument("--observable", choices=["S1", "S"], default="S1")
-    options(p_fit, "--config", "--geometry", "--out")
+    options(p_fit, "--geometry", "--out")
 
-    p_ana = sub.add_parser("analytic", help="evaluate a closed-form prediction")
+    p_ana = sub.add_parser("analytic", allow_abbrev=False,
+                           help="evaluate a closed-form prediction")
     p_ana.add_argument("formula", help="; ".join(
         " ".join(filter(None, (f, g, str(inspect.signature(fn)))))
         for (f, g), fn in _FORMULAS.items()))
     p_ana.add_argument("params", nargs="*", help="[geometry] key=value ...")
-    options(p_ana, "--config", "--out")
+    options(p_ana, "--out")
 
-    p_cmp = sub.add_parser("compare-oracle",
+    p_cmp = sub.add_parser("compare-oracle", allow_abbrev=False,
                            help="XXZ diagonalization vs free-fermion route at Delta=0")
-    options(p_cmp, "--config", "--L", "--out")
+    options(p_cmp, "--L", "--out")
     return parser
-
-
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Flags over config file over defaults.
-
-    The file's values are parsed as flags placed right after the
-    subcommand, so they meet the same types and choices, and any flag on
-    the command line comes later and wins.
-    """
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
-    config = _parse_config_file(args.config)
-    for key in config:
-        if key not in vars(args):
-            raise ValueError(f"{args.config}: {args.command} has no option {key!r}")
-    tokens = [tok for key, value in config.items()
-              for tok in ("--" + key.replace("_", "-"), *value.replace(",", " ").split())]
-    # `sce` itself takes no options, so argv[0] is the subcommand
-    return parser.parse_args(argv[:1] + tokens + argv[1:])
 
 
 _COMMANDS = {
@@ -453,15 +417,14 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as err:
         # LinAlgError subclasses ValueError, so numerical failures go first
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, KeyError, TypeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except MemoryError as err:

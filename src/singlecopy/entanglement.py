@@ -134,8 +134,8 @@ def renyi_ln_trace(spec: EntanglementSpectrum, n: float) -> float:
     and n ln(1-zeta) = -n ln(1+e^(-eps)) are combined with logaddexp, so
     -(1/n) times the result tends to S1 without overflow.
     """
-    if not n > 0:
-        raise ValueError(f"Renyi index must be positive, got {n}")
+    if not 0 < n < math.inf:
+        raise ValueError(f"Renyi index must be positive and finite, got {n}")
     eps = spec.epsilons  # a capped mode contributes 0
     ln_zeta = -np.logaddexp(0.0, eps)
     ln_one_minus = -np.logaddexp(0.0, -eps)

@@ -67,6 +67,8 @@ EPS_CAP = float(np.log((1.0 - OCCUPATION_FLOOR) / OCCUPATION_FLOOR))
 ZERO_MODE_TOL = 1e-8
 # Particle-hole symmetry of G is detected elementwise at this tolerance.
 _PH_DETECT_TOL = 1e-10
+# Correlation eigenvalues may leave [0, 1] by this much before the solve counts as failed.
+_OCCUPATION_RANGE_TOL = 1e-10
 # Memory one build or diagonalization may take (exact_diag reads it too), and
 # the float64 n x n (window route: n x (window + 1); open chain: its G/F stage
 # on n kept sites) arrays at each traced peak.
@@ -446,7 +448,8 @@ def _epsilons_from_occupations(zeta: np.ndarray) -> np.ndarray:
         return np.log((1.0 - zeta) / zeta)
 
 
-def _check_occupation_range(zeta: np.ndarray, tol: float = 1e-10) -> None:
+def _check_occupation_range(zeta: np.ndarray) -> None:
+    tol = _OCCUPATION_RANGE_TOL
     if zeta.size and (zeta.min() < -tol or zeta.max() > 1.0 + tol):
         raise np.linalg.LinAlgError(
             f"correlation eigenvalues outside [0, 1] beyond tolerance {tol}: "

@@ -90,10 +90,21 @@ NAN = float("nan")
     lambda: FiniteChainCut(math.inf, 5.0),
     lambda: conformal_renyi_trace(math.inf, 2.0),
     lambda: xx_asymptotic_spectrum(math.inf, 0),
+    lambda: conformal_s1(InfiniteLineInterval(1.0), c=math.inf),
+    lambda: conformal_renyi_trace(10.0, 2.0, a=math.inf),
+    lambda: conformal_s1(InfiniteLineInterval(1.0), k1=NAN),
+    lambda: conformal_s1(InfiniteLineInterval(10.0), k1=math.inf),
+    lambda: conformal_renyi_trace(10.0, math.inf),
+    lambda: conformal_renyi_trace(10.0, 2.0, c=math.inf),
+    lambda: conformal_renyi_trace(10.0, 2.0, b_n=NAN),
+    lambda: conformal_renyi_trace(10.0, 2.0, b_n=math.inf),
+    lambda: conformal_renyi_trace(10.0, 2.0, b_n=-1.0),
+    lambda: conformal_renyi_trace(10.0, 2.0, b_n=0.0),
 ], ids=["c", "a", "infinite-L", "half-infinite-L", "finite-L_chain", "finite-l",
         "renyi-L", "renyi-n", "xx-spectrum-L", "xx-spectrum-k", "elliptic-k",
         "infinite-L-inf", "half-infinite-L-inf", "finite-L_chain-inf", "renyi-L-inf",
-        "xx-spectrum-L-inf"])
+        "xx-spectrum-L-inf", "c-inf", "renyi-a-inf", "k1", "k1-inf", "renyi-n-inf", "renyi-c-inf",
+        "renyi-b_n", "renyi-b_n-inf", "renyi-b_n-negative", "renyi-b_n-zero"])
 def test_nan_rejected(build):
     with pytest.raises(ValueError):
         build()

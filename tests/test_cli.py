@@ -1,4 +1,4 @@
-"""Command-line surface: schemas, determinism, exit codes, config."""
+"""Command-line surface: schemas, determinism, exit codes, options from @FILE."""
 
 import json
 import math
@@ -33,6 +33,18 @@ def exit_code(argv):
         return run(argv)
     except SystemExit as stop:
         return stop.code
+
+
+def args_file(tmp_path, *lines):
+    """An `@FILE` argument whose file holds `lines`."""
+    path = tmp_path / "run.args"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return "@" + str(path)
+
+
+def given(how, tmp_path, line):
+    """The flags of `line` typed out, or read from an @FILE."""
+    return line.split() if how == "flag" else [args_file(tmp_path, line)]
 
 
 class TestSpectrum:
@@ -114,6 +126,25 @@ class TestScan:
             assert run(args + ["--out", str(path)] + extra) == 0
             outs.append(read(path))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_threads_flag_below_one_exits_two(self, capsys):
+        assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "-3"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_threads_flag_above_one_exits_two(self, capsys):
+        # scans run on one thread; a thread count is refused, never ignored
+        assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "2"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flags", ["--model xx --nu 0.3 --L-range 8:32:2",
+                                       "--model tfim --k 0.3 0.5 --L 8 12",
+                                       "--model xxz-ed --delta -0.5 0.5 --L 5 6"])
+    def test_options_file_gives_the_bytes_of_typed_flags(self, tmp_path, capsys, flags):
+        assert run(["scan", *flags.split()]) == 0
+        typed = capsys.readouterr().out
+        lines = flags.replace(" --", "\n--").splitlines()
+        assert run(["scan", args_file(tmp_path, "# one option a line", *lines)]) == 0
+        assert capsys.readouterr().out == typed
 
     def test_tfim_rows_match_the_level_ladder(self, capsys):
         # the half-infinite chain's corner-transfer-matrix ladder; the finite chain
@@ -338,6 +369,12 @@ class TestAnalytic:
         captured = capsys.readouterr()
         assert captured.out == "" and "1.5" in captured.err
 
+    @pytest.mark.parametrize("bn", ["-1", "0"])
+    def test_nonpositive_prefactor_exits_two(self, capsys, bn):
+        assert run(["analytic", "conformal-renyi-trace", "L=10", "n=2", f"bn={bn}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "b_n" in captured.err
+
     def test_repeated_key_exits_two_and_names_it(self, capsys):
         assert run(["analytic", "elliptic-k", "k=0.5", "k=0.9"]) == 2
         captured = capsys.readouterr()
@@ -386,71 +423,64 @@ class TestCompareOracle:
         assert run(["compare-oracle", "--L", "4"]) == 2
 
 
-class TestConfigPrecedence:
-    def test_flags_beat_config_beat_defaults(self, tmp_path):
-        cfg = tmp_path / "sce.cfg"
-        cfg.write_text("model = xx\nL = 6\nnu = 0.3\n# comment\n", encoding="utf-8")
-        from_cfg = tmp_path / "a.csv"
-        assert run(["scan", "--config", str(cfg), "--out", str(from_cfg)]) == 0
-        row = from_cfg.read_text().strip().split("\n")[1].split(",")
+class TestOptionsFile:
+    """`@FILE` stands for the flags in FILE; they are parsed like typed flags."""
+
+    def test_file_lines_are_flags(self, tmp_path, capsys):
+        argv = ["scan", args_file(tmp_path, "--model xx", "--L 6", "--nu 0.3  # comment", "")]
+        assert run(argv) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1].split(",")
         assert row[1] == "0.29999999999999999"  # 17g rendering of 0.3
         assert row[2] == "6"
-        flag_wins = tmp_path / "b.csv"
-        assert run(["scan", "--config", str(cfg), "--nu", "0.5",
-                    "--out", str(flag_wins)]) == 0
-        assert flag_wins.read_text().strip().split("\n")[1].split(",")[1] == "0.5"
 
-    def test_malformed_config_exits_two(self, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("just words\n", encoding="utf-8")
-        assert run(["scan", "--config", str(cfg), "--model", "xx", "--L", "4"]) == 2
+    @pytest.mark.parametrize("before, after, nu", [([], ["--nu", "0.5"], "0.5"),
+                                                   (["--nu", "0.5"], [], "0.29999999999999999")])
+    def test_later_flag_wins(self, tmp_path, capsys, before, after, nu):
+        argv = ["scan", "--L", "6", *before, args_file(tmp_path, "--nu 0.3"), *after]
+        assert run(argv) == 0
+        assert capsys.readouterr().out.split("\n")[1].split(",")[1] == nu
 
-
-class TestConfigValidation:
-    def write(self, tmp_path, text):
-        cfg = tmp_path / "sce.cfg"
-        cfg.write_text(text, encoding="utf-8")
-        return str(cfg)
-
-    # a misspelling, an abbreviation of --nu, and an option of fit-c only
-    @pytest.mark.parametrize("key", ["nu_", "n", "observable"])
-    def test_unknown_key_exits_two_and_names_it(self, tmp_path, capsys, key):
-        cfg = self.write(tmp_path, f"model = xx\nL = 6\n{key} = 0.3\n")
-        assert exit_code(["scan", "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert repr(key) in captured.err
-
-    @pytest.mark.parametrize("line", ["nu = half", "model = heisenberg",
-                                      "threads = 1.5", "threads = 0", "threads = 2"])
-    def test_values_checked_like_flags(self, tmp_path, capsys, line):
-        cfg = self.write(tmp_path, f"L = 6\n{line}\n")
-        assert exit_code(["scan", "--config", cfg]) == 2
-        assert capsys.readouterr().out == ""
-
-    def test_threads_flag_below_one_exits_two(self, capsys):
-        assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "-3"]) == 2
-        assert capsys.readouterr().out == ""
-
-    def test_threads_flag_above_one_exits_two(self, capsys):
-        # scans run on one thread; a thread count is refused, never ignored
-        assert exit_code(["scan", "--model", "xx", "--L", "6", "--threads", "2"]) == 2
-        assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("text", ["L = 8\nL = 16\n", "L-range = 4:8:2\nL_range = 4:16:2\n"])
-    def test_repeated_key_exits_two_and_names_it(self, tmp_path, capsys, text):
-        cfg = self.write(tmp_path, "model = xx\n" + text)
-        assert exit_code(["scan", "--config", cfg]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "given twice" in captured.err and ":3: key L" in captured.err
-
-    def test_list_values_and_dash_keys(self, tmp_path, capsys):
-        cfg = self.write(tmp_path, "model = xxz-ed\ndelta = -0.5 0.5\nL-range = 4:8:2\n")
-        assert exit_code(["scan", "--config", cfg]) == 0
+    def test_list_values_in_a_file(self, tmp_path, capsys):
+        argv = ["scan", args_file(tmp_path, "--model xxz-ed", "--delta -0.5 0.5",
+                                  "--L-range 4:8:2")]
+        assert run(argv) == 0
         rows = [r.split(",") for r in capsys.readouterr().out.strip().split("\n")[1:]]
         assert [(r[1], r[2]) for r in rows] == [("-0.5", "4"), ("-0.5", "8"),
                                                 ("0.5", "4"), ("0.5", "8")]
+
+    def test_missing_file_exits_two(self, tmp_path, capsys):
+        assert exit_code(["scan", "--L", "6", "@" + str(tmp_path / "absent.args")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "No such file" in captured.err and "absent.args" in captured.err
+
+    def test_config_option_is_gone(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nu = 0.3\n", encoding="utf-8")
+        assert exit_code(["scan", "--model", "xx", "--L", "6", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --config {cfg}" in captured.err
+
+    # words that are no option, a misspelling, an option of fit-c only, and
+    # abbreviations of --nu, --model and --L-range, typed or in a file alike
+    @pytest.mark.parametrize("how, line", [
+        ("file", "just words"), ("file", "--nu_ 0.3"), ("file", "--observable S"),
+        ("file", "--n 0.3"), ("flag", "--n 0.3"), ("file", "--mod xx"), ("flag", "--mod xx"),
+        ("file", "--L-r 4:8:2"), ("flag", "--L-r 4:8:2")])
+    def test_unknown_option_exits_two_and_names_it(self, tmp_path, capsys, how, line):
+        assert exit_code(["scan", *given(how, tmp_path, line), "--L", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {line}" in captured.err
+
+    @pytest.mark.parametrize("line", ["--nu half", "--model heisenberg", "--threads 1.5",
+                                      "--threads 0", "--threads 2"])
+    def test_values_checked_like_flags(self, tmp_path, capsys, line):
+        assert exit_code(["scan", args_file(tmp_path, line), "--L", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {line.split()[0]}: invalid" in captured.err
 
 
 class TestOptionsPerSubcommand:
@@ -476,21 +506,14 @@ class TestOptionsPerSubcommand:
                 "scan": ["scan", "--model", "xx", "--L", "4"],
                 "compare-oracle": ["compare-oracle", "--L", "3"]}[command]
 
+    @pytest.mark.parametrize("how", ["flag", "file"])
     @pytest.mark.parametrize("command,key,value", UNREAD)
-    def test_unread_flag_exits_two(self, tmp_path, capsys, command, key, value):
-        argv = self.base(command, tmp_path) + ["--" + key, value]
-        assert exit_code(argv) == 2
-        assert capsys.readouterr().out == ""
-
-    @pytest.mark.parametrize("command,key,value", UNREAD)
-    def test_unread_config_key_exits_two_and_names_it(self, tmp_path, capsys,
-                                                      command, key, value):
-        cfg = tmp_path / "sce.cfg"
-        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
-        assert exit_code(self.base(command, tmp_path) + ["--config", str(cfg)]) == 2
+    def test_unread_flag_exits_two(self, tmp_path, capsys, command, key, value, how):
+        line = f"--{key} {value}"
+        assert exit_code(self.base(command, tmp_path) + given(how, tmp_path, line)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert repr(key.replace("-", "_")) in captured.err
+        assert f"unrecognized arguments: {line}" in captured.err
 
     def test_spectrum_model_choices(self, capsys):
         assert exit_code(["spectrum", "--model", "xxz-ed", "--L", "4"]) == 2
@@ -517,16 +540,11 @@ class TestParameterOptionPerModel:
         assert f"--model {self.READER[option]}" in captured.err
         assert f"--model {model}" in captured.err
 
+    @pytest.mark.parametrize("how", ["flag", "file"])
     @pytest.mark.parametrize("command,model,option", FOREIGN)
-    def test_foreign_flag_exits_two(self, capsys, command, model, option):
-        argv = [command, "--model", model, *self.OWN[model], "--L", "8", f"--{option}", "0.3"]
-        self.check_refused(capsys, argv, model, option)
-
-    @pytest.mark.parametrize("command,model,option", FOREIGN)
-    def test_foreign_config_key_exits_two(self, tmp_path, capsys, command, model, option):
-        cfg = tmp_path / "sce.cfg"
-        cfg.write_text(f"{option} = 0.3\n", encoding="utf-8")
-        argv = [command, "--config", str(cfg), "--model", model, *self.OWN[model], "--L", "8"]
+    def test_foreign_flag_exits_two(self, tmp_path, capsys, command, model, option, how):
+        argv = [command, "--model", model, *self.OWN[model], "--L", "8",
+                *given(how, tmp_path, f"--{option} 0.3")]
         self.check_refused(capsys, argv, model, option)
 
     def test_xx_filling_defaults_to_half(self, capsys):
@@ -582,6 +600,15 @@ class TestExitCodes:
         monkeypatch.setattr(cli.free_fermion, "xx_interval_spectrum", boom)
         assert run(["spectrum", "--model", "xx", "--L", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [KeyError, TypeError])
+    def test_programming_error_is_not_reported_as_bad_input(self, monkeypatch, error):
+        def boom(*a, **k):
+            raise error("synthetic bug")
+
+        monkeypatch.setattr(cli, "_xx_row", boom)
+        with pytest.raises(error):
+            run(["scan", "--model", "xx", "--L", "4"])
 
     def test_allocation_failure_maps_to_two(self, monkeypatch, capsys):
         def boom(*a, **k):

@@ -152,9 +152,9 @@ class TestRenyiTrace:
         spec = spectrum_from_occupations([0.9])
         assert renyi_ln_trace(spec, 2.0) == pytest.approx(math.log(0.82), abs=1e-12)
 
-    def test_rejects_nonpositive_and_nan_index(self):
+    def test_rejects_nonpositive_and_non_finite_index(self):
         spec = spectrum_from_occupations([0.9])
-        for n in (0.0, float("nan")):
+        for n in (0.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
                 renyi_ln_trace(spec, n)
 
