@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from scipy.special import ellipkm1
-
 __all__ = [
     "InfiniteLineInterval",
     "HalfInfiniteEnd",
@@ -154,6 +152,7 @@ def elliptic_K(k: float) -> float:
         raise ValueError(f"modulus must be nonnegative, got {k}")
     if not k < 1:
         raise ValueError(f"K(k) diverges at k = 1; got {k}")
+    from scipy.special import ellipkm1  # not at the top: importing singlecopy loads no scipy
     return float(ellipkm1((1.0 - k) * (1.0 + k)))
 
 
@@ -168,6 +167,7 @@ def tfim_s1_half(k: float) -> float:
     """
     if not 0.0 < k < 1.0:
         raise ValueError(f"modulus must lie in (0, 1), got {k}")
+    from scipy.special import ellipkm1
     eps = math.pi * float(ellipkm1(k * k)) / elliptic_K(k)  # K(k') from k^2 unrounded
     # each term is exp(-2 eps) times the last; stop below 1e-17 of the first
     return math.fsum(math.log1p(math.exp(-(2 * j + 1) * eps))

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .free_fermion import EPS_CAP, EntanglementSpectrum
 
@@ -99,10 +98,15 @@ def summary_from_single_particle(spec: EntanglementSpectrum) -> EntanglementSumm
     abs_eps = np.abs(eps)
     lnZ = float(np.sum(np.logaddexp(0.0, -eps))) + shift
     E0 = float(np.sum(eps[eps < 0.0])) - shift
-    meanH = float(np.sum(eps * expit(-eps))) - shift
+    meanH = float(np.sum(eps * _fermi(eps))) - shift
     S1 = float(np.sum(np.logaddexp(0.0, -abs_eps)))
-    S = S1 + float(np.sum(abs_eps * expit(-abs_eps)))
+    S = S1 + float(np.sum(abs_eps * _fermi(abs_eps)))
     return EntanglementSummary(S=S, S1=S1, w1=math.exp(-S1), lnZ=lnZ, E0=E0, meanH=meanH)
+
+
+def _fermi(eps: np.ndarray) -> np.ndarray:
+    """1/(1 + e^eps) per mode by math.exp: the bits of scipy.special.expit(-eps), not np.exp's."""
+    return np.array([1.0 / (1.0 + math.exp(e)) for e in eps.tolist()])
 
 
 def summary_from_weights(rdm: RdmSpectrum) -> EntanglementSummary:
@@ -121,7 +125,8 @@ def summary_from_weights(rdm: RdmSpectrum) -> EntanglementSummary:
     if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:  # the negated form rejects NaN
         raise ValueError(f"weights sum to {total}, outside 1 +- {_WEIGHT_SUM_TOL}")
     w = np.clip(w / total, 0.0, None)
-    S = float(-np.sum(xlogy(w, w)))
+    # w ln w by math.log, 0 at w = 0: the bits of scipy.special.xlogy(w, w), which np.log misses
+    S = float(-np.sum([x * math.log(x) if x else 0.0 for x in w.tolist()]))
     w1 = float(w[0])
     S1 = -math.log(w1)
     return EntanglementSummary(S=S, S1=S1, w1=w1, lnZ=0.0, E0=S1, meanH=S)

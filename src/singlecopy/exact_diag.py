@@ -22,9 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
-from scipy.linalg import svdvals
 
 from .entanglement import EntanglementSummary, RdmSpectrum, summary_from_weights
 from .free_fermion import _MEMORY_BUDGET, _check_size
@@ -113,7 +110,8 @@ def _sector_basis(length: int, n_up: int) -> np.ndarray:
     return level.get(n_up, empty)
 
 
-def _sector_hamiltonian(length: int, delta: float, basis: np.ndarray) -> sparse.csr_matrix:
+def _sector_hamiltonian(length: int, delta: float, basis: np.ndarray) -> scipy.sparse.csr_matrix:
+    from scipy.sparse import csr_matrix  # not at the top: importing singlecopy loads no scipy
     dim = len(basis)
     diag = np.zeros(dim)
     rows, cols = [], []
@@ -130,7 +128,7 @@ def _sector_hamiltonian(length: int, delta: float, basis: np.ndarray) -> sparse.
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     vals = np.full(len(rows), 0.5)  # every hop, then the diagonal last
     vals[-dim:] = diag
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return csr_matrix((vals, (rows, cols)), shape=(dim, dim))
 
 
 def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
@@ -154,7 +152,8 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     H = _sector_hamiltonian(L, spec.delta, basis)
     # deterministic start vector with no symmetry alignment
     v0 = np.cos(0.7 * np.arange(H.shape[0]) + 0.3)
-    evals, evecs = sparse_linalg.eigsh(H, k=1, which="SA", v0=v0, tol=0)
+    from scipy.sparse.linalg import eigsh
+    evals, evecs = eigsh(H, k=1, which="SA", v0=v0, tol=0)
     energy, vec = float(evals[0]), evecs[:, 0]
     residual = np.linalg.norm(H @ vec - energy * vec)
     if residual > _RESIDUAL_TOL * max(1.0, abs(energy)):
@@ -178,6 +177,7 @@ def rdm_weights(state: GroundStateVector, L_left: int) -> RdmSpectrum:
     descending, and exact zeros below 1e-14 are trimmed.
     """
     _check_size("cut L_left", L_left, 1, state.length - 1)  # both parts nonempty
+    from scipy.linalg import svdvals
     n_up, right = state.n_up, state.length - L_left
     left_up = np.bitwise_count(_sector_basis(state.length, n_up) >> right)
     s = [svdvals(state.amplitudes[left_up == a].reshape(-1, math.comb(right, n_up - a)))

@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, matmul_toeplitz, svdvals, toeplitz
 
 __all__ = [
     "OCCUPATION_FLOOR",
@@ -216,6 +215,7 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
     """
     _check_interval(L_sub, filling)
     _check_dense_memory(L_sub, _INTERVAL_ARRAYS)
+    from scipy.linalg import toeplitz  # not at the top: importing singlecopy loads no scipy
     return CorrelationData(toeplitz(_sine_kernel_column(L_sub, filling)))
 
 
@@ -231,6 +231,7 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
     mirrored. ValueError is raised before a window over the memory budget.
     """
     _check_interval(L_sub, filling)
+    from scipy.linalg import eigh_tridiagonal
     N, half = L_sub, filling == 0.5
     top = N // 2 if half else N  # T-indices solved; ascending lambda
     centre = top if half else round((1.0 - filling) * N)
@@ -247,7 +248,7 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
             n = np.arange(N, dtype=float)
             _, V = eigh_tridiagonal(((N - 1 - 2 * n) / 2) ** 2 * cos_kf, n[1:] * (N - n[1:]) / 2,
                                     select="i", select_range=(lo, hi - 1))
-            lam = np.einsum("ij,ij->j", V, matmul_toeplitz(_sine_kernel_column(N, filling), V))
+            lam = np.einsum("ij,ij->j", V, _sine_kernel_product(N, filling, V))
         eps = to_eps(lam)  # descending: T-indices below lo are at +cap, from hi on at -cap
         if (lo == 0 or eps[0] >= EPS_CAP) and (hi == top or eps[-1] <= -EPS_CAP):
             break
@@ -269,6 +270,14 @@ def _sine_kernel_column(N: int, filling: float) -> np.ndarray:
     if filling == 0.5:  # sin(pi d/2) is exactly 0 at even d; the rounded argument leaves ~1e-17
         column[2::2] = 0.0
     return column
+
+
+def _sine_kernel_product(N: int, filling: float, V: np.ndarray) -> np.ndarray:
+    """K V for the N x N sine kernel K, by real FFTs of its (2N - 1)-point circulant embedding.
+    C-ordered like scipy's matmul_toeplitz, since an einsum's summation order follows layout."""
+    column, p = _sine_kernel_column(N, filling), 2 * N - 1
+    kernel = np.fft.rfft(np.concatenate([column, column[:0:-1]]))[:, None]
+    return np.ascontiguousarray(np.fft.irfft(kernel * np.fft.rfft(V, p, axis=0), p, axis=0)[:N])
 
 
 def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = None,
@@ -314,6 +323,7 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
     n = _kept_sites(L, L if sites is None else sites)
     _check_dense_memory(n, _GROUND_STATE_ARRAYS)  # the n x n arrays of the G/F stage
     if model.kind == "xx":
+        from scipy.linalg import eigh_tridiagonal
         evals, phi = eigh_tridiagonal(np.zeros(L), np.full(L - 1, 0.5))
         occ = np.where(evals < -1e-12, 1.0, 0.0)
         occ[np.abs(evals) <= 1e-12] = occupation[zero_mode]
@@ -346,6 +356,7 @@ def tfim_block_spectrum(model: FermionModelSpec, sites: int) -> EntanglementSpec
         raise ValueError(f"the cut-block route solves the Ising chain, not {model.kind!r}")
     L = model.length
     n = _kept_sites(L, sites)
+    from scipy.linalg import svdvals
     U_A, V = _ising_rows(model.modulus, L, n)
     V_B = V[n:]
     width = min(16, L - n)
@@ -381,6 +392,7 @@ def _check_size(name: str, value, low: int, high: int | None = None) -> int:
 
 def _ising_rows(k: float, L: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The first n rows of U = D V / sigma and all of V, from D^T D = V diag(sigma^2) V^T."""
+    from scipy.linalg import eigh_tridiagonal
     lam, V = eigh_tridiagonal(np.append(np.full(L - 1, 4 + 4 * k * k), 4.0), np.full(L - 1, -4 * k))
     if not lam[0] > 1e-24:  # negated, so that NaN never reaches sqrt
         raise np.linalg.LinAlgError("zero-energy BdG mode with pairing: degenerate ground state")
@@ -410,6 +422,7 @@ def _chiral_epsilons(G: np.ndarray) -> np.ndarray | None:
             return None
         del defect  # one block alive at a time
     # the off-diagonal block of 2G - 1 is 2G; it is empty for a single site
+    from scipy.linalg import svdvals
     eps_pos = _epsilons_from_singular_values(svdvals(2.0 * G[0::2, 1::2]))
     return np.concatenate([-eps_pos, np.zeros(len(G) % 2), eps_pos])
 
@@ -431,6 +444,7 @@ def single_particle_energies(corr: CorrelationData) -> EntanglementSpectrum:
     """
     G = corr.G
     if corr.has_pairing:
+        from scipy.linalg import svdvals
         sigma = svdvals(2.0 * G - np.eye(len(G)) - 2.0 * corr.F)
         return _spectrum_from_epsilons(_epsilons_from_singular_values(sigma))
     eps = _chiral_epsilons(G)

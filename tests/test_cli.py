@@ -1,8 +1,13 @@
 """Command-line surface: schemas, determinism, exit codes, options from @FILE."""
 
+import functools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +331,49 @@ class TestFitC:
         report = json.loads(out.read_text())
         assert report["warnings"] == []
         assert 0.8 < report["c_extrapolated"] < 1.2
+
+
+@functools.cache
+def scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running `code` with `src` on its path."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    probe = code + ("\nimport json, sys\n"
+                    "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'scipy']))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def sce_in_fresh_interpreter(*argv):
+    return f"from singlecopy import cli\nassert cli.main({list(argv)!r}) == 0"
+
+
+class TestScipyImports:
+    """Each command loads only the scipy modules of the solvers it runs."""
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert scipy_modules_after("import singlecopy.cli") == set()
+
+    def test_fit_c_loads_no_scipy(self, tmp_path):
+        table, report = tmp_path / "xx.csv", tmp_path / "fit.json"
+        assert run(["scan", "--model", "xx", "--L", "64", "128", "256", "512",
+                    "--out", str(table)]) == 0
+        code = sce_in_fresh_interpreter("fit-c", str(table), "--out", str(report))
+        assert scipy_modules_after(code) == set()
+        assert json.loads(report.read_text())["c_extrapolated"] is not None
+
+    @pytest.mark.parametrize("argv, solvers", [
+        (["scan", "--model", "xx", "--L", "64", "4096"], "scipy.linalg"),
+        (["scan", "--model", "tfim", "--k", "0.5", "--L", "64"], "scipy.linalg"),
+        (["scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8"],
+         "scipy.linalg, scipy.sparse.linalg"),
+    ], ids=["xx", "tfim", "xxz-ed"])
+    def test_scan_loads_only_its_solvers(self, tmp_path, argv, solvers):
+        # against what importing the solvers loads, which differs between scipy releases
+        code = sce_in_fresh_interpreter(*argv, "--out", str(tmp_path / "scan.csv"))
+        loaded = scipy_modules_after(code)
+        assert loaded and loaded <= scipy_modules_after(f"import {solvers}")
 
 
 class TestAnalytic:

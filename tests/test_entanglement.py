@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import expit, xlogy
 
+from singlecopy import entanglement
 from singlecopy.entanglement import (
     RdmSpectrum,
     distillation_bound,
@@ -141,6 +143,44 @@ class TestSummaryFromWeights:
     def test_descending_enforced(self):
         rdm = RdmSpectrum(np.array([0.1, 0.9]))
         assert rdm.weights[0] == 0.9
+
+
+class TestScipySpecialBits:
+    """The summaries evaluate expit and xlogy by math.exp and math.log, to scipy.special's bits.
+
+    np.exp and np.log differ from them by an ulp on about 2% and 0.2% of inputs, which
+    the summaries' sums can carry into the printed digits.
+    """
+
+    def test_fermi_is_expit_of_minus_eps(self):
+        rng = np.random.default_rng(7)
+        eps = np.concatenate([rng.uniform(-EPS_CAP, EPS_CAP, 200_000), rng.normal(0, 3, 10_000),
+                              [0.0, -0.0, 1e-300, -5e-324, EPS_CAP, -EPS_CAP]])
+        assert np.array_equal(entanglement._fermi(eps), expit(-eps))
+
+    def test_single_particle_summary(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            # two zero modes, capped modes on both sides, live modes up to the cap
+            zetas = np.concatenate([rng.uniform(0.0, 1.0, int(rng.integers(1, 12))),
+                                    10.0 ** rng.uniform(-12.0, 0.0, int(rng.integers(1, 12))),
+                                    [0.5, 0.5, 0.0, 1.0, 1e-13, 1.0 - 1e-13]])
+            spec = spectrum_from_occupations(zetas)
+            assert spec.zero_mode_count >= 2 and min(spec.capped) >= 2
+            eps, abs_eps, shift = spec.epsilons, np.abs(spec.epsilons), spec.capped[0] * EPS_CAP
+            s = summary_from_single_particle(spec)
+            assert s.meanH == float(np.sum(eps * expit(-eps))) - shift
+            assert s.S == s.S1 + float(np.sum(abs_eps * expit(-abs_eps)))
+
+    def test_weights_summary(self):
+        rng = np.random.default_rng(13)
+        for _ in range(500):
+            # few weights, so that an ulp in any one term reaches the sum
+            w = np.concatenate([rng.dirichlet(np.ones(int(rng.integers(2, 9)))),
+                                [0.0, 0.0, 5e-324, 1e-310, 1e-300]])
+            rdm = RdmSpectrum(w)
+            expected = np.clip(rdm.weights / rdm.weight_sum, 0.0, None)
+            assert summary_from_weights(rdm).S == float(-np.sum(xlogy(expected, expected)))
 
 
 class TestRenyiTrace:

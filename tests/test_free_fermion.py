@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from singlecopy import free_fermion
@@ -204,15 +205,16 @@ class TestTridiagonalRoute:
 
     @pytest.mark.parametrize("smallest", [np.nan, -1e-20, 0.0, 1e-24])
     def test_zero_or_failed_mode_raises(self, monkeypatch, smallest):
-        # sigma_min >= 2(1 - k) for every valid spec, so only a failed solve reaches this
-        solve = free_fermion.eigh_tridiagonal
+        # sigma_min >= 2(1 - k) for every valid spec, so only a failed solve reaches this;
+        # free_fermion imports the solver from scipy.linalg at each call
+        solve = scipy.linalg.eigh_tridiagonal
 
         def degenerate(d, e):
             lam, V = solve(d, e)
             lam[0] = smallest
             return lam, V
 
-        monkeypatch.setattr(free_fermion, "eigh_tridiagonal", degenerate)
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", degenerate)
         chain = FermionModelSpec(kind="tfim", modulus=0.5, length=8)
         with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
             ground_state_correlations(chain)
@@ -284,6 +286,16 @@ class TestWindowRoute:
         window, ref = xx_interval_spectrum(N, nu), dense(N, nu)
         assert window.capped == ref.capped
         assert len(window.epsilons) == len(ref.epsilons)
+
+    @pytest.mark.parametrize("nu", [0.5, 0.3])
+    @pytest.mark.parametrize("N", [1, 2, 3, 64, 4097])
+    def test_kernel_product_matches_dense_toeplitz(self, N, nu):
+        # the numpy FFT of the circulant embedding against the dense N x N sine kernel
+        V = np.random.default_rng(N).standard_normal((N, 4))
+        dense = scipy.linalg.toeplitz(free_fermion._sine_kernel_column(N, nu)) @ V
+        product = free_fermion._sine_kernel_product(N, nu, V)
+        assert product.shape == (N, 4) and product.flags.c_contiguous
+        assert np.max(np.abs(product - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("nu", [0.5, 0.3])
     def test_keeps_only_the_solved_modes(self, nu):
