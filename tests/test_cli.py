@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from singlecopy import cli, free_fermion
-from singlecopy.analytic import elliptic_K
+from singlecopy.analytic import elliptic_K, tfim_s1_half
 from singlecopy.entanglement import summary_from_single_particle
 from singlecopy.free_fermion import (
     FermionModelSpec,
@@ -85,7 +85,7 @@ class TestSpectrum:
     @pytest.mark.parametrize("k", [0.5, 0.9, 0.95])
     def test_tfim_modes_below_the_cap_on_the_ladder(self, tmp_path, k):
         # half of a 600-site chain: eps_j = (2j + 1) pi K(k')/K(k) up to the
-        # deepest mode below the cap (measured 2.0e-10 off at most)
+        # deepest mode below the cap (measured 5.7e-11 off at most, at k = 0.95)
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--model", "tfim", "--k", str(k), "--L", "300",
                     "--out", str(out)]) == 0
@@ -93,7 +93,7 @@ class TestSpectrum:
         live = eps[eps < free_fermion.EPS_CAP]
         step = math.pi * elliptic_K(math.sqrt(1.0 - k * k)) / elliptic_K(k)
         assert len(live) >= 3
-        assert np.max(np.abs(live - (2 * np.arange(len(live)) + 1) * step)) <= 1e-8
+        assert np.max(np.abs(live - (2 * np.arange(len(live)) + 1) * step)) <= 1e-10
 
 
     @pytest.mark.parametrize("model, option", [("tfim", "--k=0.9"), ("xx", "--nu=0.5")])
@@ -363,12 +363,20 @@ class TestScipyImports:
         assert scipy_modules_after(code) == set()
         assert json.loads(report.read_text())["c_extrapolated"] is not None
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--model", "tfim", "--k", "0.5", "--L", "64"],
+        ["spectrum", "--model", "tfim", "--k", "0.9", "--L", "300"],
+    ], ids=["scan", "spectrum"])
+    def test_tfim_loads_no_scipy(self, tmp_path, argv):
+        # the Ising cut solves no eigenproblem
+        code = sce_in_fresh_interpreter(*argv, "--out", str(tmp_path / "out.csv"))
+        assert scipy_modules_after(code) == set()
+
     @pytest.mark.parametrize("argv, solvers", [
         (["scan", "--model", "xx", "--L", "64", "4096"], "scipy.linalg"),
-        (["scan", "--model", "tfim", "--k", "0.5", "--L", "64"], "scipy.linalg"),
         (["scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8"],
          "scipy.linalg, scipy.sparse.linalg"),
-    ], ids=["xx", "tfim", "xxz-ed"])
+    ], ids=["xx", "xxz-ed"])
     def test_scan_loads_only_its_solvers(self, tmp_path, argv, solvers):
         # against what importing the solvers loads, which differs between scipy releases
         code = sce_in_fresh_interpreter(*argv, "--out", str(tmp_path / "scan.csv"))
@@ -611,12 +619,13 @@ class TestEdMemoryPreflight:
 
 class TestDenseMemoryPreflight:
     @pytest.mark.parametrize("argv", [
-        ["scan", "--model", "tfim", "--k", "0.5", "--L", "100000"],
+        ["scan", "--model", "tfim", "--k", "0.5", "--L", "10000000"],
         ["scan", "--model", "xx", "--L", "1000000000"],
-        ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "50000"],
-        # one site past the half-chain limits: 16,384 sites, and --L 8192 of a 2L chain
-        ["scan", "--model", "tfim", "--k", "0.5", "--L", "16385"],
-        ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "8193"],
+        ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "5000000"],
+        # one site past the Ising cut's limits at k = 0.5 (47 quadrature nodes, two
+        # L x 47 arrays): 5,711,392 sites, and --L 2,855,696 of a 2L chain
+        ["scan", "--model", "tfim", "--k", "0.5", "--L", "5711393"],
+        ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "2855697"],
     ])
     def test_oversized_chain_exits_two(self, capsys, argv):
         assert run(argv) == 2
@@ -639,6 +648,13 @@ class TestWindowReach:
 
         assert 1.0 < c_local(16384, 32768) < c_local(2048, 4096)
 
+    def test_ising_chain_past_the_eigenvector_limit(self, capsys):
+        # one site past the 16,384 that the L x L eigenvectors admitted; far from
+        # both ends the cut is the half-infinite chain of the closed form
+        assert run(["scan", "--model", "tfim", "--k", "0.5", "--L", "16385"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert abs(float(row[4]) - tfim_s1_half(0.5)) <= 1e-10
+
 
 class TestExitCodes:
     def test_numerical_failure_maps_to_three(self, monkeypatch, capsys):
@@ -648,6 +664,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli.free_fermion, "xx_interval_spectrum", boom)
         assert run(["spectrum", "--model", "xx", "--L", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_nan_in_the_ising_cut_exits_three(self, monkeypatch, capsys):
+        # a NaN singular value is a numerical failure, not bad input for distillation_bound
+        svd = np.linalg.svd
+
+        def failed(a, compute_uv=True):
+            tau = svd(a, compute_uv=compute_uv)
+            tau[0] = np.nan
+            return tau
+
+        monkeypatch.setattr(np.linalg, "svd", failed)
+        assert run(["scan", "--model", "tfim", "--k", "0.5", "--L", "64"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
 
     @pytest.mark.parametrize("error", [KeyError, TypeError])
     def test_programming_error_is_not_reported_as_bad_input(self, monkeypatch, error):

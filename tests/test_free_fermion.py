@@ -206,7 +206,8 @@ class TestTridiagonalRoute:
     @pytest.mark.parametrize("smallest", [np.nan, -1e-20, 0.0, 1e-24])
     def test_zero_or_failed_mode_raises(self, monkeypatch, smallest):
         # sigma_min >= 2(1 - k) for every valid spec, so only a failed solve reaches this;
-        # free_fermion imports the solver from scipy.linalg at each call
+        # free_fermion imports the solver from scipy.linalg at each call. The cut-block
+        # route solves no eigenproblem (see TestIsingWindowRoute for its failure guard)
         solve = scipy.linalg.eigh_tridiagonal
 
         def degenerate(d, e):
@@ -218,8 +219,6 @@ class TestTridiagonalRoute:
         chain = FermionModelSpec(kind="tfim", modulus=0.5, length=8)
         with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
             ground_state_correlations(chain)
-        with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
-            tfim_block_spectrum(chain, 4)
 
 
 class TestParityZigzag:
@@ -426,20 +425,45 @@ class TestIsingWindowRoute:
         assert np.array_equal(first.epsilons, second.epsilons)
         assert np.array_equal(first.occupations, second.occupations)
 
-    def test_doubled_window_closer_to_svd_oracle(self):
-        # nine modes below the cap, one more than the first 16-column pass keeps.
-        # Against the dense SVD polar factor the window route is 1.2e-12 off on S
-        # and 8.3e-13 on S1; the block route 1.4e-11 and 1.5e-12
-        k, L, n = 0.99, 400, 200
+    # against the dense SVD polar factor, measured: S 6.3e-15 and S1 1.6e-15 off at
+    # k = 0.99, 4.7e-14 and 2.5e-15 at k = 0.999; the block route is 1.4e-11 and
+    # 1.5e-12, then 6.5e-11 and 1.3e-11 off. Top-down (bottom-up) pivots swept
+    # whole, not less 4k^2 (less 4), put S 9.9e-13 (3.6e-12) off at k = 0.999
+    @pytest.mark.parametrize("k, L, bound", [(0.99, 400, 1e-13), (0.999, 800, 2e-13)])
+    def test_closer_to_svd_oracle_than_block_route(self, k, L, bound):
+        n = L // 2
         G, F = tfim_polar_correlations(L, k)
         oracle = summary_from_single_particle(
             single_particle_energies(CorrelationData(G[:n, :n], F[:n, :n])))
-        window = self.window(k, L, n)
-        assert len(window.epsilons) == 9
-        a, b = summary_from_single_particle(window), summary_from_single_particle(self.block(k, L, n))
-        assert abs(a.S - oracle.S) <= 5e-12
-        assert abs(a.S1 - oracle.S1) <= 2e-12
+        a = summary_from_single_particle(self.window(k, L, n))
+        b = summary_from_single_particle(self.block(k, L, n))
+        assert abs(a.S - oracle.S) <= bound
+        assert abs(a.S1 - oracle.S1) <= bound
         assert abs(a.S - oracle.S) < abs(b.S - oracle.S)
+        assert abs(a.S1 - oracle.S1) < abs(b.S1 - oracle.S1)
+
+    @pytest.mark.parametrize("k, nodes", [(0.01, 33), (0.3, 41), (0.9, 69), (0.99, 99),
+                                          (0.9999, 157)])
+    def test_quadrature_of_inverse_square_root(self, k, nodes):
+        # on the spectrum [4(1-k)^2, 4(1+k)^2] of D^T D; measured 8.7e-15 at most
+        s, w = free_fermion._resolvent_nodes(k)
+        lam = np.linspace(4 * (1 - k) ** 2, 4 * (1 + k) ** 2, 4000)
+        approx = (w / (lam[:, None] + s)).sum(axis=1)
+        assert len(s) == nodes
+        assert np.max(np.abs(approx * np.sqrt(lam) - 1.0)) <= 1e-14
+
+    def test_nan_singular_value_raises(self, monkeypatch):
+        # the occupation check is the route's failure guard; NaN fails it
+        svd = np.linalg.svd
+
+        def failed(a, compute_uv=True):
+            tau = svd(a, compute_uv=compute_uv)
+            tau[0] = np.nan
+            return tau
+
+        monkeypatch.setattr(np.linalg, "svd", failed)
+        with pytest.raises(np.linalg.LinAlgError, match="NaN"):
+            self.window(0.5, 64, 32)
 
     def test_rejects_xx_chain(self):
         with pytest.raises(ValueError, match="Ising"):
@@ -689,9 +713,9 @@ class TestMemory:
         assert peak <= 2.1 * 8 * L**2
 
     def test_tfim_window_peak(self):
-        # V and the kept rows of U set the peak, as for the block route; the
-        # window's arrays are n x p and p x L
-        L = 512
+        # under 5% of the eigenvector route's two L x L arrays: the cut route holds
+        # n x N and (L - n) x N arrays for N quadrature nodes (measured 2.4 MB)
+        L = 4096
         chain = FermionModelSpec(kind="tfim", modulus=0.5, length=L)
         tracemalloc.start()
         try:
@@ -699,7 +723,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.1 * 8 * L**2
+        assert peak <= 0.05 * 2.1 * 8 * L**2
 
 
 class TestMemoryPreflight:
@@ -713,8 +737,8 @@ class TestMemoryPreflight:
             FermionModelSpec(kind="tfim", modulus=0.5, length=100_000)),
         lambda: ground_state_correlations(
             FermionModelSpec(kind="tfim", modulus=0.5, length=100_000), sites=50_000),
-        lambda: tfim_block_spectrum(FermionModelSpec(kind="tfim", modulus=0.5, length=100_000),
-                                    50_000),
+        lambda: tfim_block_spectrum(FermionModelSpec(kind="tfim", modulus=0.5, length=10**7),
+                                    5 * 10**6),
     ], ids=["xx-interval", "xx-window", "xx-chain", "tfim-chain", "tfim-half-chain",
             "tfim-cut-window"])
     def test_oversized_build_rejected_before_allocating(self, build):
