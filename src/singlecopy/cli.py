@@ -93,12 +93,8 @@ def _row(model: str, parameter: float, L: int, summary) -> str:
 
 
 def _half_chain_spectrum(chain: free_fermion.FermionModelSpec):
-    """Entanglement spectrum of the leading ceil(L/2) sites of an open chain's ground state."""
-    n = (chain.length + 1) // 2
-    if chain.kind == "tfim":
-        return free_fermion.tfim_block_spectrum(chain, n)
-    return free_fermion.single_particle_energies(  # XX: zero mode filled, Sz = +1/2 if L is odd
-        free_fermion.ground_state_correlations(chain, "filled", n))
+    """Entanglement spectrum of the leading ceil(L/2) sites of an open Ising chain."""
+    return free_fermion.tfim_block_spectrum(chain, (chain.length + 1) // 2)
 
 
 def _xx_row(nu: float, L: int) -> str:
@@ -307,12 +303,15 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
     top = 100
     per_length = {}
     for L in lengths:
+        cut = (L + 1) // 2
         state = exact_diag.xxz_ground_state(exact_diag.XxzSpec(L, 0.0))
-        ed_weights = exact_diag.rdm_weights(state, (L + 1) // 2)
+        ed_weights = exact_diag.rdm_weights(state, cut)
         ed_summary = summary_from_weights(ed_weights)
 
         # the Sz=+1/2 sector state has the chain zero mode occupied
-        spec = _half_chain_spectrum(free_fermion.FermionModelSpec(kind="xx", length=L))
+        G = free_fermion.ground_state_correlations(
+            free_fermion.FermionModelSpec(kind="xx", length=L), "filled").G
+        spec = free_fermion.single_particle_energies(free_fermion.CorrelationData(G[:cut, :cut]))
         ff_summary = summary_from_single_particle(spec)
         ff_weights = many_body_spectrum(spec, top)
 
@@ -323,7 +322,7 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
             "dS1": abs(ed_summary.S1 - ff_summary.S1),
             "dS": abs(ed_summary.S - ff_summary.S),
             "dweight": float(np.max(np.abs(a - b))),
-            "dE": abs(state.energy - ff_ground_energy(L)),
+            "dE": abs(state.energy - np.trace(G, 1)),  # <H> = sum_i G[i, i+1]
         }
     report = {
         "delta": 0.0,
@@ -334,13 +333,6 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
     }
     _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
-
-
-def ff_ground_energy(L: int) -> float:
-    """Open XX chain ground energy: filled negative single-particle modes."""
-    q = np.arange(1, L + 1)
-    e = np.cos(np.pi * q / (L + 1))
-    return float(np.sum(e[e < -1e-12]))
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,11 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     """Lowest state of the relevant Sz sector, deterministic up to sign.
 
     The overall phase is fixed by making the first nonzero amplitude
-    positive. Raises ValueError, before any sector array is built, if the
-    memory estimate is over the budget, and LinAlgError if the
-    eigenresidual misses 1e-10.
+    positive. In the Neel phase (even length, delta > 1) Lanczos may mix the
+    nearly degenerate Sz = 0 pair; a vector over 1e-8 from an eigenvector of
+    the spin flip F becomes the lower-energy one of the normalized v +- Fv.
+    Raises ValueError, before any sector array is built, if the memory
+    estimate is over the budget, and LinAlgError if the eigenresidual misses 1e-10.
     """
     L = spec.length
     n_up = (L + 1) // 2  # Sz = +1/2 sector for odd length, 0 for even
@@ -155,6 +157,11 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     from scipy.sparse.linalg import eigsh
     evals, evecs = eigsh(H, k=1, which="SA", v0=v0, tol=0)
     energy, vec = float(evals[0]), evecs[:, 0]
+    if L % 2 == 0 and spec.delta > 1.0:  # Neel phase: Lanczos may mix the nearly degenerate pair
+        flipped = vec[np.searchsorted(basis, basis ^ ((1 << L) - 1))]  # global spin flip
+        if min(np.linalg.norm(vec - flipped), np.linalg.norm(vec + flipped)) > 1e-8:
+            pair = [w / np.linalg.norm(w) for w in (vec + flipped, vec - flipped)]
+            energy, vec = min(((float(w @ (H @ w)), w) for w in pair), key=lambda ew: ew[0])
     residual = np.linalg.norm(H @ vec - energy * vec)
     if residual > _RESIDUAL_TOL * max(1.0, abs(energy)):
         raise np.linalg.LinAlgError(

@@ -6,7 +6,7 @@ Two solvable models are covered:
   Jordan-Wigner image of the XXZ chain), either as an interval of the
   infinite chain via the closed-form sine kernel or, for its spectrum, a
   window of modes of Slepian's commuting tridiagonal matrix, or as a
-  finite open chain via its tridiagonal hopping matrix;
+  finite open chain via its closed-form modes and one FFT;
 * the transverse-field Ising chain in its disordered phase (pairing terms
   present), as a finite open chain via its lower-bidiagonal L x L block
   D = A - B, from one tridiagonal eigensolve of D^T D; a subsystem of
@@ -286,20 +286,20 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
                               sites: int | None = None) -> CorrelationData:
     """Correlation matrices of the many-body ground state of an open chain.
 
-    The chain is H = sum A_ij c^dag_i c_j + (1/2) sum (B_ij c^dag_i c^dag_j + h.c.),
-    solved by one `eigh_tridiagonal` call. XX chain: A has hopping 1/2 on
-    nearest-neighbor bonds (Jordan-Wigner image of the XY exchange), B = 0,
-    F is None. Ising chain with coupling k: A_ii = 2, A_{i,i+1} = -k = B_{i,i+1},
-    so H = (i/2) sum D_mn a_m b_n in Majoranas, with D = A - B lower bidiagonal
-    (2 on the diagonal, -2k below). With D^T D = V diag(sigma^2) V^T and
+    The chain is H = sum A_ij c^dag_i c_j + (1/2) sum (B_ij c^dag_i c^dag_j + h.c.).
+    XX chain: A has hopping 1/2 on nearest-neighbor bonds (Jordan-Wigner image
+    of the XY exchange), B = 0, F is None. Mode q = 1..L has energy cos(pi q/(L+1))
+    and is filled iff 2q > L + 1, so G[i, j] = c(i - j) - c(i + j + 2) with
+    c(m) = sum_q occ_q cos(pi q m/(L+1)) / (L+1), from one FFT. Ising chain with
+    coupling k: A_ii = 2, A_{i,i+1} = -k = B_{i,i+1}, so H = (i/2) sum D_mn a_m b_n
+    in Majoranas, with D = A - B lower bidiagonal (2 on the diagonal, -2k below).
+    With D^T D = V diag(sigma^2) V^T from one `eigh_tridiagonal` call and
     U = D V / sigma, the polar factor W = U V^T gives G = (1 - (W + W^T)/2)/2
     and F = (W - W^T)/4. With `sites` = n, an integer in 1..L, G and F are
-    the n x n blocks of the leading n sites, built from the first n rows of
-    the eigenvectors alone (Ising W_A = U_A V_A^T, XX G_A = (phi_A occ) phi_A^T);
-    the default is the whole chain.
+    the n x n blocks of the leading n sites (Ising W_A = U_A V_A^T needs the
+    first n rows of the eigenvectors alone); the default is the whole chain.
 
-    Negative-energy modes are filled. Modes of the XX chain at exactly zero
-    single-particle energy (degenerate ground states, e.g. odd length) are
+    The zero mode 2q = L + 1 of an odd XX chain (degenerate ground states) is
     occupied according to `zero_mode`:
 
     * "half"   -- occupation 1/2; the resulting Gaussian state is the even
@@ -323,18 +323,17 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
         raise ValueError(f"the Ising chain has no zero mode, got zero_mode={zero_mode!r}")
     L = model.length
     n = _check_size("sites", L if sites is None else sites, 1, L)
-    # the L x L eigenvectors with either the eigensolver's L x L workspace or
-    # the kept rows of U (Ising U = D V / sigma, XX phi occ) and their temporary
-    _check_dense_memory(L, 1, L + max(L, 2 * n))
     _check_dense_memory(n, _GROUND_STATE_ARRAYS)  # the n x n arrays of the G/F stage
+    if model.kind == "xx":  # occ[q] of mode q = 1..L, energy cos(pi q/(L+1)); occ[0] = 0
+        q = np.arange(L + 1)
+        occ = np.where(2 * q == L + 1, occupation[zero_mode], 2 * q > L + 1)
+        c = np.fft.fft(occ, 2 * L + 2).real / (L + 1)
+        i = np.arange(n)
+        return CorrelationData(c[abs(i[:, None] - i)] - c[i[:, None] + i + 2])
+    # the L x L eigenvectors with either the eigensolver's L x L workspace or
+    # the kept rows of U = D V / sigma and their temporary
+    _check_dense_memory(L, 1, L + max(L, 2 * n))
     from scipy.linalg import eigh_tridiagonal
-    if model.kind == "xx":
-        evals, phi = eigh_tridiagonal(np.zeros(L), np.full(L - 1, 0.5))
-        occ = np.where(evals < -1e-12, 1.0, 0.0)
-        occ[np.abs(evals) <= 1e-12] = occupation[zero_mode]
-        G = (phi[:n] * occ) @ phi[:n].T
-        del phi  # so that the G stage holds only n x n arrays
-        return CorrelationData(0.5 * (G + G.T))
     k = model.modulus
     lam, V = eigh_tridiagonal(np.append(np.full(L - 1, 4 + 4 * k * k), 4.0), np.full(L - 1, -4 * k))
     if not lam[0] > 1e-24:  # negated, so that NaN never reaches sqrt

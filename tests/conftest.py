@@ -81,6 +81,18 @@ def open_xx_correlations(L, zero_occupation):
     return (phi * occ) @ phi.T
 
 
+def open_xx_correlations_mp(L, zero_occupation, dps=40):
+    """`open_xx_correlations` as a mode sum in mpmath at `dps` digits, rounded to float64."""
+    with mpmath.workdps(dps):
+        phi = [[mpmath.sin(mpmath.pi * q * j / (L + 1)) for j in range(1, L + 1)]
+               for q in range(1, L + 1)]
+        occ = [1 if 2 * q > L + 1 else zero_occupation if 2 * q == L + 1 else 0
+               for q in range(1, L + 1)]
+        modes = [(mpmath.mpf(o) * 2 / (L + 1), row) for o, row in zip(occ, phi) if o]
+        return np.array([[float(mpmath.fsum(w * row[i] * row[j] for w, row in modes))
+                          for j in range(L)] for i in range(L)])
+
+
 def dense_ground_state(H):
     evals, evecs = eigh(H)
     return evals[0], evecs[:, 0]

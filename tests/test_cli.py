@@ -372,6 +372,13 @@ class TestScipyImports:
         code = sce_in_fresh_interpreter(*argv, "--out", str(tmp_path / "out.csv"))
         assert scipy_modules_after(code) == set()
 
+    def test_open_xx_correlations_load_no_scipy(self):
+        # the closed-form modes need one numpy FFT and no eigensolver
+        code = ("from singlecopy import free_fermion as ff\n"
+                "ff.ground_state_correlations(ff.FermionModelSpec(kind='xx', length=65), "
+                "'filled', 33)")
+        assert scipy_modules_after(code) == set()
+
     @pytest.mark.parametrize("argv, solvers", [
         (["scan", "--model", "xx", "--L", "64", "4096"], "scipy.linalg"),
         (["scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8"],

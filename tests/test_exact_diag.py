@@ -59,6 +59,21 @@ class TestGroundState:
         state = xxz_ground_state(XxzSpec(L, delta))
         assert state.energy == pytest.approx(e_full, abs=1e-11)
 
+    @pytest.mark.parametrize("delta", [100.0, 1000.0])
+    def test_neel_doublet_resolved(self, delta):
+        # the Sz = 0 pair is split exponentially little in L, and Lanczos alone returns
+        # a size-dependent mix of the two; a spin-flip eigenvector gives the gapped S
+        entropies = {}
+        for L in (12, 16, 18):
+            state = xxz_ground_state(XxzSpec(L, delta))
+            basis = _sector_basis(L, L // 2)
+            v = state.amplitudes
+            flipped = v[np.searchsorted(basis, basis ^ ((1 << L) - 1))]
+            assert min(np.linalg.norm(v - flipped), np.linalg.norm(v + flipped)) <= 1e-10
+            entropies[L] = summary_from_weights(rdm_weights(state, L // 2)).S
+        assert abs(entropies[16] - entropies[12]) <= 1e-8
+        assert abs(entropies[18] - entropies[12]) <= 1e-8
+
     def test_sector_choice(self):
         assert xxz_ground_state(XxzSpec(5, 0.2)).sector_sz == pytest.approx(0.5)
         assert xxz_ground_state(XxzSpec(6, 0.2)).sector_sz == pytest.approx(0.0)

@@ -26,6 +26,7 @@ from conftest import (
     entropies_from_weights,
     jin_korepin_entropies,
     open_xx_correlations,
+    open_xx_correlations_mp,
     rdm_weights_dense,
     sine_kernel_entropies_mp,
     tfim_dense_hamiltonian,
@@ -144,7 +145,8 @@ class TestGroundStateCorrelations:
 
 
 class TestTridiagonalRoute:
-    """Both open chains from one tridiagonal eigensolve, against dense oracles."""
+    """Both open chains against dense oracles: the Ising chain from one tridiagonal
+    eigensolve, the XX chain from its closed-form modes."""
 
     @pytest.mark.parametrize("k", [1e-6, 0.3, 0.75, 0.95, 0.999, 1 - 1e-8])
     @pytest.mark.parametrize("L", [2, 3, 7, 64, 400])
@@ -183,6 +185,13 @@ class TestTridiagonalRoute:
             assert corr.F is None
             assert corr.G.shape == (m, m)
             assert np.max(np.abs(corr.G - G[:m, :m])) <= 1e-12
+
+    @pytest.mark.parametrize("zero_mode, occupation", [("half", 0.5), ("filled", 1.0),
+                                                       ("empty", 0.0)])
+    @pytest.mark.parametrize("L", [7, 20, 33])
+    def test_xx_matches_40_digit_mode_sum(self, L, zero_mode, occupation):
+        G = ground_state_correlations(FermionModelSpec(kind="xx", length=L), zero_mode).G
+        assert np.max(np.abs(G - open_xx_correlations_mp(L, occupation))) <= 2.5e-16
 
     @pytest.mark.parametrize("kind, k", [("xx", None), ("tfim", 0.75)])
     @pytest.mark.parametrize("L", [2, 7, 64])
@@ -711,6 +720,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * 8 * L**2
+
+    def test_xx_half_chain_peak(self):
+        # two n x n gathers and their difference; no L x L eigenvectors (8 n^2 floats)
+        L = 4097
+        n = (L + 1) // 2
+        chain = FermionModelSpec(kind="xx", length=L)
+        tracemalloc.start()
+        try:
+            ground_state_correlations(chain, "filled", n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * n**2
 
     def test_tfim_window_peak(self):
         # under 5% of the eigenvector route's two L x L arrays: the cut route holds
