@@ -10,10 +10,12 @@ the most significant bit, so any cut splits a state as (left << L_right) | right
 and each Schmidt block (a fixed number of up spins on the left) is a set of
 contiguous runs of the sector vector, one run of right parts per left part.
 
-Solver: Lanczos (ARPACK, deterministic start vector) for every sector; the
-residual ||H v - E v|| must reach 1e-10. Basis and Hamiltonian are built
-with numpy bit operations inside the sector, never over all 2^L states, once
-an estimate of 80 bytes per Hamiltonian nonzero fits a 4 GiB budget (L <= 24).
+Solver: Lanczos (ARPACK, deterministic start vector) on the Marshall block of
+the sector (see `xxz_ground_state`); the block's residual ||H v - E v||, which
+is the sector's, must reach 1e-10. Basis and block are built with numpy bit
+operations inside the sector, never over all 2^L states, once an estimate of
+80 bytes per nonzero of the whole sector's Hamiltonian fits a 4 GiB budget
+(L <= 24).
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
-# the preflight's upper bound on peak bytes per Hamiltonian nonzero; the build
-# and the Lanczos solve each peak near 45-47 (traced at L = 18..21), and 80 is
-# kept so that the admitted sizes (L <= 24) stay as they were
+# the preflight's upper bound on peak bytes per nonzero of the whole sector's
+# Hamiltonian; the block build and its Lanczos solve peak near 21 (even L) and
+# 35 (odd L) (traced at L = 18..21), and 80 is kept so that the admitted sizes
+# (L <= 24) stay as they were
 _BYTES_PER_NONZERO = 80
 
 
@@ -110,34 +113,57 @@ def _sector_basis(length: int, n_up: int) -> np.ndarray:
     return level.get(n_up, empty)
 
 
-def _sector_hamiltonian(length: int, delta: float, basis: np.ndarray) -> scipy.sparse.csr_matrix:
+def _marshall_block(length: int, n_up: int, delta: float):
+    """The sector's H on the unit orbit sums u_O = |O|^(-1/2) sum_{s in O} m(s)|s>.
+
+    O runs over the orbits of the reflection and, at Sz = 0, the spin flip; a
+    hop from the least state of O into orbit O' adds -1/2 sqrt(|O|/|O'|).
+    Returns the block, each sector state's orbit index, and its amplitude
+    factor m(s)/sqrt(|O|).
+    """
     from scipy.sparse import csr_matrix  # not at the top: importing singlecopy loads no scipy
-    dim = len(basis)
-    diag = np.zeros(dim)
-    rows, cols = [], []
-    for s in range(length - 1):
-        bi = (basis >> (length - 1 - s)) & 1
-        bj = (basis >> (length - 2 - s)) & 1
+    L, basis = length, _sector_basis(length, n_up)
+    mirror = np.zeros_like(basis)
+    for bit in range(L):
+        mirror |= ((basis >> bit) & 1) << (L - 1 - bit)
+    images = [basis, mirror]
+    if 2 * n_up == L:
+        images += [image ^ ((1 << L) - 1) for image in images]
+    least = np.minimum.reduce(images)
+    size = len(images) / sum(image == basis for image in images)  # |group| / |stabilizer|
+    reps = np.flatnonzero(least == basis)
+    rep_states = basis[reps]
+    orbit = np.searchsorted(rep_states, least)
+    diag = np.zeros(len(reps))
+    targets, cols = [], []
+    for s in range(L - 1):
+        bi = (rep_states >> (L - 1 - s)) & 1
+        bj = (rep_states >> (L - 2 - s)) & 1
         diag += delta * (bi - 0.5) * (bj - 0.5)
         hop = np.flatnonzero(bi != bj)
         # flipping the antiparallel pair (s, s+1) stays inside the sector
-        rows.append(np.searchsorted(basis, basis[hop] ^ (3 << (length - 2 - s))))
+        targets.append(np.searchsorted(basis, rep_states[hop] ^ (3 << (L - 2 - s))))
         cols.append(hop)
-    rows.append(np.arange(dim))
-    cols.append(rows[-1])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    vals = np.full(len(rows), 0.5)  # every hop, then the diagonal last
-    vals[-dim:] = diag
-    return csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    targets, cols = np.concatenate(targets), np.concatenate(cols)
+    vals = np.append(-0.5 * np.sqrt(size[reps[cols]] / size[targets]), diag)
+    every = np.arange(len(reps))
+    H = csr_matrix((vals, (np.append(orbit[targets], every), np.append(cols, every))),
+                   shape=(len(reps), len(reps)))  # hops into one orbit are summed
+    odd_sites = sum(1 << (L - 1 - j) for j in range(1, L, 2))
+    return H, orbit, (-1.0) ** np.bitwise_count(basis & odd_sites) / np.sqrt(size)
 
 
 def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     """Lowest state of the relevant Sz sector, deterministic up to sign.
 
-    The overall phase is fixed by making the first nonzero amplitude
-    positive. In the Neel phase (even length, delta > 1) Lanczos may mix the
-    nearly degenerate Sz = 0 pair; a vector over 1e-8 from an eigenvector of
-    the spin flip F becomes the lower-energy one of the normalized v +- Fv.
+    With the Marshall sign m(s) = (-1)^(up spins on odd sites) every hop is
+    -1/2, so the sector ground state is m(s) times a positive vector, unique
+    and invariant under the reflection j -> L-1-j and, at Sz = 0, the spin
+    flip (Marshall, Proc. R. Soc. A 232, 48 (1955); Lieb and Mattis, J. Math.
+    Phys. 3, 749 (1962)). Lanczos runs on the orbit sums of these symmetries,
+    a half (odd length) or a quarter (even length) of the sector; the Neel
+    phase's near-degenerate partner (even length, delta > 1) lies outside it.
+    The overall phase is fixed by making the first nonzero amplitude positive.
     Raises ValueError, before any sector array is built, if the memory
     estimate is over the budget, and LinAlgError if the eigenresidual misses 1e-10.
     """
@@ -150,24 +176,20 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     if log_bytes > math.log(_MEMORY_BUDGET):
         raise ValueError(f"{L} sites need about 10^{log_bytes / math.log(10):.1f} bytes, "
                          f"over the {_MEMORY_BUDGET >> 30} GiB diagonalization memory budget")
-    basis = _sector_basis(L, n_up)
-    H = _sector_hamiltonian(L, spec.delta, basis)
-    # deterministic start vector with no symmetry alignment
-    v0 = np.cos(0.7 * np.arange(H.shape[0]) + 0.3)
-    from scipy.sparse.linalg import eigsh
-    evals, evecs = eigsh(H, k=1, which="SA", v0=v0, tol=0)
-    energy, vec = float(evals[0]), evecs[:, 0]
-    if L % 2 == 0 and spec.delta > 1.0:  # Neel phase: Lanczos may mix the nearly degenerate pair
-        flipped = vec[np.searchsorted(basis, basis ^ ((1 << L) - 1))]  # global spin flip
-        if min(np.linalg.norm(vec - flipped), np.linalg.norm(vec + flipped)) > 1e-8:
-            pair = [w / np.linalg.norm(w) for w in (vec + flipped, vec - flipped)]
-            energy, vec = min(((float(w @ (H @ w)), w) for w in pair), key=lambda ew: ew[0])
-    residual = np.linalg.norm(H @ vec - energy * vec)
+    H, orbit, factor = _marshall_block(L, n_up, spec.delta)
+    if H.shape[0] == 1:  # two sites: one orbit, and eigsh needs k < n
+        evals, evecs = H.diagonal(), np.ones((1, 1))
+    else:
+        v0 = np.cos(0.7 * np.arange(H.shape[0]) + 0.3)
+        from scipy.sparse.linalg import eigsh
+        evals, evecs = eigsh(H, k=1, which="SA", v0=v0, tol=0)
+    energy, block_vec = float(evals[0]), evecs[:, 0]
+    residual = np.linalg.norm(H @ block_vec - energy * block_vec)
     if residual > _RESIDUAL_TOL * max(1.0, abs(energy)):
         raise np.linalg.LinAlgError(
             f"ground-state residual {residual:.2e} above {_RESIDUAL_TOL}"
         )
-    vec = vec / np.linalg.norm(vec)
+    vec = factor * block_vec[orbit]
     first = np.flatnonzero(np.abs(vec) > 1e-12)[0]
     if vec[first] < 0:
         vec = -vec

@@ -290,9 +290,10 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
     XX chain: A has hopping 1/2 on nearest-neighbor bonds (Jordan-Wigner image
     of the XY exchange), B = 0, F is None. Mode q = 1..L has energy cos(pi q/(L+1))
     and is filled iff 2q > L + 1, so G[i, j] = c(i - j) - c(i + j + 2) with
-    c(m) = sum_q occ_q cos(pi q m/(L+1)) / (L+1), from one FFT. Ising chain with
-    coupling k: A_ii = 2, A_{i,i+1} = -k = B_{i,i+1}, so H = (i/2) sum D_mn a_m b_n
-    in Majoranas, with D = A - B lower bidiagonal (2 on the diagonal, -2k below).
+    c(m) = sum_q occ_q cos(pi q m/(L+1)) / (L+1), from one FFT, and both terms
+    are rows of one strided view of c. Ising chain with coupling k: A_ii = 2,
+    A_{i,i+1} = -k = B_{i,i+1}, so H = (i/2) sum D_mn a_m b_n in Majoranas, with
+    D = A - B lower bidiagonal (2 on the diagonal, -2k below).
     With D^T D = V diag(sigma^2) V^T from one `eigh_tridiagonal` call and
     U = D V / sigma, the polar factor W = U V^T gives G = (1 - (W + W^T)/2)/2
     and F = (W - W^T)/4. With `sites` = n, an integer in 1..L, G and F are
@@ -328,8 +329,8 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
         q = np.arange(L + 1)
         occ = np.where(2 * q == L + 1, occupation[zero_mode], 2 * q > L + 1)
         c = np.fft.fft(occ, 2 * L + 2).real / (L + 1)
-        i = np.arange(n)
-        return CorrelationData(c[abs(i[:, None] - i)] - c[i[:, None] + i + 2])
+        window = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[n - 1:0:-1], c)), n)
+        return CorrelationData(window[n - 1::-1] - window[n + 1:2 * n + 1])  # Toeplitz - Hankel
     # the L x L eigenvectors with either the eigensolver's L x L workspace or
     # the kept rows of U = D V / sigma and their temporary
     _check_dense_memory(L, 1, L + max(L, 2 * n))

@@ -1,6 +1,6 @@
 """The quick demos run to the end against the current public API.
 
-Demo 05 (XXZ exact diagonalization up to 21 sites, about half a minute)
+Demo 05 (XXZ exact diagonalization up to 21 sites, about 20 s)
 is too slow for this suite; CI runs it as a step of its own.
 """
 

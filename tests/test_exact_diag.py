@@ -13,8 +13,8 @@ from singlecopy.entanglement import summary_from_single_particle, summary_from_w
 from singlecopy.exact_diag import (
     GroundStateVector,
     XxzSpec,
+    _marshall_block,
     _sector_basis,
-    _sector_hamiltonian,
     rdm_weights,
     xxz_ground_state,
     xxz_scan,
@@ -116,41 +116,123 @@ def combinations_basis(L, n_up):
     return np.array(sorted(states), dtype=np.int64)
 
 
+def marshall_sign(L, s):
+    """(-1)^(up spins on odd sites); site j is bit L - 1 - j."""
+    return (-1) ** sum(s >> (L - 1 - j) & 1 for j in range(1, L, 2))
+
+
+def symmetry_orbits(L, n_up):
+    """Orbits of the sector under reflection and, at Sz = 0, the spin flip, by least state."""
+    flips = (0, (1 << L) - 1) if 2 * n_up == L else (0,)
+    orbits = {}
+    for s in combinations_basis(L, n_up).tolist():
+        mirror = int(f"{s:0{L}b}"[::-1], 2)
+        members = {image ^ f for image in (s, mirror) for f in flips}
+        orbits[min(members)] = sorted(members)
+    return [orbits[least] for least in sorted(orbits)]
+
+
+def sector_hamiltonian(L, n_up, delta):
+    """Dense XXZ matrix on one Sz sector, entry by entry."""
+    basis = combinations_basis(L, n_up).tolist()
+    index = {s: i for i, s in enumerate(basis)}
+    H = np.zeros((len(basis), len(basis)))
+    for i, s in enumerate(basis):
+        for b in range(L - 1):
+            if (s >> b & 1) == (s >> (b + 1) & 1):
+                H[i, i] += delta / 4
+            else:
+                H[i, i] -= delta / 4
+                H[index[s ^ (3 << b)], i] += 0.5
+    return H
+
+
 class TestSectorBuilders:
     @pytest.mark.parametrize("L", list(range(1, 13)))
     def test_basis_matches_enumeration(self, L):
         for n_up in range(L + 1):
             assert np.array_equal(_sector_basis(L, n_up), combinations_basis(L, n_up))
 
-    @pytest.mark.parametrize("L", list(range(2, 13)))
-    def test_nonzero_count(self, L):
-        # the count the memory preflight is built on: the diagonal plus two
-        # entries per antiparallel pair, on each of the L - 1 bonds
-        n_up = (L + 1) // 2
-        H = _sector_hamiltonian(L, 0.0, _sector_basis(L, n_up))
-        assert H.nnz == math.comb(L, n_up) + 2 * (L - 1) * math.comb(L - 2, n_up - 1)
-
     @pytest.mark.parametrize("L", list(range(2, 9)))
     def test_hamiltonian_matches_dense_restriction(self, L):
-        for delta in (-1.0, -0.37, 0.0, 0.5, 2.0):
-            H = xxz_dense_hamiltonian(L, delta)
-            for n_up in range(L + 1):
-                basis = _sector_basis(L, n_up)
-                Hs = _sector_hamiltonian(L, delta, basis).toarray()
-                assert np.array_equal(Hs, H[np.ix_(basis, basis)])
+        # the block is the dense H restricted to the Marshall orbit sums, P^T H P
+        # for the isometry P onto them; the returned orbit indices and factors
+        # are the entries of P
+        deltas = (-1.0, -0.37, 0.0, 0.5, 2.0)
+        dense = {delta: xxz_dense_hamiltonian(L, delta) for delta in deltas}
+        for n_up in range(L + 1):
+            orbits = symmetry_orbits(L, n_up)
+            P = np.zeros((2**L, len(orbits)))
+            for o, members in enumerate(orbits):
+                for s in members:
+                    P[s, o] = marshall_sign(L, s) / math.sqrt(len(members))
+            _, orbit, factor = _marshall_block(L, n_up, 0.0)
+            P_block = np.zeros_like(P)
+            P_block[_sector_basis(L, n_up), orbit] = factor
+            assert np.allclose(P_block, P, rtol=0, atol=1e-15)
+            for delta in deltas:
+                H_block = _marshall_block(L, n_up, delta)[0].toarray()
+                expected = P.T @ dense[delta] @ P
+                assert np.allclose(H_block, expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("L", list(range(2, 13)))
+    def test_nonzero_count(self, L):
+        # by enumeration: each orbit's diagonal entry, and one entry for each
+        # other orbit that a hop from its least state reaches
+        n_up = (L + 1) // 2
+        orbits = symmetry_orbits(L, n_up)
+        orbit_of = {s: o for o, members in enumerate(orbits) for s in members}
+        expected = 0
+        for o, members in enumerate(orbits):
+            least = min(members)
+            reached = {orbit_of[least ^ (3 << b)] for b in range(L - 1)
+                       if (least >> b & 1) != (least >> (b + 1) & 1)}
+            expected += len(reached | {o})
+        H = _marshall_block(L, n_up, 0.0)[0]
+        assert H.shape == (len(orbits), len(orbits))
+        assert H.nnz == expected
 
     def test_build_peak(self):
-        # the build holds its row, column and value arrays once, beside the
-        # CSR result, which keeps it level with the Lanczos solve (about 45)
+        # the sector-sized orbit arrays dominate: 22.6 traced bytes per nonzero of
+        # the whole sector's Hamiltonian at L = 16 (the full-sector build held 48.5),
+        # well inside the 80 that the memory preflight charges
         L = 16
-        basis = _sector_basis(L, L // 2)
+        xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
         try:
-            H = _sector_hamiltonian(L, 0.5, basis)
+            _marshall_block(L, L // 2, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 52 * H.nnz
+        assert peak <= 25 * (math.comb(L, L // 2) + 2 * (L - 1) * math.comb(L - 2, L // 2 - 1))
+
+
+class TestMarshallSector:
+    """The block's symmetry sector against dense full-sector ground states."""
+
+    @pytest.mark.parametrize("L", list(range(2, 13)))
+    def test_ground_state_parities(self, L):
+        # Perron-Frobenius after the Marshall rotation fixes the reflection
+        # parity (+1 odd, (-1)^(L/2) even) and, at Sz = 0, the flip parity (-1)^(L/2)
+        n_up = (L + 1) // 2
+        basis = combinations_basis(L, n_up)
+        mirror = np.searchsorted(basis, [int(f"{s:0{L}b}"[::-1], 2) for s in basis])
+        flip = np.searchsorted(basis, basis ^ ((1 << L) - 1)) if L % 2 == 0 else None
+        reflection_parity = (-1) ** (L // 2) if L % 2 == 0 else 1
+        for delta in (-1.0, -0.5, 0.0, 0.5, 2.0):
+            Hs = sector_hamiltonian(L, n_up, delta)
+            if L <= 8:
+                assert np.array_equal(Hs, xxz_dense_hamiltonian(L, delta)[np.ix_(basis, basis)])
+            energies, vectors = eigh(Hs, subset_by_index=[0, 1])
+            assert energies[1] - energies[0] > 1e-6  # a unique sector ground state
+            v = vectors[:, 0]
+            assert np.allclose(v[mirror], reflection_parity * v, rtol=0, atol=1e-10)
+            if flip is not None:
+                assert np.allclose(v[flip], (-1) ** (L // 2) * v, rtol=0, atol=1e-10)
+            v = -v if v[np.flatnonzero(np.abs(v) > 1e-12)[0]] < 0 else v
+            state = xxz_ground_state(XxzSpec(L, delta))
+            assert state.energy == pytest.approx(energies[0], abs=1e-10)
+            assert np.allclose(state.amplitudes, v, rtol=0, atol=1e-10)
 
 
 class TestRdmWeights:

@@ -722,7 +722,8 @@ class TestMemory:
         assert peak <= 2.1 * 8 * L**2
 
     def test_xx_half_chain_peak(self):
-        # two n x n gathers and their difference; no L x L eigenvectors (8 n^2 floats)
+        # G, the difference of two strided views of c, and the symmetry check's
+        # G - G^T (2.0 measured); no gathers, no L x L eigenvectors (8 n^2 floats)
         L = 4097
         n = (L + 1) // 2
         chain = FermionModelSpec(kind="xx", length=L)
@@ -732,7 +733,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * 8 * n**2
+        assert peak <= 2.5 * 8 * n**2
 
     def test_tfim_window_peak(self):
         # under 5% of the eigenvector route's two L x L arrays: the cut route holds
