@@ -140,20 +140,22 @@ def xx_asymptotic_spectrum(L: float, k: int) -> float:
     return math.pi**2 * (2 * k + 1) / (2.0 * math.log(L))
 
 
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of a, b > 0, read off the geometric mean once within 1e-15."""
+    return _agm(0.5 * (a + b), math.sqrt(a * b)) if abs(a - b) > 1e-15 * a else b
+
+
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
-    Evaluated as scipy's K(m) with the complementary parameter
-    1 - m = k'^2 = (1 - k)(1 + k) passed directly, which keeps full
-    relative accuracy as k -> 1. Diverges logarithmically there, so k >= 1
-    is rejected.
+    K(k) = pi / (2 agm(1, k')), with k' = sqrt((1 - k)(1 + k)) for full relative
+    accuracy as k -> 1, where K diverges logarithmically; k >= 1 is rejected.
     """
     if not k >= 0:
         raise ValueError(f"modulus must be nonnegative, got {k}")
     if not k < 1:
         raise ValueError(f"K(k) diverges at k = 1; got {k}")
-    from scipy.special import ellipkm1  # not at the top: importing singlecopy loads no scipy
-    return float(ellipkm1((1.0 - k) * (1.0 + k)))
+    return 0.5 * math.pi / _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k)))
 
 
 def tfim_s1_half(k: float) -> float:
@@ -167,8 +169,7 @@ def tfim_s1_half(k: float) -> float:
     """
     if not 0.0 < k < 1.0:
         raise ValueError(f"modulus must lie in (0, 1), got {k}")
-    from scipy.special import ellipkm1
-    eps = math.pi * float(ellipkm1(k * k)) / elliptic_K(k)  # K(k') from k^2 unrounded
+    eps = math.pi * _agm(1.0, math.sqrt((1.0 - k) * (1.0 + k))) / _agm(1.0, k)  # K = pi/(2 agm)
     # each term is exp(-2 eps) times the last; stop below 1e-17 of the first
     return math.fsum(math.log1p(math.exp(-(2 * j + 1) * eps))
                      for j in range(1 + math.ceil(20 / eps)))

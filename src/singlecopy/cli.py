@@ -92,11 +92,6 @@ def _row(model: str, parameter: float, L: int, summary) -> str:
                      str(distillation_bound(summary.w1).M_max)))
 
 
-def _half_chain_spectrum(chain: free_fermion.FermionModelSpec):
-    """Entanglement spectrum of the leading ceil(L/2) sites of an open Ising chain."""
-    return free_fermion.tfim_block_spectrum(chain, (chain.length + 1) // 2)
-
-
 def _xx_row(nu: float, L: int) -> str:
     summary = summary_from_single_particle(free_fermion.xx_interval_spectrum(L, nu))
     return _row("xx", nu, L, summary)
@@ -104,7 +99,8 @@ def _xx_row(nu: float, L: int) -> str:
 
 def _tfim_row(k: float, L: int) -> str:
     chain = free_fermion.FermionModelSpec(kind="tfim", modulus=k, length=L)
-    return _row("tfim", k, L, summary_from_single_particle(_half_chain_spectrum(chain)))
+    spec = free_fermion.tfim_block_spectrum(chain, (L + 1) // 2)  # the leading ceil(L/2) sites
+    return _row("tfim", k, L, summary_from_single_particle(spec))
 
 
 def _xxz_row(delta: float, L: int) -> str:
@@ -151,8 +147,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.model == "xx":
         spec = free_fermion.xx_interval_spectrum(L, parameter)
     else:  # the leading L sites of a 2L-site chain
-        spec = _half_chain_spectrum(
-            free_fermion.FermionModelSpec(kind="tfim", modulus=parameter, length=2 * L))
+        chain = free_fermion.FermionModelSpec(kind="tfim", modulus=parameter, length=2 * L)
+        spec = free_fermion.tfim_block_spectrum(chain, L)
     lines = ["k,epsilon,zeta,zero_mode"]
     epsilons = spec.all_epsilons()
     for i, (eps, zeta) in enumerate(zip(epsilons, 1.0 / (1.0 + np.exp(epsilons)))):
@@ -177,13 +173,14 @@ def _read_scan_csv(path: str) -> list[dict]:
         if len(parts) != len(names):
             raise ValueError(f"{path}:{lineno}: malformed row {ln!r}")
         row = dict(zip(names, parts))
-        try:
-            finite = all(math.isfinite(float(row[key])) for key in ("delta_or_k", "L", "S", "S1"))
+        try:  # L as `sce scan` writes it
+            valid = (all(math.isfinite(float(row[key])) for key in ("delta_or_k", "L", "S", "S1"))
+                     and int(row["L"]) >= 1)
         except ValueError:  # not a number
-            finite = False
-        if not finite:
-            raise ValueError(f"{path}:{lineno}: delta_or_k, L, S and S1 must be finite numbers, "
-                             f"got {ln!r}")
+            valid = False
+        if not valid:
+            raise ValueError(f"{path}:{lineno}: delta_or_k, L, S and S1 must be finite numbers "
+                             f"and L an integer >= 1, got {ln!r}")
         rows.append(row)
     return rows
 

@@ -126,9 +126,9 @@ def summary_from_weights(rdm: RdmSpectrum) -> EntanglementSummary:
         raise ValueError(f"weights sum to {total}, outside 1 +- {_WEIGHT_SUM_TOL}")
     w = np.clip(w / total, 0.0, None)
     # w ln w by math.log, 0 at w = 0: the bits of scipy.special.xlogy(w, w), which np.log misses
-    S = float(-np.sum([x * math.log(x) if x else 0.0 for x in w.tolist()]))
+    S = 0.0 - float(np.sum([x * math.log(x) if x else 0.0 for x in w.tolist()]))
     w1 = float(w[0])
-    S1 = -math.log(w1)
+    S1 = 0.0 - math.log(w1)  # 0.0 - x: -x, but +0 and not -0 for a pure state; so in S
     return EntanglementSummary(S=S, S1=S1, w1=w1, lnZ=0.0, E0=S1, meanH=S)
 
 

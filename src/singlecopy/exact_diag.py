@@ -165,7 +165,7 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     phase's near-degenerate partner (even length, delta > 1) lies outside it.
     The overall phase is fixed by making the first nonzero amplitude positive.
     Raises ValueError, before any sector array is built, if the memory
-    estimate is over the budget, and LinAlgError if the eigenresidual misses 1e-10.
+    estimate is over the budget, and LinAlgError if the eigenresidual misses 1e-10 or is NaN.
     """
     L = spec.length
     n_up = (L + 1) // 2  # Sz = +1/2 sector for odd length, 0 for even
@@ -185,10 +185,8 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
         evals, evecs = eigsh(H, k=1, which="SA", v0=v0, tol=0)
     energy, block_vec = float(evals[0]), evecs[:, 0]
     residual = np.linalg.norm(H @ block_vec - energy * block_vec)
-    if residual > _RESIDUAL_TOL * max(1.0, abs(energy)):
-        raise np.linalg.LinAlgError(
-            f"ground-state residual {residual:.2e} above {_RESIDUAL_TOL}"
-        )
+    if not residual <= _RESIDUAL_TOL * max(1.0, abs(energy)):  # negated, so that NaN fails
+        raise np.linalg.LinAlgError(f"ground-state residual {residual:.2e} above {_RESIDUAL_TOL}")
     vec = factor * block_vec[orbit]
     first = np.flatnonzero(np.abs(vec) > 1e-12)[0]
     if vec[first] < 0:
@@ -206,10 +204,9 @@ def rdm_weights(state: GroundStateVector, L_left: int) -> RdmSpectrum:
     descending, and exact zeros below 1e-14 are trimmed.
     """
     _check_size("cut L_left", L_left, 1, state.length - 1)  # both parts nonempty
-    from scipy.linalg import svdvals
     n_up, right = state.n_up, state.length - L_left
     left_up = np.bitwise_count(_sector_basis(state.length, n_up) >> right)
-    s = [svdvals(state.amplitudes[left_up == a].reshape(-1, math.comb(right, n_up - a)))
+    s = [np.linalg.svdvals(state.amplitudes[left_up == a].reshape(-1, math.comb(right, n_up - a)))
          for a in range(max(0, n_up - right), min(n_up, L_left) + 1)]
     w = np.sort(np.concatenate(s) ** 2)[::-1]
     return RdmSpectrum(w[w > _WEIGHT_TRIM], truncated=False)

@@ -217,8 +217,8 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
     """
     _check_interval(L_sub, filling)
     _check_dense_memory(L_sub, _INTERVAL_ARRAYS)
-    from scipy.linalg import toeplitz  # not at the top: importing singlecopy loads no scipy
-    return CorrelationData(toeplitz(_sine_kernel_column(L_sub, filling)))
+    window = _reflected_windows(_sine_kernel_column(L_sub, filling), L_sub)
+    return CorrelationData(window[::-1].copy())  # c(|i - j|)
 
 
 def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectrum:
@@ -233,7 +233,7 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
     mirrored. ValueError is raised before a window over the memory budget.
     """
     _check_interval(L_sub, filling)
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import eigh_tridiagonal  # here, so that importing singlecopy loads no scipy
     N, half = L_sub, filling == 0.5
     top = N // 2 if half else N  # T-indices solved; ascending lambda
     centre = top if half else round((1.0 - filling) * N)
@@ -272,6 +272,11 @@ def _sine_kernel_column(N: int, filling: float) -> np.ndarray:
     if filling == 0.5:  # sin(pi d/2) is exactly 0 at even d; the rounded argument leaves ~1e-17
         column[2::2] = 0.0
     return column
+
+
+def _reflected_windows(c: np.ndarray, n: int) -> np.ndarray:
+    """Strided rows: row n-1-i is c(|i - j|), row n+1+i is c(i + j + 2), for j < n."""
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((c[n - 1:0:-1], c)), n)
 
 
 def _sine_kernel_product(N: int, filling: float, V: np.ndarray) -> np.ndarray:
@@ -329,7 +334,7 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
         q = np.arange(L + 1)
         occ = np.where(2 * q == L + 1, occupation[zero_mode], 2 * q > L + 1)
         c = np.fft.fft(occ, 2 * L + 2).real / (L + 1)
-        window = np.lib.stride_tricks.sliding_window_view(np.concatenate((c[n - 1:0:-1], c)), n)
+        window = _reflected_windows(c, n)
         return CorrelationData(window[n - 1::-1] - window[n + 1:2 * n + 1])  # Toeplitz - Hankel
     # the L x L eigenvectors with either the eigensolver's L x L workspace or
     # the kept rows of U = D V / sigma and their temporary
@@ -439,8 +444,7 @@ def _chiral_epsilons(G: np.ndarray) -> np.ndarray | None:
             return None
         del defect  # one block alive at a time
     # the off-diagonal block of 2G - 1 is 2G; it is empty for a single site
-    from scipy.linalg import svdvals
-    eps_pos = _epsilons_from_singular_values(svdvals(2.0 * G[0::2, 1::2]))
+    eps_pos = _epsilons_from_singular_values(np.linalg.svdvals(2.0 * G[0::2, 1::2]))
     return np.concatenate([-eps_pos, np.zeros(len(G) % 2), eps_pos])
 
 
@@ -461,8 +465,7 @@ def single_particle_energies(corr: CorrelationData) -> EntanglementSpectrum:
     """
     G = corr.G
     if corr.has_pairing:
-        from scipy.linalg import svdvals
-        sigma = svdvals(2.0 * G - np.eye(len(G)) - 2.0 * corr.F)
+        sigma = np.linalg.svdvals(2.0 * G - np.eye(len(G)) - 2.0 * corr.F)
         return _spectrum_from_epsilons(_epsilons_from_singular_values(sigma))
     eps = _chiral_epsilons(G)
     if eps is None:

@@ -1,6 +1,5 @@
 """Command-line surface: schemas, determinism, exit codes, options from @FILE."""
 
-import functools
 import json
 import math
 import os
@@ -177,6 +176,12 @@ class TestScan:
             expected = summary_from_single_particle(spec).S1
             assert float(r[4]) == pytest.approx(expected, abs=1e-9)
 
+    def test_pure_xxz_rows_print_zero_not_minus_zero(self, capsys):
+        # at delta = 1e8 the half cut of an odd chain holds a product state
+        assert run(["scan", "--model", "xxz-ed", "--delta", "1e8", "--L", "3", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "xxz-ed,100000000,3,0,0,1,0,0,1", "xxz-ed,100000000,5,0,0,1,0,0,1"]
+
     def test_xxz_delta_below_minus_one_exits_two(self, capsys):
         assert run(["scan", "--model", "xxz-ed", "--delta", "-2", "--L", "8"]) == 2
         captured = capsys.readouterr()
@@ -292,6 +297,19 @@ class TestFitC:
     def test_non_numeric_value_exits_two_and_names_line(self, tmp_path, capsys, column, value):
         self.refused_cell(tmp_path, capsys, column, value)  # delta_or_k, L, S
 
+    @pytest.mark.parametrize("value", ["2.0", "1e3", "0", "-4"])
+    def test_non_integer_length_exits_two_and_names_line(self, tmp_path, capsys, value):
+        self.refused_cell(tmp_path, capsys, 2, value)  # L, as `sce scan` writes it
+
+    def test_fractional_length_exits_two_not_three(self, tmp_path, capsys):
+        # L = 0.5 beside L = 2 puts an L_mid at 1, whose 1/ln L_mid divides by zero
+        csv = tmp_path / "fractional.csv"
+        self.synthetic_csv(csv, Ls=(0.5, 2, 8, 32))
+        assert run(["fit-c", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {csv}:2: ") and "integer >= 1" in captured.err
+
     def test_schema_mismatch_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
@@ -333,62 +351,148 @@ class TestFitC:
         assert 0.8 < report["c_extrapolated"] < 1.2
 
 
-@functools.cache
-def scipy_modules_after(code):
-    """The scipy modules a fresh interpreter holds after running `code` with `src` on its path."""
+# Runs each probe of a JSON object {name: code} on stdin in a fork of one interpreter
+# that has imported singlecopy.cli, and prints {name: the scipy modules then loaded,
+# or the probe's traceback}.
+_PROBE_DRIVER = """
+import json, os, sys, traceback
+import singlecopy.cli
+results = {}
+for name, code in json.load(sys.stdin).items():
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read)
+        try:
+            exec(code, {})
+            result = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+        except BaseException:
+            result = traceback.format_exc()
+        with os.fdopen(write, "w") as out:
+            json.dump(result, out)
+        os._exit(0)
+    os.close(write)
+    with os.fdopen(read) as inp:
+        results[name] = json.load(inp)
+    os.waitpid(pid, 0)
+print(json.dumps(results))
+"""
+
+
+def sce(*argv):
+    """Probe code that runs `sce argv` and requires exit code 0."""
+    return f"from singlecopy import cli\nassert cli.main({list(argv)!r}) == 0\n"
+
+
+# an argv per analytic formula, at the README's values
+ANALYTIC_ARGVS = [
+    ["elliptic-k", "k=0.7"],
+    ["tfim-s1", "k=0.5"],
+    ["tfim-s1-critical", "k=0.99"],
+    ["xx-spectrum", "L=100", "k=1"],
+    ["conformal-s1", "L=100"],
+    ["conformal-s1", "infinite", "L=100"],
+    ["conformal-s1", "half-infinite", "L=100"],
+    ["conformal-s1", "finite", "L=100", "l=50", "c=1", "a=1", "k1=0"],
+    ["conformal-renyi-trace", "L=100", "n=2"],
+]
+
+
+@pytest.fixture(scope="class")
+def scipy_probes(tmp_path_factory):
+    """The scipy modules that each probe loads, with `src` on the path; probes run in forks
+    of one fresh interpreter, which has loaded no scipy."""
+    tmp = tmp_path_factory.mktemp("probes")
+    assert run(["scan", "--model", "xx", "--L", "64", "128", "256", "512",
+                "--out", str(tmp / "xx.csv")]) == 0
+    out, report = ["--out", str(tmp / "out.txt")], str(tmp / "fit.json")
+    probes = {
+        "import": "",
+        "fit-c": sce("fit-c", str(tmp / "xx.csv"), "--out", report) + "import json\n"
+                 f"assert json.load(open({report!r}))['c_extrapolated'] is not None\n",
+        "tfim scan": sce("scan", "--model", "tfim", "--k", "0.5", "--L", "64", *out),
+        "tfim spectrum": sce("spectrum", "--model", "tfim", "--k", "0.9", "--L", "300", *out),
+        "xx scan": sce("scan", "--model", "xx", "--L", "64", "4096", *out),
+        "xxz-ed scan": sce("scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8", *out),
+        "analytic": "".join(sce("analytic", *argv, *out) for argv in ANALYTIC_ARGVS),
+        "open xx": ("from singlecopy import free_fermion as ff\n"
+                    "ff.ground_state_correlations(ff.FermionModelSpec(kind='xx', length=65), "
+                    "'filled', 33)"),
+        # sublattice SVD at half filling, eigvalsh off it
+        **{f"xx interval {nu}": ("from singlecopy import free_fermion as ff\n"
+                                 "ff.single_particle_energies("
+                                 f"ff.xx_correlations_infinite(64, {nu}))") for nu in (0.5, 0.3)},
+        "paired": ("import numpy as np\nfrom singlecopy import free_fermion as ff\n"
+                   "F = np.array([[0.0, 0.2, 0.0], [-0.2, 0.0, 0.1], [0.0, -0.1, 0.0]])\n"
+                   "corr = ff.CorrelationData(np.full((3, 3), 0.05) + 0.25 * np.eye(3), F)\n"
+                   "assert corr.has_pairing\nff.single_particle_energies(corr)"),
+        "rdm_weights": ("import numpy as np\nfrom singlecopy import exact_diag as ed\n"
+                        "v = np.linspace(1.0, 2.0, 6)\n"
+                        "state = ed.GroundStateVector(v / np.linalg.norm(v), 4, 2, -1.0)\n"
+                        "ed.rdm_weights(state, 2)"),
+        # what importing the solvers loads, which differs between scipy releases
+        "scipy.linalg": "import scipy.linalg",
+        "scipy.linalg, scipy.sparse.linalg": "import scipy.linalg, scipy.sparse.linalg",
+    }
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    probe = code + ("\nimport json, sys\n"
-                    "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'scipy']))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", _PROBE_DRIVER], input=json.dumps(probes),
+                          env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return json.loads(done.stdout.splitlines()[-1])
 
 
-def sce_in_fresh_interpreter(*argv):
-    return f"from singlecopy import cli\nassert cli.main({list(argv)!r}) == 0"
+def loaded(scipy_probes, name):
+    """The scipy modules that probe `name` loaded; its traceback if it failed."""
+    result = scipy_probes[name]
+    assert isinstance(result, list), result
+    return set(result)
 
 
 class TestScipyImports:
     """Each command loads only the scipy modules of the solvers it runs."""
 
-    def test_importing_the_cli_loads_no_scipy(self):
-        assert scipy_modules_after("import singlecopy.cli") == set()
+    def test_importing_the_cli_loads_no_scipy(self, scipy_probes):
+        assert loaded(scipy_probes, "import") == set()
 
-    def test_fit_c_loads_no_scipy(self, tmp_path):
-        table, report = tmp_path / "xx.csv", tmp_path / "fit.json"
-        assert run(["scan", "--model", "xx", "--L", "64", "128", "256", "512",
-                    "--out", str(table)]) == 0
-        code = sce_in_fresh_interpreter("fit-c", str(table), "--out", str(report))
-        assert scipy_modules_after(code) == set()
-        assert json.loads(report.read_text())["c_extrapolated"] is not None
+    def test_fit_c_loads_no_scipy(self, scipy_probes):
+        # the probe also requires the report to hold an extrapolated c
+        assert loaded(scipy_probes, "fit-c") == set()
 
-    @pytest.mark.parametrize("argv", [
-        ["scan", "--model", "tfim", "--k", "0.5", "--L", "64"],
-        ["spectrum", "--model", "tfim", "--k", "0.9", "--L", "300"],
-    ], ids=["scan", "spectrum"])
-    def test_tfim_loads_no_scipy(self, tmp_path, argv):
+    @pytest.mark.parametrize("command", ["scan", "spectrum"])
+    def test_tfim_loads_no_scipy(self, scipy_probes, command):
         # the Ising cut solves no eigenproblem
-        code = sce_in_fresh_interpreter(*argv, "--out", str(tmp_path / "out.csv"))
-        assert scipy_modules_after(code) == set()
+        assert loaded(scipy_probes, f"tfim {command}") == set()
 
-    def test_open_xx_correlations_load_no_scipy(self):
+    def test_open_xx_correlations_load_no_scipy(self, scipy_probes):
         # the closed-form modes need one numpy FFT and no eigensolver
-        code = ("from singlecopy import free_fermion as ff\n"
-                "ff.ground_state_correlations(ff.FermionModelSpec(kind='xx', length=65), "
-                "'filled', 33)")
-        assert scipy_modules_after(code) == set()
+        assert loaded(scipy_probes, "open xx") == set()
 
-    @pytest.mark.parametrize("argv, solvers", [
-        (["scan", "--model", "xx", "--L", "64", "4096"], "scipy.linalg"),
-        (["scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8"],
-         "scipy.linalg, scipy.sparse.linalg"),
+    def test_analytic_loads_no_scipy(self, scipy_probes):
+        # the elliptic K by the arithmetic-geometric mean; every formula is probed
+        assert {(argv[0], argv[1] if "=" not in argv[1] else None)
+                for argv in ANALYTIC_ARGVS} == set(cli._FORMULAS)
+        assert loaded(scipy_probes, "analytic") == set()
+
+    @pytest.mark.parametrize("nu", [0.5, 0.3])
+    def test_dense_xx_interval_loads_no_scipy(self, scipy_probes, nu):
+        # the sine kernel from strided Toeplitz rows, its spectrum by numpy
+        assert loaded(scipy_probes, f"xx interval {nu}") == set()
+
+    def test_paired_spectrum_loads_no_scipy(self, scipy_probes):
+        assert loaded(scipy_probes, "paired") == set()
+
+    def test_rdm_weights_loads_no_scipy(self, scipy_probes):
+        # the Schmidt blocks' singular values by numpy
+        assert loaded(scipy_probes, "rdm_weights") == set()
+
+    @pytest.mark.parametrize("model, solvers", [
+        ("xx", "scipy.linalg"),
+        ("xxz-ed", "scipy.linalg, scipy.sparse.linalg"),
     ], ids=["xx", "xxz-ed"])
-    def test_scan_loads_only_its_solvers(self, tmp_path, argv, solvers):
-        # against what importing the solvers loads, which differs between scipy releases
-        code = sce_in_fresh_interpreter(*argv, "--out", str(tmp_path / "scan.csv"))
-        loaded = scipy_modules_after(code)
-        assert loaded and loaded <= scipy_modules_after(f"import {solvers}")
+    def test_scan_loads_only_its_solvers(self, scipy_probes, model, solvers):
+        scan = loaded(scipy_probes, f"{model} scan")
+        assert scan and scan <= loaded(scipy_probes, solvers)
 
 
 class TestAnalytic:

@@ -110,6 +110,11 @@ class TestSummaryFromWeights:
         s = summary_from_weights(RdmSpectrum(np.array([1.0])))
         assert s.S == 0.0 and s.S1 == 0.0 and s.w1 == 1.0
 
+    def test_pure_state_gives_positive_zeros(self):
+        # +0, so that scan rows print 0 and not -0
+        s = summary_from_weights(RdmSpectrum(np.array([1.0])))
+        assert [math.copysign(1.0, x) for x in (s.S, s.S1, s.E0)] == [1.0, 1.0, 1.0]
+
     def test_bell_pair(self):
         s = summary_from_weights(RdmSpectrum(np.array([0.5, 0.5])))
         assert s.S == pytest.approx(LN2, abs=1e-15)

@@ -83,6 +83,17 @@ class TestGroundState:
         b = xxz_ground_state(XxzSpec(9, -0.7))
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
+    def test_nan_residual_raises(self, monkeypatch):
+        # a Lanczos vector holding NaN must fail the residual check, not reach the cut
+        import scipy.sparse.linalg
+
+        def nan_solve(H, **kwargs):
+            return np.array([-1.0]), np.full((H.shape[0], 1), np.nan)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", nan_solve)
+        with pytest.raises(np.linalg.LinAlgError, match="residual nan"):
+            xxz_ground_state(XxzSpec(8, 0.5))
+
     def test_criticality_flag(self):
         assert XxzSpec(4, 0.5).is_critical
         assert XxzSpec(4, 1.0).is_critical

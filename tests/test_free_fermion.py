@@ -57,6 +57,14 @@ class TestXxInfinite:
         # sin(pi d/2) vanishes at even d; the rounded float argument would leave ~1e-17
         assert np.all(xx_correlations_infinite(N, 0.5).G[0, 2::2] == 0.0)
 
+    @pytest.mark.parametrize("nu", [0.5, 0.3])
+    @pytest.mark.parametrize("N", [1, 2, 7, 64, 513])
+    def test_strided_rows_equal_toeplitz(self, N, nu):
+        # the Toeplitz rows are a copy of the kernel column's bits, C-ordered
+        G = xx_correlations_infinite(N, nu).G
+        assert np.array_equal(G, scipy.linalg.toeplitz(free_fermion._sine_kernel_column(N, nu)))
+        assert G.flags.c_contiguous and G.flags.writeable
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             xx_correlations_infinite(0)
