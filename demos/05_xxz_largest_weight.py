@@ -5,8 +5,8 @@ Exact diagonalization of open XXZ chains, cut in the middle. On a
 double-log plot the curves for different anisotropies are near-parallel
 lines: w1 ~ L^(-c/12) with common c = 1, the anisotropy only shifting the
 non-universal offset. Totals are kept at L = 1 mod 4 so the subsystem
-parity does not alternate between points (the parity oscillation of w1
-dies only logarithmically and would ripple a mixed grid).
+parity does not alternate between points (the parity oscillation of S1
+falls only like 1/L, and on a mixed grid it outweighs the smooth step).
 """
 
 import numpy as np

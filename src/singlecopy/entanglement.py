@@ -135,16 +135,17 @@ def summary_from_weights(rdm: RdmSpectrum) -> EntanglementSummary:
 def renyi_ln_trace(spec: EntanglementSpectrum, n: float) -> float:
     """ln tr(rho^n) = sum_k ln(zeta_k^n + (1-zeta_k)^n) for real n > 0.
 
-    Stable for arbitrarily large n: per mode, n ln zeta = -n ln(1+e^eps)
-    and n ln(1-zeta) = -n ln(1+e^(-eps)) are combined with logaddexp, so
-    -(1/n) times the result tends to S1 without overflow.
+    Stable for large n: per mode, n ln zeta = -n ln(1+e^eps) and
+    n ln(1-zeta) = -n ln(1+e^(-eps)) are combined with logaddexp, so -(1/n)
+    times the result tends to S1 until n S1 itself leaves the float range.
     """
     if not 0 < n < math.inf:
         raise ValueError(f"Renyi index must be positive and finite, got {n}")
     eps = spec.epsilons  # a capped mode contributes 0
     ln_zeta = -np.logaddexp(0.0, eps)
     ln_one_minus = -np.logaddexp(0.0, -eps)
-    return float(np.sum(np.logaddexp(n * ln_zeta, n * ln_one_minus)))
+    with np.errstate(over="ignore"):  # n ln zeta -> -inf is the right limit inside logaddexp
+        return float(np.sum(np.logaddexp(n * ln_zeta, n * ln_one_minus)))
 
 
 def many_body_spectrum(spec: EntanglementSpectrum, M: int) -> RdmSpectrum:

@@ -12,10 +12,9 @@ contiguous runs of the sector vector, one run of right parts per left part.
 
 Solver: Lanczos (ARPACK, deterministic start vector) on the Marshall block of
 the sector (see `xxz_ground_state`); the block's residual ||H v - E v||, which
-is the sector's, must reach 1e-10. Basis and block are built with numpy bit
-operations inside the sector, never over all 2^L states, once an estimate of
-80 bytes per nonzero of the whole sector's Hamiltonian fits a 4 GiB budget
-(L <= 24).
+is the sector's, must reach 1e-10 max(1, |E|). Basis and block are built with
+numpy bit operations inside the sector, never over all 2^L states, once the
+block's memory estimate fits a 4 GiB budget (L <= 26).
 """
 
 from __future__ import annotations
@@ -39,11 +38,10 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
-# the preflight's upper bound on peak bytes per nonzero of the whole sector's
-# Hamiltonian; the block build and its Lanczos solve peak near 21 (even L) and
-# 35 (odd L) (traced at L = 18..21), and 80 is kept so that the admitted sizes
-# (L <= 24) stay as they were
-_BYTES_PER_NONZERO = 80
+# bytes per block nonzero (the sector's nonzeros over the symmetry group's order)
+# that the preflight charges; build and solve peak at 52-75 (odd L) and 81-85
+# (even L), in peak RSS above a 4-site scan at L = 18..26, and L <= 26 is admitted
+_BYTES_PER_NONZERO = 96
 
 
 @dataclass(frozen=True)
@@ -164,15 +162,16 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     a half (odd length) or a quarter (even length) of the sector; the Neel
     phase's near-degenerate partner (even length, delta > 1) lies outside it.
     The overall phase is fixed by making the first nonzero amplitude positive.
-    Raises ValueError, before any sector array is built, if the memory
-    estimate is over the budget, and LinAlgError if the eigenresidual misses 1e-10 or is NaN.
+    Raises ValueError, before any sector array is built, if the memory estimate
+    is over the budget, and LinAlgError if the residual misses 1e-10 max(1, |E|) or is NaN.
     """
     L = spec.length
     n_up = (L + 1) // 2  # Sz = +1/2 sector for odd length, 0 for even
-    # C(L, n) (1 + 2n(L - n)/L) nonzeros: the diagonal, and the 2 C(L-2, n-1)
-    # antiparallel pairs of each bond; in logarithms, so that any L is cheap
+    # the sector's C(L, n) (1 + 2n(L - n)/L) nonzeros (the diagonal; 2 C(L-2, n-1) antiparallel
+    # pairs a bond) over `_marshall_block`'s group order; in logarithms, so any L is cheap
+    group = 4 if 2 * n_up == L else 2
     log_bytes = (math.lgamma(L + 1) - math.lgamma(n_up + 1) - math.lgamma(L - n_up + 1)
-                 + math.log(_BYTES_PER_NONZERO * (1 + 2 * n_up * (L - n_up) / L)))
+                 + math.log(_BYTES_PER_NONZERO * (1 + 2 * n_up * (L - n_up) / L) / group))
     if log_bytes > math.log(_MEMORY_BUDGET):
         raise ValueError(f"{L} sites need about 10^{log_bytes / math.log(10):.1f} bytes, "
                          f"over the {_MEMORY_BUDGET >> 30} GiB diagonalization memory budget")
@@ -184,8 +183,8 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
         from scipy.sparse.linalg import eigsh
         evals, evecs = eigsh(H, k=1, which="SA", v0=v0, tol=0)
     energy, block_vec = float(evals[0]), evecs[:, 0]
-    residual = np.linalg.norm(H @ block_vec - energy * block_vec)
-    if not residual <= _RESIDUAL_TOL * max(1.0, abs(energy)):  # negated, so that NaN fails
+    residual = np.linalg.norm((H @ block_vec - energy * block_vec) / max(1.0, abs(energy)))
+    if not residual <= _RESIDUAL_TOL:  # scaled, so no square overflows; negated, so NaN fails
         raise np.linalg.LinAlgError(f"ground-state residual {residual:.2e} above {_RESIDUAL_TOL}")
     vec = factor * block_vec[orbit]
     first = np.flatnonzero(np.abs(vec) > 1e-12)[0]

@@ -182,6 +182,16 @@ class TestScan:
         assert capsys.readouterr().out.splitlines()[1:] == [
             "xxz-ed,100000000,3,0,0,1,0,0,1", "xxz-ed,100000000,5,0,0,1,0,0,1"]
 
+    @pytest.mark.parametrize("delta", ["1e170", "1e300"])
+    def test_huge_anisotropy_rows_print(self, capsys, delta):
+        # |E| ~ delta: the residual is scaled before its norm squares it
+        assert run(["scan", "--model", "xxz-ed", "--delta", delta, "--L", "4", "7", "12"]) == 0
+        S = {int(r[2]): float(r[3]) for r in
+             (ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:])}
+        assert S[4] == pytest.approx(math.log(2), abs=1e-12)
+        assert S[12] == pytest.approx(math.log(2), abs=1e-12)
+        assert S[7] == 0.0
+
     def test_xxz_delta_below_minus_one_exits_two(self, capsys):
         assert run(["scan", "--model", "xxz-ed", "--delta", "-2", "--L", "8"]) == 2
         captured = capsys.readouterr()
@@ -720,7 +730,7 @@ class TestParameterOptionPerModel:
 
 
 class TestEdMemoryPreflight:
-    @pytest.mark.parametrize("L", ["40", "1000000"])
+    @pytest.mark.parametrize("L", ["27", "40", "1000000"])
     def test_oversized_chain_exits_two(self, capsys, L):
         assert run(["scan", "--model", "xxz-ed", "--delta", "0", "--L", L]) == 2
         captured = capsys.readouterr()

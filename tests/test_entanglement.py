@@ -1,6 +1,7 @@
 """Entanglement summaries, Renyi traces, many-body spectra, distillation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -202,6 +203,15 @@ class TestRenyiTrace:
         for n in (0.0, float("nan"), math.inf):
             with pytest.raises(ValueError):
                 renyi_ln_trace(spec, n)
+
+    def test_index_at_the_float_limit(self):
+        # n ln zeta overflows to -inf for the minority occupation, the right limit
+        # inside logaddexp, while the sum -n S1 is still finite
+        spec = spectrum_from_occupations([0.9, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = renyi_ln_trace(spec, 1e308)
+        assert -value / 1e308 == pytest.approx(summary_from_single_particle(spec).S1, rel=1e-15)
 
     def test_large_n_limit(self, rng):
         spec = random_spectrum(rng, 30)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from singlecopy import exact_diag
 from singlecopy.entanglement import summary_from_single_particle, summary_from_weights
 from singlecopy.exact_diag import (
     GroundStateVector,
@@ -205,8 +206,7 @@ class TestSectorBuilders:
 
     def test_build_peak(self):
         # the sector-sized orbit arrays dominate: 22.6 traced bytes per nonzero of
-        # the whole sector's Hamiltonian at L = 16 (the full-sector build held 48.5),
-        # well inside the 80 that the memory preflight charges
+        # the whole sector's Hamiltonian at L = 16 (the full-sector build held 48.5)
         L = 16
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
@@ -369,7 +369,21 @@ class TestSzBlockSplit:
 
 
 class TestMemoryPreflight:
-    @pytest.mark.parametrize("L", [40, 10**6])
+    @pytest.mark.parametrize("L", [25, 26])
+    def test_admitted_up_to_26_sites(self, monkeypatch, L):
+        # the block is charged, a half (odd L) or a quarter (even L) of the sector's
+        # nonzeros: 3.4 and 3.5 GB here; the sentinel stops before anything is built
+        class Built(Exception):
+            pass
+
+        def refuse(*args):
+            raise Built
+
+        monkeypatch.setattr(exact_diag, "_marshall_block", refuse)
+        with pytest.raises(Built):
+            xxz_ground_state(XxzSpec(L, 0.0))
+
+    @pytest.mark.parametrize("L", [27, 40, 10**6])
     def test_oversized_sector_rejected_before_allocating(self, L):
         # in logarithms: math.comb(10**6, 5 * 10**5) alone takes seconds
         tracemalloc.start()
