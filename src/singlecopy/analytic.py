@@ -97,13 +97,12 @@ def conformal_s1(geom: Geometry, c: float = 1.0, a: float = 1.0, k1: float = 0.0
     _check_c_a(c, a)
     if not math.isfinite(k1):
         raise ValueError(f"k1 must be finite, got {k1}")
+    # sums of logs, so that no ratio overflows; (2L/pi) sin(pi l/L) = 2l sin(y)/y, y = pi l/L
     if isinstance(geom, FiniteChainCut):
-        arg = (2.0 * geom.L_chain / (math.pi * a)) * math.sin(math.pi * geom.l / geom.L_chain)
-    else:
-        arg = geom.L / a
-    if arg <= 0:
-        raise ValueError(f"logarithm argument must be positive, got {arg}")
-    return (c / geom.slope) * math.log(arg) + k1
+        l = min(geom.l, geom.L_chain - geom.l)  # exact, and the form is symmetric in l
+        y = math.pi * (l / geom.L_chain) or 5e-324  # sin(y)/y = 1 where l/L underflows
+        return (c / geom.slope) * (math.log(2.0 * l * (math.sin(y) / y)) - math.log(a)) + k1
+    return (c / geom.slope) * (math.log(geom.L) - math.log(a)) + k1
 
 
 def conformal_renyi_trace(L: float, n: float, c: float = 1.0, a: float = 1.0,
@@ -122,7 +121,7 @@ def conformal_renyi_trace(L: float, n: float, c: float = 1.0, a: float = 1.0,
         raise ValueError(f"Renyi index must be positive and finite, got {n}")
     if not 0 < b_n < math.inf:
         raise ValueError(f"prefactor b_n must be positive and finite, got {b_n}")
-    return b_n * (L / a) ** (-(c / 6.0) * (n - 1.0 / n))
+    return b_n * math.exp(-(c / 6.0) * (n - 1.0 / n) * (math.log(L) - math.log(a)))
 
 
 def xx_asymptotic_spectrum(L: float, k: int) -> float:

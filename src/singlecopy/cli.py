@@ -294,9 +294,6 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 def cmd_compare_oracle(args: argparse.Namespace) -> int:
     lengths = sorted(set(args.L)) if args.L else [3, 5, 7, 9, 11, 13, 15]
-    bad = [L for L in lengths if L % 2 == 0]
-    if bad:
-        raise ValueError(f"oracle comparison is defined for odd lengths, got {bad}")
     top = 100
     per_length = {}
     for L in lengths:
@@ -305,7 +302,7 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
         ed_weights = exact_diag.rdm_weights(state, cut)
         ed_summary = summary_from_weights(ed_weights)
 
-        # the Sz=+1/2 sector state has the chain zero mode occupied
+        # odd L: the Sz=+1/2 state has the zero mode occupied; even L has none
         G = free_fermion.ground_state_correlations(
             free_fermion.FermionModelSpec(kind="xx", length=L), "filled").G
         spec = free_fermion.single_particle_energies(free_fermion.CorrelationData(G[:cut, :cut]))

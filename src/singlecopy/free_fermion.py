@@ -376,13 +376,15 @@ def tfim_block_spectrum(model: FermionModelSpec, sites: int) -> EntanglementSpec
     if n == L:  # no cut block
         return _spectrum_from_epsilons(np.empty(0), (0, n))
     kk = 4.0 * k * k
-    e = np.empty((n, len(s)))  # top-down pivots of M + s_j, less 4k^2
+    # pivots settle within m rows, and u, v fall by k a row: 2m rows from each end serve
+    rows = 2 * (int(np.ceil(np.log(1e-18) / np.log(k))) + 8)  # 2m
+    e = np.empty((min(n, rows), len(s)))  # top-down pivots of M + s_j, less 4k^2
     e[0] = 4.0 + s
-    for i in range(1, n):
+    for i in range(1, len(e)):
         e[i] = s + 4.0 * e[i - 1] / (e[i - 1] + kk)
-    g = np.empty((L - n, len(s)))  # bottom-up pivots, less 4
+    g = np.empty((min(L - n, rows), len(s)))  # bottom-up pivots, less 4
     g[-1] = s
-    for i in range(L - n - 2, -1, -1):
+    for i in range(len(g) - 2, -1, -1):
         g[i] = s + kk * g[i + 1] / (g[i + 1] + 4.0)
     d = e + kk  # the top-down pivots
     c2w = 8.0 * k * w / (4.0 * e[-1] + g[0] * d[-1])  # 2 c_j w_j

@@ -520,6 +520,22 @@ class TestAnalytic:
         expected = math.log(200.0 / math.pi) / 12.0
         assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-11)
 
+    # L/a, 2L/(pi a) or l/L would overflow or underflow, and sin(pi l/L) near l = L
+    # would cancel; values from 30-digit mpmath
+    @pytest.mark.parametrize("params, expected", [
+        (["conformal-s1", "L=1e300", "a=1e-300"], 230.258509299404568401799145468),
+        (["conformal-s1", "finite", "L=1e308", "l=1"], 0.0577622650466621091181026767882),
+        (["conformal-s1", "L=1e-300", "a=1e300"], -230.258509299404568401799145468),
+        (["conformal-renyi-trace", "L=1e300", "n=2", "a=1e-300"], 1e-150),
+        (["conformal-s1", "finite", "L=1e300", "l=1e-300"], -57.5068650598044799913316836903),
+        (["conformal-s1", "finite", "L=1000", "l=999.9999999999"],
+         -1.86102163967045423659934314339),
+    ], ids=["s1-ratio-overflow", "finite-cut-overflow", "s1-ratio-underflow",
+            "renyi-ratio-overflow", "finite-cut-fraction-underflow", "finite-cut-piece-near-end"])
+    def test_conformal_extreme_scales(self, capsys, params, expected):
+        assert run(["analytic", *params]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(expected, rel=1e-11, abs=0)
+
     def test_renyi_trace_and_spectrum(self, capsys):
         assert run(["analytic", "conformal-renyi-trace", "L=100", "n=1"]) == 0
         assert float(capsys.readouterr().out) == 1.0
@@ -596,8 +612,20 @@ class TestCompareOracle:
         assert report["max_dweight"] < 1e-9
         assert report["max_dE"] < 1e-10
 
-    def test_even_length_rejected(self, capsys):
-        assert run(["compare-oracle", "--L", "4"]) == 2
+    def test_even_lengths_match_the_half_filled_chain(self, tmp_path):
+        # even L: the Sz = 0 ground state on its quarter-size Marshall block, and an
+        # XX chain with no zero mode, so the zero-mode convention is unread
+        out = tmp_path / "cmp.json"
+        assert run(["compare-oracle", "--L", "2", "4", "10", "16", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["lengths"] == [2, 4, 10, 16]
+        assert report["max_dS1"] <= 1e-12
+        assert report["max_dS"] <= 1e-10
+        assert report["max_dweight"] <= 1e-12
+        assert report["max_dE"] <= 1e-13
+        chain = FermionModelSpec(kind="xx", length=16)
+        filled, empty = (ground_state_correlations(chain, mode).G for mode in ("filled", "empty"))
+        assert np.array_equal(filled, empty)
 
 
 class TestOptionsFile:

@@ -319,6 +319,25 @@ class TestWindowRoute:
         assert len(spec) == 4096
         assert len(spec.epsilons) < 128  # about 2.9 ln N per side lie below the cap
 
+    def test_window_widens_until_both_edges_are_capped(self, monkeypatch):
+        # no real input outgrows the first window, so a higher cap forces the doubling
+        ref, cap = xx_interval_spectrum(150, 0.77), free_fermion.EPS_CAP
+        windows = []
+
+        def spy(*args, **kwargs):
+            windows.append(kwargs["select_range"])
+            return eigh_tridiagonal(*args, **kwargs)
+
+        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        monkeypatch.setattr(free_fermion, "EPS_CAP", 60.0)
+        wide = xx_interval_spectrum(150, 0.77)
+        assert windows == [(2, 65), (0, 97)]  # T-indices lo..hi-1: 64 modes, then 97
+        assert len(wide) == 150
+        live = np.abs(wide.epsilons) < cap
+        assert np.count_nonzero(live) == len(ref.epsilons)
+        assert np.max(np.abs(wide.occupations[live] - ref.occupations)) <= 1e-15
+
     def test_rejects_bad_arguments(self):
         for args in [(0,), (4, 0.0), (4, 1.0), (4, float("nan"))]:
             with pytest.raises(ValueError):
@@ -755,6 +774,19 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.05 * 2.1 * 8 * L**2
+
+    def test_tfim_long_cut_peak(self):
+        # each pivot sweep stops 136 rows from its end at k = 0.5, so a long cut holds
+        # no L x N array (sweeps over the whole chain peaked at 11 MB here; 0.2 MB now)
+        L = 20_000
+        chain = FermionModelSpec(kind="tfim", modulus=0.5, length=L)
+        tracemalloc.start()
+        try:
+            tfim_block_spectrum(chain, L // 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
 
 class TestMemoryPreflight:
