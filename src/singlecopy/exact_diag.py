@@ -13,8 +13,8 @@ contiguous runs of the sector vector, one run of right parts per left part.
 Solver: Lanczos (ARPACK, deterministic start vector) on the Marshall block of
 the sector (see `xxz_ground_state`); the block's residual ||H v - E v||, which
 is the sector's, must reach 1e-10 max(1, |E|). Basis and block are built with
-numpy bit operations inside the sector, never over all 2^L states, once the
-block's memory estimate fits a 4 GiB budget (L <= 26).
+numpy bit operations inside the sector, never over all 2^L states, the block
+straight into int32 CSR rows, once its memory estimate fits a 4 GiB budget (L <= 26).
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
 # bytes per block nonzero (the sector's nonzeros over the symmetry group's order)
-# that the preflight charges; build and solve peak at 52-75 (odd L) and 81-85
-# (even L), in peak RSS above a 4-site scan at L = 18..26, and L <= 26 is admitted
-_BYTES_PER_NONZERO = 96
+# that the preflight charges; build and solve peak at 32-44, in peak RSS above a
+# 4-site scan at L = 18..26, so L <= 26 is admitted and L = 27 (7.3 GB) is not
+_BYTES_PER_NONZERO = 50
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ def _marshall_block(length: int, n_up: int, delta: float):
     """The sector's H on the unit orbit sums u_O = |O|^(-1/2) sum_{s in O} m(s)|s>.
 
     O runs over the orbits of the reflection and, at Sz = 0, the spin flip; a
-    hop from the least state of O into orbit O' adds -1/2 sqrt(|O|/|O'|).
+    hop from the least state of O into orbit O' adds -1/2 sqrt(|O|/|O'|) to row O.
     Returns the block, each sector state's orbit index, and its amplitude
     factor m(s)/sqrt(|O|).
     """
@@ -132,21 +132,26 @@ def _marshall_block(length: int, n_up: int, delta: float):
     reps = np.flatnonzero(least == basis)
     rep_states = basis[reps]
     orbit = np.searchsorted(rep_states, least)
-    diag = np.zeros(len(reps))
-    targets, cols = [], []
+    del mirror, images, least
+    # int32 CSR rows, two passes over the bonds: count each orbit's hops, then write them
+    diag, count = np.zeros(len(reps)), np.ones(len(reps), dtype=np.int32)
     for s in range(L - 1):
         bi = (rep_states >> (L - 1 - s)) & 1
         bj = (rep_states >> (L - 2 - s)) & 1
         diag += delta * (bi - 0.5) * (bj - 0.5)
-        hop = np.flatnonzero(bi != bj)
+        count += bi != bj
+    indptr = np.concatenate(([0], np.cumsum(count)), dtype=np.int32)
+    indices, data, cursor = np.empty(indptr[-1], np.int32), np.empty(indptr[-1]), indptr[:-1] + 1
+    indices[indptr[:-1]], data[indptr[:-1]] = np.arange(len(reps)), diag  # then hops, bond by bond
+    for s in range(L - 1):
+        hop = np.flatnonzero(((rep_states >> (L - 1 - s)) ^ (rep_states >> (L - 2 - s))) & 1)
         # flipping the antiparallel pair (s, s+1) stays inside the sector
-        targets.append(np.searchsorted(basis, rep_states[hop] ^ (3 << (L - 2 - s))))
-        cols.append(hop)
-    targets, cols = np.concatenate(targets), np.concatenate(cols)
-    vals = np.append(-0.5 * np.sqrt(size[reps[cols]] / size[targets]), diag)
-    every = np.arange(len(reps))
-    H = csr_matrix((vals, (np.append(orbit[targets], every), np.append(cols, every))),
-                   shape=(len(reps), len(reps)))  # hops into one orbit are summed
+        target = np.searchsorted(basis, rep_states[hop] ^ (3 << (L - 2 - s)))
+        indices[cursor[hop]] = orbit[target]
+        data[cursor[hop]] = -0.5 * np.sqrt(size[reps[hop]] / size[target])
+        cursor[hop] += 1
+    H = csr_matrix((data, indices, indptr), shape=(len(reps), len(reps)))
+    H.sum_duplicates()  # sorts each row and sums the hops into one orbit
     odd_sites = sum(1 << (L - 1 - j) for j in range(1, L, 2))
     return H, orbit, (-1.0) ** np.bitwise_count(basis & odd_sites) / np.sqrt(size)
 

@@ -280,11 +280,14 @@ def _reflected_windows(c: np.ndarray, n: int) -> np.ndarray:
 
 
 def _sine_kernel_product(N: int, filling: float, V: np.ndarray) -> np.ndarray:
-    """K V for the N x N sine kernel K, by real FFTs of its (2N - 1)-point circulant embedding.
-    C-ordered like scipy's matmul_toeplitz, since an einsum's summation order follows layout."""
-    column, p = _sine_kernel_column(N, filling), 2 * N - 1
-    kernel = np.fft.rfft(np.concatenate([column, column[:0:-1]]))[:, None]
-    return np.ascontiguousarray(np.fft.irfft(kernel * np.fft.rfft(V, p, axis=0), p, axis=0)[:N])
+    """K V for the N x N sine kernel K, by real FFTs of a circulant embedding padded to the least
+    2^k or 3 2^k points >= 2N - 1 (2N - 1 itself is prime at N = 64 and 4096). C-ordered like
+    scipy's matmul_toeplitz, since an einsum's summation order follows layout."""
+    column, b = _sine_kernel_column(N, filling), (2 * N - 2).bit_length()
+    p = min(q for q in (1 << b, 3 << max(b - 2, 0)) if q >= 2 * N - 1)  # under 1.5 (2N - 1)
+    spectrum = np.fft.rfft(V, p, axis=0)
+    spectrum *= np.fft.rfft(np.r_[column, np.zeros(p + 1 - 2 * N), column[:0:-1]])[:, None]
+    return np.ascontiguousarray(np.fft.irfft(spectrum, p, axis=0)[:N])
 
 
 def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = None,

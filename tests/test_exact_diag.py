@@ -144,6 +144,13 @@ def symmetry_orbits(L, n_up):
     return [orbits[least] for least in sorted(orbits)]
 
 
+def block_nonzeros(L):
+    """The preflight's count: the sector's nonzeros over the Marshall block's group order."""
+    n_up = (L + 1) // 2
+    group = 4 if 2 * n_up == L else 2
+    return math.comb(L, n_up) * (1 + 2 * n_up * (L - n_up) / L) / group
+
+
 def sector_hamiltonian(L, n_up, delta):
     """Dense XXZ matrix on one Sz sector, entry by entry."""
     basis = combinations_basis(L, n_up).tolist()
@@ -204,8 +211,46 @@ class TestSectorBuilders:
         assert H.shape == (len(orbits), len(orbits))
         assert H.nnz == expected
 
+    @pytest.mark.parametrize("L", list(range(2, 15)))
+    def test_block_is_canonical_int32_csr(self, L):
+        # each row sorted with no repeated column, int32 index arrays, and the
+        # transposed entries equal bit for bit
+        for n_up in range(L + 1):
+            for delta in (-1.0, 0.0, 0.3, 100.0):
+                H = _marshall_block(L, n_up, delta)[0]
+                assert H.indices.dtype == H.indptr.dtype == np.int32
+                for row in range(H.shape[0]):
+                    assert np.all(np.diff(H.indices[H.indptr[row]:H.indptr[row + 1]]) > 0)
+                assert (H != H.T).nnz == 0
+
+    def test_block_peak_per_nonzero(self):
+        # rows written in place into int32 CSR: 32.5 traced bytes per block nonzero
+        # at L = 20 (the COO build and its conversion held 84.6)
+        L = 20
+        xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
+        tracemalloc.start()
+        try:
+            _marshall_block(L, L // 2, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * block_nonzeros(L)
+
+    def test_ground_state_peak_per_nonzero(self):
+        # the block, then Lanczos's 20 block vectors: 51.9 traced bytes per block
+        # nonzero at L = 20 (84.6 with the COO build)
+        L = 20
+        xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
+        tracemalloc.start()
+        try:
+            xxz_ground_state(XxzSpec(L, 0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 65 * block_nonzeros(L)
+
     def test_build_peak(self):
-        # the sector-sized orbit arrays dominate: 22.6 traced bytes per nonzero of
+        # the sector-sized orbit arrays dominate: 10.3 traced bytes per nonzero of
         # the whole sector's Hamiltonian at L = 16 (the full-sector build held 48.5)
         L = 16
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
@@ -372,7 +417,7 @@ class TestMemoryPreflight:
     @pytest.mark.parametrize("L", [25, 26])
     def test_admitted_up_to_26_sites(self, monkeypatch, L):
         # the block is charged, a half (odd L) or a quarter (even L) of the sector's
-        # nonzeros: 3.4 and 3.5 GB here; the sentinel stops before anything is built
+        # nonzeros: 1.75 and 1.82 GB here; the sentinel stops before anything is built
         class Built(Exception):
             pass
 

@@ -314,6 +314,24 @@ class TestWindowRoute:
         assert np.max(np.abs(product - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("nu", [0.5, 0.3])
+    @pytest.mark.parametrize("N, p", [(65, 192), (4096, 8192), (4097, 12288)])
+    def test_kernel_product_pads_to_a_smooth_length(self, monkeypatch, N, p, nu):
+        # 2N - 1 = 8191 is prime at N = 4096, which sends pocketfft to Bluestein's
+        # algorithm; the embedding takes the least 2^k or 3 2^k points at or above it
+        lengths, rfft = [], np.fft.rfft
+
+        def spy(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        V = np.random.default_rng(N).standard_normal((N, 4))
+        product = free_fermion._sine_kernel_product(N, nu, V)
+        assert lengths == [p, p]
+        dense = scipy.linalg.toeplitz(free_fermion._sine_kernel_column(N, nu)) @ V
+        assert np.max(np.abs(product - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("nu", [0.5, 0.3])
     def test_keeps_only_the_solved_modes(self, nu):
         spec = xx_interval_spectrum(4096, nu)
         assert len(spec) == 4096
@@ -722,6 +740,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 0.05 * 2 * 8 * 4096**2
+
+    def test_window_kernel_product_peak(self):
+        # 3 2^12 FFT points at N = 4097: the spectrum and the inverse transform hold
+        # 6.0 N x w floats with the product, so with V the window stays inside the
+        # 8 N x w arrays the preflight charges (2^14 points would need 8 without V)
+        N = 4097
+        V = np.random.default_rng(0).standard_normal((N, 64))
+        free_fermion._sine_kernel_product(N, 0.5, V)
+        tracemalloc.start()
+        try:
+            free_fermion._sine_kernel_product(N, 0.5, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (free_fermion._WINDOW_ARRAYS - 1) * V.nbytes
 
     def test_tfim_ground_state_peak(self):
         # the eigenvectors V and U = D V / sigma, then W and the G/F temporaries
