@@ -5,8 +5,8 @@ Two solvable models are covered:
 * the XX chain (particle-conserving hopping; at anisotropy zero it is the
   Jordan-Wigner image of the XXZ chain), either as an interval of the
   infinite chain via the closed-form sine kernel or, for its spectrum, a
-  window of modes of Slepian's commuting tridiagonal matrix, or as a
-  finite open chain via its closed-form modes and one FFT;
+  window of Slepian's tridiagonal modes, bisected to within its gaps and
+  read by Parseval, or as a finite open chain via its modes and one FFT;
 * the transverse-field Ising chain in its disordered phase (pairing terms
   present), as a finite open chain via its lower-bidiagonal L x L block
   D = A - B, from one tridiagonal eigensolve of D^T D; a subsystem of
@@ -69,13 +69,13 @@ ZERO_MODE_TOL = 1e-8
 _PH_DETECT_TOL = 1e-10
 # Correlation eigenvalues may leave [0, 1] by this much before the solve counts as failed.
 _OCCUPATION_RANGE_TOL = 1e-10
-# Memory one build or diagonalization may take (exact_diag reads it too), and
-# the float64 n x n (window route: n x (window + 1); open chain: its G/F stage
-# on n kept sites; Ising cut: L x nodes) arrays at each traced peak.
+# Memory one build or diagonalization may take (exact_diag reads it too), and the
+# float64 n x n (window route: n x (window + 1), 2.1 traced; open chain: its G/F
+# stage on n kept sites; Ising cut: L x nodes) arrays at each traced peak.
 _MEMORY_BUDGET = 4 << 30
 _INTERVAL_ARRAYS = 2
 _GROUND_STATE_ARRAYS = 5
-_WINDOW_ARRAYS = 8
+_WINDOW_ARRAYS = 3
 _CUT_ARRAYS = 2
 
 
@@ -226,11 +226,11 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
 
     Slepian's T (T[n, n] = ((N-1-2n)/2)^2 cos(pi nu), T[n, n+1] = (n+1)(N-1-n)/2,
     N = L_sub) commutes with the sine kernel K, and ascending T eigenvalues go
-    with ascending K eigenvalues lambda = v^T K v. A window of T eigenvectors v
-    around index (1 - nu) N doubles until both edge modes are capped, and the
-    modes outside it are counted as capped. At half filling the
-    sublattice sign flip maps lambda to 1 - lambda, so the lambda < 1/2 half is
-    mirrored. ValueError is raised before a window over the memory budget.
+    with ascending K eigenvalues lambda = v^T K v (`_sine_kernel_quotients`). A window of
+    T eigenvectors v around index (1 - nu) N, bisected only to 1e-5 N (its gaps exceed 0.0038 N
+    up to 2^20 sites), doubles until both edge modes are capped, and the modes outside it are
+    counted as capped. At half filling the sublattice sign flip maps lambda to 1 - lambda, so
+    the lambda < 1/2 half is mirrored. ValueError is raised before a window over the budget.
     """
     _check_interval(L_sub, filling)
     from scipy.linalg import eigh_tridiagonal  # here, so that importing singlecopy loads no scipy
@@ -249,8 +249,8 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
         if hi > lo:
             n = np.arange(N, dtype=float)
             _, V = eigh_tridiagonal(((N - 1 - 2 * n) / 2) ** 2 * cos_kf, n[1:] * (N - n[1:]) / 2,
-                                    select="i", select_range=(lo, hi - 1))
-            lam = np.einsum("ij,ij->j", V, _sine_kernel_product(N, filling, V))
+                                    select="i", select_range=(lo, hi - 1), tol=1e-5 * N)
+            lam = _sine_kernel_quotients(N, filling, V)
         eps = to_eps(lam)  # descending: T-indices below lo are at +cap, from hi on at -cap
         if (lo == 0 or eps[0] >= EPS_CAP) and (hi == top or eps[-1] <= -EPS_CAP):
             break
@@ -279,15 +279,15 @@ def _reflected_windows(c: np.ndarray, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.concatenate((c[n - 1:0:-1], c)), n)
 
 
-def _sine_kernel_product(N: int, filling: float, V: np.ndarray) -> np.ndarray:
-    """K V for the N x N sine kernel K, by real FFTs of a circulant embedding padded to the least
-    2^k or 3 2^k points >= 2N - 1 (2N - 1 itself is prime at N = 64 and 4096). C-ordered like
-    scipy's matmul_toeplitz, since an einsum's summation order follows layout."""
+def _sine_kernel_quotients(N: int, filling: float, V: np.ndarray) -> np.ndarray:
+    """diag(V^T K V) = (1/p) sum_k c_k |v_k|^2 for the N x N sine kernel K, by Parseval over the
+    p-point DFTs c of its circulant embedding and v_k of v (0 < k < p/2 counting twice), p the
+    least 2^k or 3 2^k >= 2N - 1 (a prime at N = 64, 4096). Per column, summed pairwise."""
     column, b = _sine_kernel_column(N, filling), (2 * N - 2).bit_length()
     p = min(q for q in (1 << b, 3 << max(b - 2, 0)) if q >= 2 * N - 1)  # under 1.5 (2N - 1)
-    spectrum = np.fft.rfft(V, p, axis=0)
-    spectrum *= np.fft.rfft(np.r_[column, np.zeros(p + 1 - 2 * N), column[:0:-1]])[:, None]
-    return np.ascontiguousarray(np.fft.irfft(spectrum, p, axis=0)[:N])
+    weights = np.fft.rfft(np.r_[column, np.zeros(p + 1 - 2 * N), column[:0:-1]]).real / p
+    weights[1:(p + 1) // 2] *= 2.0
+    return np.array([np.sum(weights * np.abs(np.fft.rfft(v, p)) ** 2) for v in V.T])
 
 
 def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = None,

@@ -775,6 +775,10 @@ class TestDenseMemoryPreflight:
         # L x 47 arrays): 5,711,392 sites, and --L 2,855,696 of a 2L chain
         ["scan", "--model", "tfim", "--k", "0.5", "--L", "5711393"],
         ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "2855697"],
+        # one site past the window route's limits (three n x (w + 1) arrays charged): a
+        # half-filled scan of 3,807,595 sites solves 46 modes, nu = 0.3 at 2,010,752 solves 88
+        ["scan", "--model", "xx", "--L", "3807596"],
+        ["spectrum", "--model", "xx", "--nu", "0.3", "--L", "2010753"],
     ])
     def test_oversized_chain_exits_two(self, capsys, argv):
         assert run(argv) == 2

@@ -303,15 +303,21 @@ class TestWindowRoute:
         assert window.capped == ref.capped
         assert len(window.epsilons) == len(ref.epsilons)
 
+    @staticmethod
+    def dense_quotients(N, nu, V):
+        """diag(V^T K V) with the dense N x N sine kernel K, in the precision of V."""
+        K = scipy.linalg.toeplitz(free_fermion._sine_kernel_column(N, nu))
+        return np.einsum("ij,ij->j", V, K @ V)
+
     @pytest.mark.parametrize("nu", [0.5, 0.3])
     @pytest.mark.parametrize("N", [1, 2, 3, 64, 4097])
     def test_kernel_product_matches_dense_toeplitz(self, N, nu):
-        # the numpy FFT of the circulant embedding against the dense N x N sine kernel
+        # the products v^T K v, by Parseval over the FFT of the circulant embedding, against
+        # the dense N x N sine kernel
         V = np.random.default_rng(N).standard_normal((N, 4))
-        dense = scipy.linalg.toeplitz(free_fermion._sine_kernel_column(N, nu)) @ V
-        product = free_fermion._sine_kernel_product(N, nu, V)
-        assert product.shape == (N, 4) and product.flags.c_contiguous
-        assert np.max(np.abs(product - dense)) <= 1e-13 * np.max(np.abs(dense))
+        lam, dense = free_fermion._sine_kernel_quotients(N, nu, V), self.dense_quotients(N, nu, V)
+        assert lam.shape == (4,)
+        assert np.max(np.abs(lam - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("nu", [0.5, 0.3])
     @pytest.mark.parametrize("N, p", [(65, 192), (4096, 8192), (4097, 12288)])
@@ -326,10 +332,31 @@ class TestWindowRoute:
 
         monkeypatch.setattr(np.fft, "rfft", spy)
         V = np.random.default_rng(N).standard_normal((N, 4))
-        product = free_fermion._sine_kernel_product(N, nu, V)
-        assert lengths == [p, p]
-        dense = scipy.linalg.toeplitz(free_fermion._sine_kernel_column(N, nu)) @ V
-        assert np.max(np.abs(product - dense)) <= 1e-13 * np.max(np.abs(dense))
+        lam = free_fermion._sine_kernel_quotients(N, nu, V)
+        assert lengths == [p] * 5  # the embedding, then each column
+        dense = self.dense_quotients(N, nu, V)
+        assert np.max(np.abs(lam - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    @pytest.mark.parametrize("N, nu", [*((N, nu) for N in (64, 65) for nu in (0.1, 0.3, 0.5, 0.77)),
+                                       (1024, 0.5), (1024, 0.3)])
+    def test_occupations_match_a_long_double_reference(self, monkeypatch, N, nu):
+        # the README's window figure: every solved occupation within 5e-16 of the Rayleigh
+        # quotient of the same float64 eigenvectors and kernel in long double (4.3e-16 at
+        # most from 64 to 4096 sites; a running sum of the Parseval terms lost 4e-14)
+        solved, quotients = [], free_fermion._sine_kernel_quotients
+
+        def spy(N, nu, V):
+            solved.append((V, quotients(N, nu, V)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(free_fermion, "_sine_kernel_quotients", spy)
+        xx_interval_spectrum(N, nu)
+        (V, lam), = solved
+        reference = self.dense_quotients(N, nu, V.astype(np.longdouble))
+        assert reference.dtype == np.longdouble
+        assert np.max(np.abs(lam - reference)) <= 5e-16
 
     @pytest.mark.parametrize("nu", [0.5, 0.3])
     def test_keeps_only_the_solved_modes(self, nu):
@@ -742,19 +769,30 @@ class TestMemory:
         assert peak <= 0.05 * 2 * 8 * 4096**2
 
     def test_window_kernel_product_peak(self):
-        # 3 2^12 FFT points at N = 4097: the spectrum and the inverse transform hold
-        # 6.0 N x w floats with the product, so with V the window stays inside the
-        # 8 N x w arrays the preflight charges (2^14 points would need 8 without V)
+        # 3 2^12 FFT points at N = 4097, the widest padding: one column's transform and its
+        # temporaries at a time (7.1 N floats measured), never an array of V's size
         N = 4097
-        V = np.random.default_rng(0).standard_normal((N, 64))
-        free_fermion._sine_kernel_product(N, 0.5, V)
+        V = np.asfortranarray(np.random.default_rng(0).standard_normal((N, 64)))
+        free_fermion._sine_kernel_quotients(N, 0.5, V)
         tracemalloc.start()
         try:
-            free_fermion._sine_kernel_product(N, 0.5, V)
+            free_fermion._sine_kernel_quotients(N, 0.5, V)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (free_fermion._WINDOW_ARRAYS - 1) * V.nbytes
+        assert peak <= 8 * 8 * N
+
+    def test_window_route_within_its_charge(self):
+        # the eigensolver's eigenvectors and their reordered copy (2.05 N (w + 1) measured)
+        # stay inside the arrays the preflight charges, also at the widest FFT padding
+        N, w = 4097, 64  # T-indices 2836..2899, 32 each side of (1 - nu) N
+        tracemalloc.start()
+        try:
+            xx_interval_spectrum(N, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= free_fermion._WINDOW_ARRAYS * 8 * N * (w + 1)
 
     def test_tfim_ground_state_peak(self):
         # the eigenvectors V and U = D V / sigma, then W and the G/F temporaries
