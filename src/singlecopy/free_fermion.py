@@ -5,8 +5,8 @@ Two solvable models are covered:
 * the XX chain (particle-conserving hopping; at anisotropy zero it is the
   Jordan-Wigner image of the XXZ chain), either as an interval of the
   infinite chain via the closed-form sine kernel or, for its spectrum, a
-  window of Slepian's tridiagonal modes, bisected to within its gaps and
-  read by Parseval, or as a finite open chain via its modes and one FFT;
+  window of Slepian's tridiagonal modes, each found by its own inverse
+  iteration and read by Parseval, or as a finite open chain via its modes;
 * the transverse-field Ising chain in its disordered phase (pairing terms
   present), as a finite open chain via its lower-bidiagonal L x L block
   D = A - B, from one tridiagonal eigensolve of D^T D; a subsystem of
@@ -70,12 +70,12 @@ _PH_DETECT_TOL = 1e-10
 # Correlation eigenvalues may leave [0, 1] by this much before the solve counts as failed.
 _OCCUPATION_RANGE_TOL = 1e-10
 # Memory one build or diagonalization may take (exact_diag reads it too), and the
-# float64 n x n (window route: n x (window + 1), 2.1 traced; open chain: its G/F
-# stage on n kept sites; Ising cut: L x nodes) arrays at each traced peak.
+# float64 n x n (window route: length n, whatever the window, 14.1 traced; open chain: its
+# G/F stage on n kept sites; Ising cut: L x nodes) arrays at each traced peak.
 _MEMORY_BUDGET = 4 << 30
 _INTERVAL_ARRAYS = 2
 _GROUND_STATE_ARRAYS = 5
-_WINDOW_ARRAYS = 3
+_WINDOW_ARRAYS = 18
 _CUT_ARRAYS = 2
 
 
@@ -224,33 +224,27 @@ def xx_correlations_infinite(L_sub: int, filling: float = 0.5) -> CorrelationDat
 def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectrum:
     """`single_particle_energies(xx_correlations_infinite(L_sub, filling))`, without N x N arrays.
 
-    Slepian's T (T[n, n] = ((N-1-2n)/2)^2 cos(pi nu), T[n, n+1] = (n+1)(N-1-n)/2,
-    N = L_sub) commutes with the sine kernel K, and ascending T eigenvalues go
-    with ascending K eigenvalues lambda = v^T K v (`_sine_kernel_quotients`). A window of
-    T eigenvectors v around index (1 - nu) N, bisected only to 1e-5 N (its gaps exceed 0.0038 N
-    up to 2^20 sites), doubles until both edge modes are capped, and the modes outside it are
-    counted as capped. At half filling the sublattice sign flip maps lambda to 1 - lambda, so
-    the lambda < 1/2 half is mirrored. ValueError is raised before a window over the budget.
+    Slepian's T (T[n, n] = ((N-1-2n)/2)^2 cos(pi nu), T[n, n+1] = (n+1)(N-1-n)/2, N = L_sub)
+    commutes with the sine kernel K, and ascending T eigenvalues go with ascending K eigenvalues
+    lambda = v^T K v (`_sine_kernel_quotients`). A window of T eigenvectors around index
+    (1 - nu) N, each folded into its lambda once found (`_slepian_vectors`), doubles until both
+    edge modes are capped; the modes outside it count as capped. At half filling the sublattice
+    sign flip maps lambda to 1 - lambda, and the lambda < 1/2 half is mirrored. An N over the
+    memory budget raises ValueError before any allocation.
     """
     _check_interval(L_sub, filling)
-    from scipy.linalg import eigh_tridiagonal  # here, so that importing singlecopy loads no scipy
     N, half = L_sub, filling == 0.5
+    _check_dense_memory(N, _WINDOW_ARRAYS, 1)
+    if N == 1:  # the 1 x 1 kernel is nu; LAPACK's wrappers take no empty off-diagonal
+        return _spectrum_from_epsilons(_epsilons_from_occupations(np.array([filling])))
     top = N // 2 if half else N  # T-indices solved; ascending lambda
     centre = top if half else round((1.0 - filling) * N)
     to_eps = _epsilons_from_occupations if not half else (
         lambda lam: _epsilons_from_singular_values(np.abs(1.0 - 2.0 * lam)))
-    cos_kf = 0.0 if half else np.cos(np.pi * filling)
-    # about 2.9 ln N modes per side lie below the cap, so 32 covers N up to 2^15
-    width = max(32, int(np.ceil(3.0 * np.log(N))))
+    width = max(32, int(np.ceil(3.0 * np.log(N))))  # about 2.9 ln N per side lie below the cap
     while True:
         lo, hi = max(0, centre - width), min(top, centre + width)
-        _check_dense_memory(N, _WINDOW_ARRAYS, hi - lo + 1)
-        lam = np.empty(0)
-        if hi > lo:
-            n = np.arange(N, dtype=float)
-            _, V = eigh_tridiagonal(((N - 1 - 2 * n) / 2) ** 2 * cos_kf, n[1:] * (N - n[1:]) / 2,
-                                    select="i", select_range=(lo, hi - 1), tol=1e-5 * N)
-            lam = _sine_kernel_quotients(N, filling, V)
+        lam = _sine_kernel_quotients(N, filling, _slepian_vectors(N, filling, lo, hi))
         eps = to_eps(lam)  # descending: T-indices below lo are at +cap, from hi on at -cap
         if (lo == 0 or eps[0] >= EPS_CAP) and (hi == top or eps[-1] <= -EPS_CAP):
             break
@@ -258,6 +252,22 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
     if half:  # the lambda > 1/2 half mirrors the solved one
         return _spectrum_from_epsilons(np.concatenate([-eps, np.zeros(N % 2), eps]), (lo, lo))
     return _spectrum_from_epsilons(eps, (top - hi, lo))
+
+
+def _slepian_vectors(N: int, filling: float, lo: int, hi: int):
+    """Yield T's eigenvectors lo..hi-1 (N > 1) in turn: one bisection to 1e-5 N (the gaps exceed
+    0.0038 N up to 2^20 sites), then one inverse iteration each, none orthogonalized."""
+    from scipy.linalg.lapack import dstebz, dstein  # here, so that singlecopy loads no scipy
+    d = ((N - 1) / 2 - np.arange(N)) ** 2 * (0.0 if filling == 0.5 else np.cos(np.pi * filling))
+    e = np.arange(1.0, N) * np.arange(N - 1.0, 0.0, -1.0) / 2
+    m, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, 1e-5 * N, "E")
+    if info or m != hi - lo:
+        raise np.linalg.LinAlgError(f"dstebz found {m} of {hi - lo} eigenvalues (info {info})")
+    for j in range(m):  # one block, so block[0] serves every mode
+        z, info = dstein(d, e, w[j:j + 1], block, split)
+        if info:
+            raise np.linalg.LinAlgError(f"dstein failed on eigenvector {lo + j} (info {info})")
+        yield z[:, 0]
 
 
 def _check_interval(L_sub: int, filling: float) -> None:
@@ -279,15 +289,15 @@ def _reflected_windows(c: np.ndarray, n: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.concatenate((c[n - 1:0:-1], c)), n)
 
 
-def _sine_kernel_quotients(N: int, filling: float, V: np.ndarray) -> np.ndarray:
-    """diag(V^T K V) = (1/p) sum_k c_k |v_k|^2 for the N x N sine kernel K, by Parseval over the
-    p-point DFTs c of its circulant embedding and v_k of v (0 < k < p/2 counting twice), p the
-    least 2^k or 3 2^k >= 2N - 1 (a prime at N = 64, 4096). Per column, summed pairwise."""
+def _sine_kernel_quotients(N: int, filling: float, vectors) -> np.ndarray:
+    """v^T K v = (1/p) sum_k c_k |v_k|^2 for the N x N sine kernel K and each of `vectors`, by
+    Parseval over the p-point DFTs c of its circulant embedding and v_k of v (0 < k < p/2 twice),
+    p the least 2^k or 3 2^k >= 2N - 1 (a prime at N = 64, 4096). One v at a time, pairwise."""
     column, b = _sine_kernel_column(N, filling), (2 * N - 2).bit_length()
     p = min(q for q in (1 << b, 3 << max(b - 2, 0)) if q >= 2 * N - 1)  # under 1.5 (2N - 1)
     weights = np.fft.rfft(np.r_[column, np.zeros(p + 1 - 2 * N), column[:0:-1]]).real / p
     weights[1:(p + 1) // 2] *= 2.0
-    return np.array([np.sum(weights * np.abs(np.fft.rfft(v, p)) ** 2) for v in V.T])
+    return np.array([np.sum(weights * np.abs(np.fft.rfft(v, p)) ** 2) for v in vectors])
 
 
 def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = None,

@@ -775,10 +775,10 @@ class TestDenseMemoryPreflight:
         # L x 47 arrays): 5,711,392 sites, and --L 2,855,696 of a 2L chain
         ["scan", "--model", "tfim", "--k", "0.5", "--L", "5711393"],
         ["spectrum", "--model", "tfim", "--k", "0.5", "--L", "2855697"],
-        # one site past the window route's limits (three n x (w + 1) arrays charged): a
-        # half-filled scan of 3,807,595 sites solves 46 modes, nu = 0.3 at 2,010,752 solves 88
-        ["scan", "--model", "xx", "--L", "3807596"],
-        ["spectrum", "--model", "xx", "--nu", "0.3", "--L", "2010753"],
+        # one site past the window route's limit, 29,826,161 sites at every filling
+        # (18 length-n arrays charged, whatever the window)
+        ["scan", "--model", "xx", "--L", "29826162"],
+        ["spectrum", "--model", "xx", "--nu", "0.3", "--L", "29826162"],
     ])
     def test_oversized_chain_exits_two(self, capsys, argv):
         assert run(argv) == 2
@@ -829,6 +829,28 @@ class TestExitCodes:
 
         monkeypatch.setattr(np.linalg, "svd", failed)
         assert run(["scan", "--model", "tfim", "--k", "0.5", "--L", "64"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
+
+    @pytest.mark.parametrize("failure", ["bisection info", "missing eigenvalue", "inverse info"])
+    def test_window_eigensolver_failure_exits_three(self, monkeypatch, capsys, failure):
+        # LAPACK reports through info and the eigenvalue count; neither may pass unnoticed
+        from scipy.linalg import lapack
+        dstebz, dstein = lapack.dstebz, lapack.dstein
+
+        def bisect(*args):
+            m, w, block, split, info = dstebz(*args)
+            if failure == "missing eigenvalue":
+                return m - 1, w, block, split, info
+            return m, w, block, split, 1 if failure == "bisection info" else info
+
+        def invert(*args):
+            z, info = dstein(*args)
+            return z, 1 if failure == "inverse info" else info
+
+        monkeypatch.setattr(lapack, "dstebz", bisect)
+        monkeypatch.setattr(lapack, "dstein", invert)
+        assert run(["scan", "--model", "xx", "--nu", "0.3", "--L", "8", "64"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err
 

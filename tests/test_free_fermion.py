@@ -315,7 +315,7 @@ class TestWindowRoute:
         # the products v^T K v, by Parseval over the FFT of the circulant embedding, against
         # the dense N x N sine kernel
         V = np.random.default_rng(N).standard_normal((N, 4))
-        lam, dense = free_fermion._sine_kernel_quotients(N, nu, V), self.dense_quotients(N, nu, V)
+        lam, dense = free_fermion._sine_kernel_quotients(N, nu, V.T), self.dense_quotients(N, nu, V)
         assert lam.shape == (4,)
         assert np.max(np.abs(lam - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -332,8 +332,8 @@ class TestWindowRoute:
 
         monkeypatch.setattr(np.fft, "rfft", spy)
         V = np.random.default_rng(N).standard_normal((N, 4))
-        lam = free_fermion._sine_kernel_quotients(N, nu, V)
-        assert lengths == [p] * 5  # the embedding, then each column
+        lam = free_fermion._sine_kernel_quotients(N, nu, V.T)
+        assert lengths == [p] * 5  # the embedding, then each vector
         dense = self.dense_quotients(N, nu, V)
         assert np.max(np.abs(lam - dense)) <= 1e-13 * np.max(np.abs(dense))
 
@@ -347,8 +347,9 @@ class TestWindowRoute:
         # most from 64 to 4096 sites; a running sum of the Parseval terms lost 4e-14)
         solved, quotients = [], free_fermion._sine_kernel_quotients
 
-        def spy(N, nu, V):
-            solved.append((V, quotients(N, nu, V)))
+        def spy(N, nu, vectors):
+            V = np.array(list(vectors)).T
+            solved.append((V, quotients(N, nu, V.T)))
             return solved[-1][1]
 
         monkeypatch.setattr(free_fermion, "_sine_kernel_quotients", spy)
@@ -365,19 +366,21 @@ class TestWindowRoute:
         assert len(spec.epsilons) < 128  # about 2.9 ln N per side lie below the cap
 
     def test_window_widens_until_both_edges_are_capped(self, monkeypatch):
-        # no real input outgrows the first window, so a higher cap forces the doubling
+        # no real input outgrows the first window, so a higher cap forces the doubling; at a
+        # cap of 60 an edge near occupation 1 counts as capped only if it rounds to 1 or more,
+        # and T-index 97's reads 1 - 2.2e-16, so the third window takes the whole chain
         ref, cap = xx_interval_spectrum(150, 0.77), free_fermion.EPS_CAP
         windows = []
 
-        def spy(*args, **kwargs):
-            windows.append(kwargs["select_range"])
-            return eigh_tridiagonal(*args, **kwargs)
+        def spy(d, e, select, vl, vu, il, iu, *args):
+            windows.append((il - 1, iu - 1))  # LAPACK counts from 1
+            return dstebz(d, e, select, vl, vu, il, iu, *args)
 
-        eigh_tridiagonal = scipy.linalg.eigh_tridiagonal
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+        dstebz = scipy.linalg.lapack.dstebz
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", spy)
         monkeypatch.setattr(free_fermion, "EPS_CAP", 60.0)
         wide = xx_interval_spectrum(150, 0.77)
-        assert windows == [(2, 65), (0, 97)]  # T-indices lo..hi-1: 64 modes, then 97
+        assert windows == [(2, 65), (0, 97), (0, 149)]  # T-indices lo..hi-1: 64, 98, 150 modes
         assert len(wide) == 150
         live = np.abs(wide.epsilons) < cap
         assert np.count_nonzero(live) == len(ref.epsilons)
@@ -773,26 +776,40 @@ class TestMemory:
         # temporaries at a time (7.1 N floats measured), never an array of V's size
         N = 4097
         V = np.asfortranarray(np.random.default_rng(0).standard_normal((N, 64)))
-        free_fermion._sine_kernel_quotients(N, 0.5, V)
+        free_fermion._sine_kernel_quotients(N, 0.5, V.T)
         tracemalloc.start()
         try:
-            free_fermion._sine_kernel_quotients(N, 0.5, V)
+            free_fermion._sine_kernel_quotients(N, 0.5, V.T)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 8 * N
 
-    def test_window_route_within_its_charge(self):
-        # the eigensolver's eigenvectors and their reordered copy (2.05 N (w + 1) measured)
-        # stay inside the arrays the preflight charges, also at the widest FFT padding
-        N, w = 4097, 64  # T-indices 2836..2899, 32 each side of (1 - nu) N
+    @staticmethod
+    def window_route_peak(N, nu):
         tracemalloc.start()
         try:
-            xx_interval_spectrum(N, 0.3)
-            peak = tracemalloc.get_traced_memory()[1]
+            xx_interval_spectrum(N, nu)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= free_fermion._WINDOW_ARRAYS * 8 * N * (w + 1)
+
+    def test_window_route_within_its_charge(self):
+        # T, the bisection's and one inverse iteration's workspace, and one eigenvector's
+        # transform (14.1 N floats measured) stay inside the length-N arrays the preflight
+        # charges, also at the widest FFT padding
+        N = 4097  # 64 modes, T-indices 2836..2899, 32 each side of (1 - nu) N
+        assert self.window_route_peak(N, 0.3) <= free_fermion._WINDOW_ARRAYS * 8 * N
+
+    def test_window_route_peak_ignores_the_window(self, monkeypatch):
+        # each eigenvector is folded into its occupation and dropped, so only the window's
+        # eigenvalues and occupations grow with it: a cap of 60 widens the 64-mode window
+        # to 512 modes (0.6 N floats more measured; 9.7 times the peak when every
+        # eigenvector was held at once)
+        N = 4097
+        narrow = self.window_route_peak(N, 0.3)
+        monkeypatch.setattr(free_fermion, "EPS_CAP", 60.0)
+        assert self.window_route_peak(N, 0.3) <= narrow + 8 * N
 
     def test_tfim_ground_state_peak(self):
         # the eigenvectors V and U = D V / sigma, then W and the G/F temporaries
