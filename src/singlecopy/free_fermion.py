@@ -255,15 +255,22 @@ def xx_interval_spectrum(L_sub: int, filling: float = 0.5) -> EntanglementSpectr
 
 
 def _slepian_vectors(N: int, filling: float, lo: int, hi: int):
-    """Yield T's eigenvectors lo..hi-1 (N > 1) in turn: one bisection to 1e-5 N (the gaps exceed
-    0.0038 N up to 2^20 sites), then one inverse iteration each, none orthogonalized."""
+    """Yield T's eigenvectors lo..hi-1 (N > 1) in turn, each from its own inverse iteration and
+    none orthogonalized, so every window gap must be 300 bisection errors wide: bisected to 1e-5 N,
+    or, where a gap is narrower (fillings near 0 or 1), to eps N^2, the last bits of ||T||."""
     from scipy.linalg.lapack import dstebz, dstein  # here, so that singlecopy loads no scipy
     d = ((N - 1) / 2 - np.arange(N)) ** 2 * (0.0 if filling == 0.5 else np.cos(np.pi * filling))
     e = np.arange(1.0, N) * np.arange(N - 1.0, 0.0, -1.0) / 2
-    m, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, 1e-5 * N, "E")
-    if info or m != hi - lo:
-        raise np.linalg.LinAlgError(f"dstebz found {m} of {hi - lo} eigenvalues (info {info})")
-    for j in range(m):  # one block, so block[0] serves every mode
+    for tol in (1e-5 * N, np.finfo(float).eps * N * N):
+        m, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, tol, "E")
+        if info or m != hi - lo:
+            raise np.linalg.LinAlgError(f"dstebz found {m} of {hi - lo} eigenvalues (info {info})")
+        if np.diff(w[:m]).min(initial=np.inf) >= 300 * tol:
+            break
+    else:
+        raise np.linalg.LinAlgError(f"T's eigenvalues {lo}..{hi - 1} lie too close to be parted")
+    for j in range(m):  # of the N block indices the wrapper takes, LAPACK reads the first
+        block[0] = block[j]
         z, info = dstein(d, e, w[j:j + 1], block, split)
         if info:
             raise np.linalg.LinAlgError(f"dstein failed on eigenvector {lo + j} (info {info})")

@@ -111,17 +111,17 @@ def entropies_from_weights(w):
     return S, float(-np.log(w[0]))
 
 
-def sine_kernel_entropies_mp(N, nu, dps=40, split=True):
-    """(S, S1) of an N-site interval of the infinite XX chain at filling nu, in mpmath.
+def sine_kernel_occupations_mp(N, nu, dps=40, split=True):
+    """Eigenvalues of the N x N sine kernel at filling nu, in mpmath, unsorted.
 
     The sine kernel G[m, n] = sin(pi nu (m-n)) / (pi (m-n)), G[m, m] = nu, is
-    built and diagonalized at `dps` digits, so every mode counts, however
-    close its occupation is to 0 or 1. G is centrosymmetric, so with `split`
-    its eigenvalues are those of the symmetric and antisymmetric blocks
-    G[m, n] +- G[m, N-1-n] over the first ceil(N/2) and floor(N/2) sites; for
-    odd N the middle row and column of the symmetric block are divided by
-    sqrt(2), which makes its basis orthonormal. Without `split`, G is
-    diagonalized whole.
+    built and diagonalized at `dps` digits, which resolves an occupation to
+    about 10^-dps, however close it is to 0 or 1. G is centrosymmetric, so
+    with `split` its eigenvalues are those of the symmetric and antisymmetric
+    blocks G[m, n] +- G[m, N-1-n] over the first ceil(N/2) and floor(N/2)
+    sites; for odd N the middle row and column of the symmetric block are
+    divided by sqrt(2), which makes its basis orthonormal. Without `split`,
+    G is diagonalized whole.
     """
     with mpmath.workdps(dps):
         nu = mpmath.mpf(nu)
@@ -144,8 +144,19 @@ def sine_kernel_entropies_mp(N, nu, dps=40, split=True):
                     blocks[0][n, N // 2] /= mpmath.sqrt(2)
             if N > 1:
                 blocks.append(block(N // 2, -1))
+        return [z for B in blocks for z in mpmath.eigsy(B, eigvals_only=True)]
+
+
+def sine_kernel_entropies_mp(N, nu, dps=40, split=True):
+    """(S, S1) of an N-site interval of the infinite XX chain at filling nu, in mpmath.
+
+    Every mode of `sine_kernel_occupations_mp` counts, however close its
+    occupation is to 0 or 1.
+    """
+    occupations = sine_kernel_occupations_mp(N, nu, dps, split)
+    with mpmath.workdps(dps):
         S = S1 = mpmath.mpf(0)
-        for z in (z for B in blocks for z in mpmath.eigsy(B, eigvals_only=True)):
+        for z in occupations:
             z = min(max(z, mpmath.mpf(0)), mpmath.mpf(1))
             S -= (z * mpmath.log(z) if z > 0 else 0) + (
                 (1 - z) * mpmath.log(1 - z) if z < 1 else 0)

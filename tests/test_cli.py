@@ -832,9 +832,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err
 
-    @pytest.mark.parametrize("failure", ["bisection info", "missing eigenvalue", "inverse info"])
+    @pytest.mark.parametrize("failure", ["bisection info", "missing eigenvalue", "inverse info",
+                                         "close eigenvalues"])
     def test_window_eigensolver_failure_exits_three(self, monkeypatch, capsys, failure):
-        # LAPACK reports through info and the eigenvalue count; neither may pass unnoticed
+        # LAPACK reports through info and the eigenvalue count, and eigenvalues that no
+        # bisection parts would leave the inverse iterations to converge on one vector; none
+        # may pass unnoticed
         from scipy.linalg import lapack
         dstebz, dstein = lapack.dstebz, lapack.dstein
 
@@ -842,6 +845,8 @@ class TestExitCodes:
             m, w, block, split, info = dstebz(*args)
             if failure == "missing eigenvalue":
                 return m - 1, w, block, split, info
+            if failure == "close eigenvalues":
+                w[:m] = w[0]
             return m, w, block, split, 1 if failure == "bisection info" else info
 
         def invert(*args):

@@ -29,6 +29,7 @@ from conftest import (
     open_xx_correlations_mp,
     rdm_weights_dense,
     sine_kernel_entropies_mp,
+    sine_kernel_occupations_mp,
     tfim_dense_hamiltonian,
     tfim_polar_correlations,
 )
@@ -366,25 +367,57 @@ class TestWindowRoute:
         assert len(spec.epsilons) < 128  # about 2.9 ln N per side lie below the cap
 
     def test_window_widens_until_both_edges_are_capped(self, monkeypatch):
-        # no real input outgrows the first window, so a higher cap forces the doubling; at a
-        # cap of 60 an edge near occupation 1 counts as capped only if it rounds to 1 or more,
-        # and T-index 97's reads 1 - 2.2e-16, so the third window takes the whole chain
-        ref, cap = xx_interval_spectrum(150, 0.77), free_fermion.EPS_CAP
-        windows = []
+        # no real input outgrows the first window, so a higher cap forces the doubling. Past
+        # |eps| of about 37 float64 occupations are rounding noise, and whether such an edge
+        # counts as capped is a coin flip, so the route's occupations are swapped for 60-digit
+        # ones rounded to float64: at a cap of 120 the first window's lower edge, T-index 2,
+        # sits at eps 96.4, and the occupations from T-index 51 on round to 1
+        N, nu = 100, 0.66  # 34 = (1 - nu) N modes below the plunge
+        exact = np.sort(np.array(sine_kernel_occupations_mp(N, nu, dps=60), dtype=float))
+        ref, cap = xx_interval_spectrum(N, nu), free_fermion.EPS_CAP
+        windows, quotients = [], free_fermion._sine_kernel_quotients
 
-        def spy(d, e, select, vl, vu, il, iu, *args):
+        def bisect(d, e, select, vl, vu, il, iu, *args):
             windows.append((il - 1, iu - 1))  # LAPACK counts from 1
             return dstebz(d, e, select, vl, vu, il, iu, *args)
 
+        def exact_quotients(N, nu, vectors):
+            lam = quotients(N, nu, vectors)  # runs the bisection
+            lo, last = windows[-1]
+            assert np.max(np.abs(lam - exact[lo:last + 1])) <= 1e-15  # the same modes
+            return exact[lo:last + 1]
+
         dstebz = scipy.linalg.lapack.dstebz
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", spy)
-        monkeypatch.setattr(free_fermion, "EPS_CAP", 60.0)
-        wide = xx_interval_spectrum(150, 0.77)
-        assert windows == [(2, 65), (0, 97), (0, 149)]  # T-indices lo..hi-1: 64, 98, 150 modes
-        assert len(wide) == 150
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", bisect)
+        monkeypatch.setattr(free_fermion, "_sine_kernel_quotients", exact_quotients)
+        monkeypatch.setattr(free_fermion, "EPS_CAP", 120.0)
+        wide = xx_interval_spectrum(N, nu)
+        assert windows == [(2, 65), (0, 97)]  # T-indices lo..hi-1: 64 modes, then 98
+        # T-indices 98 and 99, never solved, count as capped, as the whole exact spectrum has it
+        whole = free_fermion._spectrum_from_epsilons(free_fermion._epsilons_from_occupations(exact))
+        assert wide.capped == whole.capped and wide.capped[0] > 2
+        assert np.array_equal(wide.epsilons, whole.epsilons)
         live = np.abs(wide.epsilons) < cap
         assert np.count_nonzero(live) == len(ref.epsilons)
         assert np.max(np.abs(wide.occupations[live] - ref.occupations)) <= 1e-15
+
+    @pytest.mark.parametrize("nu", [3e-4, 0.9999])
+    def test_close_eigenvalues_take_a_finer_bisection(self, monkeypatch, dense, nu):
+        # near filling 0 or 1 the window's T eigenvalues come in pairs about 1 apart, here 55
+        # and 49 times the loose bisection's 1e-5 N, which cost 1.3e-13 on S1 (nu = 3e-4) and
+        # 2.6e-12 on S (nu = 0.9999) against the dense route; the finer bisection parts them
+        N, tolerances, dstebz = 2048, [], scipy.linalg.lapack.dstebz
+
+        def bisect(*args):
+            tolerances.append(args[7])
+            return dstebz(*args)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", bisect)
+        window, ref = xx_interval_spectrum(N, nu), dense(N, nu)
+        assert tolerances == [1e-5 * N, np.finfo(float).eps * N * N]
+        a, b = summary_from_single_particle(window), summary_from_single_particle(ref)
+        assert abs(a.S - b.S) <= 1e-12
+        assert abs(a.S1 - b.S1) <= 1e-13
 
     def test_rejects_bad_arguments(self):
         for args in [(0,), (4, 0.0), (4, 1.0), (4, float("nan"))]:
