@@ -10,7 +10,7 @@ the most significant bit, so any cut splits a state as (left << L_right) | right
 and each Schmidt block (a fixed number of up spins on the left) is a set of
 contiguous runs of the sector vector, one run of right parts per left part.
 
-Solver: Lanczos (ARPACK, deterministic start vector) on the Marshall block of
+Solver: Lanczos (ARPACK, all-ones start vector) on the Marshall block of
 the sector (see `xxz_ground_state`); the block's residual ||H v - E v||, which
 is the sector's, must reach 1e-10 max(1, |E|). Basis and block are built with
 numpy bit operations inside the sector, never over all 2^L states, the block
@@ -39,9 +39,10 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
 # bytes per block nonzero (the sector's nonzeros over the symmetry group's order)
-# that the preflight charges; build and solve peak at 32-44, in peak RSS above a
-# 4-site scan at L = 18..26, so L <= 26 is admitted and L = 27 (7.3 GB) is not
+# that the preflight charges; build and solve peak at 22-26, in peak RSS above a
+# 4-site scan at L = 22..26, so L <= 26 is admitted and L = 27 (7.3 GB) is not
 _BYTES_PER_NONZERO = 50
+_KRYLOV_SIZE = 10  # Lanczos vectors, a block vector each; timed against 6..20 at L = 18..26
 
 
 @dataclass(frozen=True)
@@ -116,44 +117,54 @@ def _marshall_block(length: int, n_up: int, delta: float):
 
     O runs over the orbits of the reflection and, at Sz = 0, the spin flip; a
     hop from the least state of O into orbit O' adds -1/2 sqrt(|O|/|O'|) to row O.
-    Returns the block, each sector state's orbit index, and its amplitude
-    factor m(s)/sqrt(|O|).
+    Returns the block and each sector state's int32 orbit index.
     """
     from scipy.sparse import csr_matrix  # not at the top: importing singlecopy loads no scipy
     L, basis = length, _sector_basis(length, n_up)
+    orbit = np.empty(len(basis), np.int32)  # ahead of the temporaries: the heap shrinks back
     mirror = np.zeros_like(basis)
     for bit in range(L):
         mirror |= ((basis >> bit) & 1) << (L - 1 - bit)
-    images = [basis, mirror]
-    if 2 * n_up == L:
-        images += [image ^ ((1 << L) - 1) for image in images]
-    least = np.minimum.reduce(images)
-    size = len(images) / sum(image == basis for image in images)  # |group| / |stabilizer|
+    least = np.minimum(basis, mirror)
+    if 2 * n_up == L:  # the spin flip reverses the order: the greatest image flips to the least
+        np.minimum(least, np.maximum(basis, mirror, out=mirror) ^ ((1 << L) - 1), out=least)
     reps = np.flatnonzero(least == basis)
+    indptr = np.ones(len(reps) + 1, np.int32)  # ahead of them too
     rep_states = basis[reps]
-    orbit = np.searchsorted(rep_states, least)
-    del mirror, images, least
+    orbit[:] = np.searchsorted(rep_states, least)
+    del mirror, least, basis
+    size = np.bincount(orbit)  # |O|
     # int32 CSR rows, two passes over the bonds: count each orbit's hops, then write them
-    diag, count = np.zeros(len(reps)), np.ones(len(reps), dtype=np.int32)
+    diag, indptr[0] = np.zeros(len(reps)), 0
     for s in range(L - 1):
         bi = (rep_states >> (L - 1 - s)) & 1
         bj = (rep_states >> (L - 2 - s)) & 1
         diag += delta * (bi - 0.5) * (bj - 0.5)
-        count += bi != bj
-    indptr = np.concatenate(([0], np.cumsum(count)), dtype=np.int32)
+        indptr[1:] += bi != bj
+    np.cumsum(indptr, out=indptr)
     indices, data, cursor = np.empty(indptr[-1], np.int32), np.empty(indptr[-1]), indptr[:-1] + 1
     indices[indptr[:-1]], data[indptr[:-1]] = np.arange(len(reps)), diag  # then hops, bond by bond
-    for s in range(L - 1):
-        hop = np.flatnonzero(((rep_states >> (L - 1 - s)) ^ (rep_states >> (L - 2 - s))) & 1)
-        # flipping the antiparallel pair (s, s+1) stays inside the sector
-        target = np.searchsorted(basis, rep_states[hop] ^ (3 << (L - 2 - s)))
-        indices[cursor[hop]] = orbit[target]
-        data[cursor[hop]] = -0.5 * np.sqrt(size[reps[hop]] / size[target])
+    for p in range(L - 2, -1, -1):  # bits p + 1 and p: flipping antiparallel ones keeps Sz
+        hop = np.flatnonzero(((rep_states >> (p + 1)) ^ (rep_states >> p)) & 1)
+        # the basis is colex: an up spin hopping from bit p to p + 1 past i lower ones adds C(p, i)
+        moved, choose = rep_states[hop], np.array([math.comb(p, i) for i in range(n_up + 1)])
+        step = choose[np.bitwise_count(moved & ((1 << p) - 1))]
+        indices[cursor[hop]] = target = orbit[reps[hop] + np.where((moved >> p) & 1, step, -step)]
+        data[cursor[hop]] = -0.5 * np.sqrt(size[hop] / size[target])
         cursor[hop] += 1
     H = csr_matrix((data, indices, indptr), shape=(len(reps), len(reps)))
     H.sum_duplicates()  # sorts each row and sums the hops into one orbit
-    odd_sites = sum(1 << (L - 1 - j) for j in range(1, L, 2))
-    return H, orbit, (-1.0) ** np.bitwise_count(basis & odd_sites) / np.sqrt(size)
+    return H, orbit
+
+
+def _marshall_amplitudes(length: int, n_up: int, orbit, block_vec) -> np.ndarray:
+    """m(s_0) sum_O x_O u_O for a block vector x (scaled in place) and the first state s_0."""
+    block_vec /= np.sqrt(np.bincount(orbit))
+    vec = block_vec[orbit]
+    odd_sites = sum(1 << (length - 1 - j) for j in range(1, length, 2))
+    basis = _sector_basis(length, n_up)
+    np.negative(vec, out=vec, where=np.bitwise_count((basis ^ basis[0]) & odd_sites) % 2 == 1)
+    return vec
 
 
 def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
@@ -166,7 +177,9 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     Phys. 3, 749 (1962)). Lanczos runs on the orbit sums of these symmetries,
     a half (odd length) or a quarter (even length) of the sector; the Neel
     phase's near-degenerate partner (even length, delta > 1) lies outside it.
-    The overall phase is fixed by making the first nonzero amplitude positive.
+    Lanczos starts from the all-ones vector, which no positive vector is orthogonal to, in a
+    10-vector Krylov space. The residual is checked on the solution's absolute value (equal up
+    to rounding), so each amplitude has its exact Marshall sign; the first one is positive.
     Raises ValueError, before any sector array is built, if the memory estimate
     is over the budget, and LinAlgError if the residual misses 1e-10 max(1, |E|) or is NaN.
     """
@@ -180,21 +193,18 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     if log_bytes > math.log(_MEMORY_BUDGET):
         raise ValueError(f"{L} sites need about 10^{log_bytes / math.log(10):.1f} bytes, "
                          f"over the {_MEMORY_BUDGET >> 30} GiB diagonalization memory budget")
-    H, orbit, factor = _marshall_block(L, n_up, spec.delta)
+    H, orbit = _marshall_block(L, n_up, spec.delta)
     if H.shape[0] == 1:  # two sites: one orbit, and eigsh needs k < n
         evals, evecs = H.diagonal(), np.ones((1, 1))
     else:
-        v0 = np.cos(0.7 * np.arange(H.shape[0]) + 0.3)
         from scipy.sparse.linalg import eigsh
-        evals, evecs = eigsh(H, k=1, which="SA", v0=v0, tol=0)
-    energy, block_vec = float(evals[0]), evecs[:, 0]
+        evals, evecs = eigsh(H, k=1, which="SA", v0=np.broadcast_to(1.0, H.shape[0]),
+                             ncv=min(_KRYLOV_SIZE, H.shape[0]), tol=0)
+    energy, block_vec = float(evals[0]), np.abs(evecs[:, 0], out=evecs[:, 0])
     residual = np.linalg.norm((H @ block_vec - energy * block_vec) / max(1.0, abs(energy)))
     if not residual <= _RESIDUAL_TOL:  # scaled, so no square overflows; negated, so NaN fails
         raise np.linalg.LinAlgError(f"ground-state residual {residual:.2e} above {_RESIDUAL_TOL}")
-    vec = factor * block_vec[orbit]
-    first = np.flatnonzero(np.abs(vec) > 1e-12)[0]
-    if vec[first] < 0:
-        vec = -vec
+    vec = _marshall_amplitudes(L, n_up, orbit, block_vec)
     return GroundStateVector(amplitudes=vec, length=L, n_up=n_up, energy=energy)
 
 

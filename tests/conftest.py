@@ -222,6 +222,22 @@ def ising_ladder_entropies_mp(k, dps=30):
         return float(S1 + mpmath.fsum(e / (mpmath.exp(e) + 1) for e in eps)), float(S1)
 
 
+def xxz_neel_s1_mp(delta, dps=40):
+    """S1 of the XXZ half chain's spin-flip-even Neel cat, cut at an odd site, in mpmath.
+
+    For delta = cosh(lambda) > 1 the half-infinite chain's corner-transfer-matrix
+    ladder eps_j = 2 j lambda, j >= 1 (Peschel, Kaulke and Legeza 1999), gives a
+    symmetry-broken Neel state S1 = sum_j ln(1 + e^(-2 j lambda)). An odd cut puts
+    the cat's two Neel halves in different Schmidt sectors, which adds ln 2. Terms
+    are summed until e^(-2 j lambda) falls below 10^-dps.
+    """
+    with mpmath.workdps(dps):
+        lam = mpmath.acosh(delta)
+        terms = int(dps * mpmath.log(10) / (2 * lam)) + 1
+        return float(mpmath.log(2) + mpmath.fsum(
+            mpmath.log1p(mpmath.exp(-2 * j * lam)) for j in range(1, terms + 1)))
+
+
 def brute_force_products(occupations):
     """All 2^K many-body weights prod_k {zeta_k or 1-zeta_k}, descending."""
     w = np.array([1.0])

@@ -1,5 +1,6 @@
 """XXZ diagonalization: energies, Schmidt spectra, symmetries, scans."""
 
+import functools
 import math
 import time
 import tracemalloc
@@ -14,6 +15,7 @@ from singlecopy.entanglement import summary_from_single_particle, summary_from_w
 from singlecopy.exact_diag import (
     GroundStateVector,
     XxzSpec,
+    _marshall_amplitudes,
     _marshall_block,
     _sector_basis,
     rdm_weights,
@@ -26,7 +28,12 @@ from singlecopy.free_fermion import (
     single_particle_energies,
 )
 
-from conftest import dense_ground_state, rdm_weights_dense, xxz_dense_hamiltonian
+from conftest import (
+    dense_ground_state,
+    rdm_weights_dense,
+    xxz_dense_hamiltonian,
+    xxz_neel_s1_mp,
+)
 
 
 def xx_open_energy(L):
@@ -175,8 +182,9 @@ class TestSectorBuilders:
     @pytest.mark.parametrize("L", list(range(2, 9)))
     def test_hamiltonian_matches_dense_restriction(self, L):
         # the block is the dense H restricted to the Marshall orbit sums, P^T H P
-        # for the isometry P onto them; the returned orbit indices and factors
-        # are the entries of P
+        # for the isometry P onto them; `_marshall_amplitudes` maps each unit block
+        # vector through the returned orbit indices to a column of P, times the
+        # first state's Marshall sign
         deltas = (-1.0, -0.37, 0.0, 0.5, 2.0)
         dense = {delta: xxz_dense_hamiltonian(L, delta) for delta in deltas}
         for n_up in range(L + 1):
@@ -185,10 +193,13 @@ class TestSectorBuilders:
             for o, members in enumerate(orbits):
                 for s in members:
                     P[s, o] = marshall_sign(L, s) / math.sqrt(len(members))
-            _, orbit, factor = _marshall_block(L, n_up, 0.0)
+            _, orbit = _marshall_block(L, n_up, 0.0)
+            assert orbit.dtype == np.int32
+            basis = _sector_basis(L, n_up)
             P_block = np.zeros_like(P)
-            P_block[_sector_basis(L, n_up), orbit] = factor
-            assert np.allclose(P_block, P, rtol=0, atol=1e-15)
+            for o, unit in enumerate(np.eye(len(orbits))):
+                P_block[basis, o] = _marshall_amplitudes(L, n_up, orbit, unit)
+            assert np.allclose(marshall_sign(L, int(basis[0])) * P_block, P, rtol=0, atol=1e-15)
             for delta in deltas:
                 H_block = _marshall_block(L, n_up, delta)[0].toarray()
                 expected = P.T @ dense[delta] @ P
@@ -224,8 +235,9 @@ class TestSectorBuilders:
                 assert (H != H.T).nnz == 0
 
     def test_block_peak_per_nonzero(self):
-        # rows written in place into int32 CSR: 32.5 traced bytes per block nonzero
-        # at L = 20 (the COO build and its conversion held 84.6)
+        # rows written in place into int32 CSR, each hop's target ranked in closed form
+        # with no sector basis held: 22.8 traced bytes per block nonzero at L = 20 (32.5
+        # with the stacked symmetry images and the basis held; the COO build held 84.6)
         L = 20
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
@@ -234,11 +246,13 @@ class TestSectorBuilders:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * block_nonzeros(L)
+        assert peak <= 28 * block_nonzeros(L)
 
     def test_ground_state_peak_per_nonzero(self):
-        # the block, then Lanczos's 20 block vectors: 51.9 traced bytes per block
-        # nonzero at L = 20 (84.6 with the COO build)
+        # the block, int32 orbit indices, and ARPACK's 25 block vectors (its 10 Krylov
+        # vectors, twice when the eigenvector is extracted, and 5 more): 32.2 traced bytes
+        # per block nonzero at L = 20 (51.9 with 20 Krylov vectors, a start vector and the
+        # sector-sized int64 orbit indices and float64 factors held through the solve)
         L = 20
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
@@ -247,11 +261,12 @@ class TestSectorBuilders:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 65 * block_nonzeros(L)
+        assert peak <= 40 * block_nonzeros(L)
 
     def test_build_peak(self):
-        # the sector-sized orbit arrays dominate: 10.3 traced bytes per nonzero of
-        # the whole sector's Hamiltonian at L = 16 (the full-sector build held 48.5)
+        # the sector-sized basis, its mirror images and orbit indices dominate: 6.6 traced
+        # bytes per nonzero of the whole sector's Hamiltonian at L = 16 (10.3 with the four
+        # images stacked and int64 orbit indices; the full-sector build held 48.5)
         L = 16
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
@@ -260,7 +275,7 @@ class TestSectorBuilders:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 25 * (math.comb(L, L // 2) + 2 * (L - 1) * math.comb(L - 2, L // 2 - 1))
+        assert peak <= 8 * (math.comb(L, L // 2) + 2 * (L - 1) * math.comb(L - 2, L // 2 - 1))
 
 
 class TestMarshallSector:
@@ -285,10 +300,49 @@ class TestMarshallSector:
             assert np.allclose(v[mirror], reflection_parity * v, rtol=0, atol=1e-10)
             if flip is not None:
                 assert np.allclose(v[flip], (-1) ** (L // 2) * v, rtol=0, atol=1e-10)
-            v = -v if v[np.flatnonzero(np.abs(v) > 1e-12)[0]] < 0 else v
+            # the oracle's own vector is the Marshall sign times a positive vector
+            signs = np.array([marshall_sign(L, s) for s in basis.tolist()])
+            assert np.all(v * signs > 0) or np.all(v * signs < 0)
+            v = -v if v[0] < 0 else v
             state = xxz_ground_state(XxzSpec(L, delta))
             assert state.energy == pytest.approx(energies[0], abs=1e-10)
             assert np.allclose(state.amplitudes, v, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("L", list(range(2, 15)))
+    def test_amplitudes_carry_marshall_signs(self, L):
+        # the block's ground state is positive (Perron-Frobenius), so the all-ones
+        # Lanczos start is never orthogonal to it; every amplitude is its Marshall
+        # sign times a positive number, times the first state's sign, which the
+        # overall phase makes positive, down to the 1e-21 amplitudes of delta = 100
+        n_up = (L + 1) // 2
+        signs = np.array([marshall_sign(L, s) for s in combinations_basis(L, n_up).tolist()])
+        for delta in (-1.0, -0.5, 0.0, 0.5, 2.0, 100.0):
+            amplitudes = xxz_ground_state(XxzSpec(L, delta)).amplitudes
+            assert np.all(amplitudes * signs * signs[0] > 0)
+
+
+@functools.cache
+def half_cut_s1(L, delta):
+    return summary_from_weights(rdm_weights(xxz_ground_state(XxzSpec(L, delta)), L // 2)).S1
+
+
+class TestNeelPhase:
+    """Gapped rows against the corner-transfer-matrix closed form `xxz_neel_s1_mp`."""
+
+    @pytest.mark.parametrize("delta,tol", [(5.0, 1e-4), (20.0, 1e-10), (50.0, 1e-13),
+                                           (100.0, 1e-13)])
+    def test_s1_against_closed_form(self, delta, tol):
+        # L = 18 = 2 mod 4, so the half cut is odd and the cat's two Neel halves
+        # sit in different Schmidt sectors. The finite chain's S1 sits below the
+        # half-infinite ladder's by 3.4e-5 at delta = 5 and 3.4e-11 at 20; at 50 and 100
+        # by 3.6e-15 and 3.2e-14, at 100 the ladder weights that `rdm_weights` trims below 1e-14
+        assert abs(half_cut_s1(18, delta) - xxz_neel_s1_mp(delta)) <= tol
+
+    @pytest.mark.parametrize("delta", [5.0, 10.0, 20.0])
+    def test_gap_shrinks_with_length(self, delta):
+        # the distance to the half-infinite chain closes from L = 14 to 18 (both 2 mod 4)
+        closed = xxz_neel_s1_mp(delta)
+        assert abs(half_cut_s1(18, delta) - closed) < abs(half_cut_s1(14, delta) - closed)
 
 
 class TestRdmWeights:
