@@ -23,7 +23,9 @@ is over the 4 GiB budget, and any failed allocation, exit with code 2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -73,12 +75,11 @@ def _resolve_lengths(args: argparse.Namespace) -> list[int]:
     return sorted(set(lengths))
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_output(lines, out: str | None) -> None:
+    """Write each line and a newline, as the line arrives, to the file `out` or to stdout."""
+    with (open(out, "w", encoding="utf-8", newline="\n") if out
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +129,11 @@ def _model_parameters(args: argparse.Namespace) -> list[float]:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     lengths, parameters = _resolve_lengths(args), _model_parameters(args)
-    # looked up per call, so that a rebound row function is the one that runs
+    # looked up per call, so that a rebound row function is the one that runs; every row
+    # is computed before the first byte, so that a failing row leaves the output empty
     row = {"xx": _xx_row, "tfim": _tfim_row, "xxz-ed": _xxz_row}[args.model]
     rows = [row(p, L) for p in sorted(set(parameters)) for L in lengths]
-    _write_output("\n".join([SCAN_HEADER, *rows]) + "\n", args.out)
+    _write_output([SCAN_HEADER, *rows], args.out)
     return 0
 
 
@@ -149,11 +151,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     else:  # the leading L sites of a 2L-site chain
         chain = free_fermion.FermionModelSpec(kind="tfim", modulus=parameter, length=2 * L)
         spec = free_fermion.tfim_block_spectrum(chain, L)
-    lines = ["k,epsilon,zeta,zero_mode"]
     epsilons = spec.all_epsilons()
-    for i, (eps, zeta) in enumerate(zip(epsilons, 1.0 / (1.0 + np.exp(epsilons)))):
-        lines.append(f"{i},{_fmt(eps)},{_fmt(zeta)},{int(eps == 0.0)}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    rows = (f"{i},{_fmt(eps)},{_fmt(zeta)},{int(eps == 0.0)}"
+            for i, (eps, zeta) in enumerate(zip(epsilons, 1.0 / (1.0 + np.exp(epsilons)))))
+    _write_output(itertools.chain(["k,epsilon,zeta,zero_mode"], rows), args.out)
     return 0
 
 
@@ -223,7 +224,7 @@ def cmd_fit_c(args: argparse.Namespace) -> int:
     if report["c_extrapolated"] is not None and observable == "S1":
         report["k1"], report["residual"] = scaling.fit_conformal_constants(
             points, geometry, report["c_extrapolated"])
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output([json.dumps(report, indent=2, sort_keys=True)], args.out)
     return 0
 
 
@@ -284,7 +285,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     missing = [key for key, p in keys.items() if p.default is p.empty and key not in kv]
     if missing:
         raise ValueError(f"{formula} needs {', '.join(missing)}")
-    _write_output(f"{evaluate(**kv):.12g}\n", args.out)
+    _write_output([f"{evaluate(**kv):.12g}"], args.out)
     return 0
 
 
@@ -325,7 +326,7 @@ def cmd_compare_oracle(args: argparse.Namespace) -> int:
         **{f"max_{key}": max(v[key] for v in per_length.values())
            for key in ("dS1", "dS", "dweight", "dE")},
     }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_output([json.dumps(report, indent=2, sort_keys=True)], args.out)
     return 0
 
 
@@ -359,7 +360,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.convert_arg_line_to_args = lambda line: line.partition("#")[0].split()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def options(p, *flags):
+    def command(p, handler, *flags):
+        """Have subparser `p` run `handler` and read the shared options `flags`."""
+        p.set_defaults(handler=handler)
         for flag in flags:
             p.add_argument(flag, **_OPTIONS[flag])
 
@@ -367,17 +370,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", allow_abbrev=False,
                             help="single-particle entanglement spectrum")
     p_spec.add_argument("--model", choices=["xx", "tfim"], default="xx")
-    options(p_spec, "--k", "--nu", "--L", "--L-range", "--out")
+    command(p_spec, cmd_spectrum, "--k", "--nu", "--L", "--L-range", "--out")
 
     p_scan = sub.add_parser("scan", allow_abbrev=False, help="entanglement scan table")
-    options(p_scan, "--model", "--delta", "--k", "--nu", "--L", "--L-range",
+    command(p_scan, cmd_scan, "--model", "--delta", "--k", "--nu", "--L", "--L-range",
             "--out", "--threads")
 
     p_fit = sub.add_parser("fit-c", allow_abbrev=False,
                            help="central-charge report from a scan table")
     p_fit.add_argument("scan_file", help="CSV produced by `sce scan`")
     p_fit.add_argument("--observable", choices=["S1", "S"], default="S1")
-    options(p_fit, "--geometry", "--out")
+    command(p_fit, cmd_fit_c, "--geometry", "--out")
 
     p_ana = sub.add_parser("analytic", allow_abbrev=False,
                            help="evaluate a closed-form prediction")
@@ -385,27 +388,18 @@ def _build_parser() -> argparse.ArgumentParser:
         " ".join(filter(None, (f, g, str(inspect.signature(fn)))))
         for (f, g), fn in _FORMULAS.items()))
     p_ana.add_argument("params", nargs="*", help="[geometry] key=value ...")
-    options(p_ana, "--out")
+    command(p_ana, cmd_analytic, "--out")
 
     p_cmp = sub.add_parser("compare-oracle", allow_abbrev=False,
                            help="XXZ diagonalization vs free-fermion route at Delta=0")
-    options(p_cmp, "--L", "--out")
+    command(p_cmp, cmd_compare_oracle, "--L", "--out")
     return parser
-
-
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "scan": cmd_scan,
-    "fit-c": cmd_fit_c,
-    "analytic": cmd_analytic,
-    "compare-oracle": cmd_compare_oracle,
-}
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (np.linalg.LinAlgError, ArithmeticError, RuntimeError) as err:
         # LinAlgError subclasses ValueError, so numerical failures go first
         print(f"numerical failure: {err}", file=sys.stderr)

@@ -169,20 +169,22 @@ def many_body_spectrum(spec: EntanglementSpectrum, M: int) -> RdmSpectrum:
 
 
 def distillation_bound(w1: float) -> DistillationBound:
-    """Largest M with w1 <= 1/M + 1e-12.
+    """Largest M with w1 <= 1/M + 1e-12, in closed form: M = floor(1/(w1 - 1e-12)).
 
     A maximally entangled state of rank M has M equal weights 1/M, and
     local operations cannot lower the largest weight, hence the bound.
     The additive tie tolerance makes exact ratios like w1 = 1/2 count.
+    A rounded floor moves by one to the largest M the float comparison
+    admits (for w1 >= 2e-12; nearer the tie, floats resolve it coarser).
     """
     if not 0.0 < w1 <= 1.0 + _TIE_TOL:
         raise ValueError(f"w1 must lie in (0, 1], got {w1}")
     if w1 <= _TIE_TOL:
         # below the tie tolerance every M would qualify; no largest exists
         raise ValueError(f"w1 = {w1} is below the tie tolerance {_TIE_TOL}")
-    M = max(1, int(1.0 / w1))
-    while w1 <= 1.0 / (M + 1) + _TIE_TOL:
+    M = int(1.0 / (w1 - _TIE_TOL))
+    if w1 <= 1.0 / (M + 1) + _TIE_TOL:
         M += 1
-    while M > 1 and w1 > 1.0 / M + _TIE_TOL:
+    elif w1 > 1.0 / M + _TIE_TOL:  # M >= 1 here: the comparison holds at M = 1
         M -= 1
     return DistillationBound(M_max=M)

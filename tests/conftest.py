@@ -68,6 +68,43 @@ def tfim_polar_correlations(L, k):
     return 0.5 * (np.eye(L) - 0.5 * (W + W.T)), 0.25 * (W - W.T)
 
 
+def ising_cut_gram_values(k):
+    """Cut-block singular values tau of an open Ising chain cut far from both of its ends.
+
+    `tfim_block_spectrum` writes the cut block as X = U V^T, one column of U and of V per
+    quadrature node of `_resolvent_nodes`, from the pivots of M + s_j, M = D^T D. Far from
+    the ends the pivots sit at the fixed points of their sweeps, less 4k^2 and less 4,
+
+        e* = (b + sqrt(b^2 + 16 s k^2)) / 2,  b = s + 4 - 4k^2,
+        g* = (b + sqrt(b^2 + 16 s)) / 2,      b = s + 4k^2 - 4,
+
+    so each column is geometric in the distance from the cut: U[t, j] = a_j r_j^t with
+    r_j = 4k / (e*_j + 4k^2) and a_j = 2 c_j w_j e*_j / (e*_j + 4k^2), where
+    2 c_j w_j = 8k w_j / (4 e*_j + g*_j (e*_j + 4k^2)), and V[t, j] = q_j^t with
+    q_j = 4k / (4 + g*_j). Their Gram matrices are geometric sums,
+    Gu[j, l] = a_j a_l / (1 - r_j r_l) and Gv[j, l] = 1 / (1 - q_j q_l), and tau^2 are the
+    eigenvalues of Gu^(1/2) Gv Gu^(1/2): no sweep, QR or SVD. The Gram form squares the
+    conditioning, so tau below about 1e-8 are rounding noise, far past the cap (tau = 2e-6
+    at EPS_CAP). Returns tau descending, the nonpositive eigenvalues dropped.
+    """
+    from singlecopy.free_fermion import _resolvent_nodes
+
+    s, w = _resolvent_nodes(k)
+    kk = 4.0 * k * k
+    b = s + 4.0 - kk
+    e = 0.5 * (b + np.sqrt(b * b + 16.0 * s * k * k))
+    b = s + kk - 4.0
+    g = 0.5 * (b + np.sqrt(b * b + 16.0 * s))
+    r, q = 4.0 * k / (e + kk), 4.0 * k / (4.0 + g)
+    a = 8.0 * k * w / (4.0 * e + g * (e + kk)) * e / (e + kk)
+    Gu = np.outer(a, a) / (1.0 - np.outer(r, r))
+    Gv = 1.0 / (1.0 - np.outer(q, q))
+    lam, vec = eigh(Gu)
+    root = (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.T
+    tau2 = eigh(root @ Gv @ root, eigvals_only=True)[::-1]
+    return np.sqrt(tau2[tau2 > 0.0])
+
+
 def open_xx_correlations(L, zero_occupation):
     """G of the open XX chain from its closed-form modes.
 

@@ -73,6 +73,27 @@ class TestSpectrum:
         assert run(["spectrum", "--model", "tfim", "--k", "1.5", "--L", "8"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_two_sizes_exit_two(self, capsys):
+        assert run(["spectrum", "--L", "8", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exactly one subsystem size" in captured.err
+
+    def test_rows_stream_within_the_preflight_charge(self, tmp_path):
+        # the window route holds 14.1 N floats traced, under the 18 N its preflight charges;
+        # the rows are written as they are formatted, with only the energies and occupations
+        # (two length-N arrays) beside them. Joined into one string they peaked at 26.7 N.
+        N, out = 16384, tmp_path / "spec.csv"
+        argv = ["spectrum", "--model", "xx", "--nu", "0.3", "--L", str(N), "--out", str(out)]
+        assert run(argv) == 0  # warm-up: imports and caches stay out of the trace
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= free_fermion._WINDOW_ARRAYS * 8 * N
+        assert len(out.read_text().splitlines()) == N + 1
+
     def test_tfim_spectrum_positive(self, tmp_path):
         out = tmp_path / "spec.csv"
         assert run(["spectrum", "--model", "tfim", "--k", "0.5", "--L", "6",
@@ -238,6 +259,13 @@ class TestScan:
         assert run(["scan", "--model", "xx"]) == 2
         assert run(["scan", "--model", "xxz-ed", "--L", "9"]) == 2
         assert run(["scan", "--model", "xx", "--L-range", "64:4:2"]) == 2
+        # a ladder without its factor, and sizes given both ways; each named on stderr
+        for sizes, named in ((["--L-range", "64:4096"], "'64:4096'"),
+                             (["--L", "8", "--L-range", "4:8:2"], "either --L or --L-range")):
+            capsys.readouterr()
+            assert run(["scan", "--model", "xx", *sizes]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and named in captured.err
 
 
 class TestFitC:
@@ -319,6 +347,16 @@ class TestFitC:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {csv}:2: ") and "integer >= 1" in captured.err
+
+    def test_short_row_exits_two_and_names_line(self, tmp_path, capsys):
+        csv = tmp_path / "synthetic.csv"
+        self.synthetic_csv(csv)
+        lines = csv.read_text().splitlines(True)
+        lines[3] = lines[3].rpartition(",")[0] + "\n"  # 8 of the 9 fields
+        csv.write_text("".join(lines), encoding="utf-8")
+        assert run(["fit-c", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"{csv}:4: malformed row" in captured.err
 
     def test_schema_mismatch_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -551,6 +589,11 @@ class TestAnalytic:
         assert run(["analytic", "tfim-s1", "finite", "k=0.5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "'finite'" in captured.err
+
+    def test_value_without_key_exits_two_and_names_it(self, capsys):
+        assert run(["analytic", "conformal-s1", "finite", "L=100", "50"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "key=value, got '50'" in captured.err
 
     def test_key_the_formula_does_not_take_exits_two(self, capsys):
         assert run(["analytic", "elliptic-k", "k=0.5", "L=3"]) == 2

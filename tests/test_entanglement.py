@@ -138,6 +138,8 @@ class TestSummaryFromWeights:
             summary_from_weights(RdmSpectrum(np.array([])))
         with pytest.raises(ValueError):
             RdmSpectrum(np.array([1.0, -1e-6]))
+        with pytest.raises(ValueError, match="weights must be a 1d array"):
+            RdmSpectrum(np.ones((2, 2)))
         with pytest.raises(ValueError):
             summary_from_weights(RdmSpectrum(np.array([0.7, 0.3]), truncated=True))
 
@@ -349,3 +351,29 @@ class TestDistillationBound:
             M = distillation_bound(w1).M_max
             assert w1 <= 1.0 / M + 1e-12
             assert w1 > 1.0 / (M + 1) + 1e-12
+
+    @pytest.mark.parametrize("w1", [2e-12, 1e-11, 1e-10])
+    def test_small_weights_in_closed_form(self, w1):
+        # a search up from floor(1/w1) takes about 1e-12 / w1^2 steps: 1e11 at w1 = 2e-12
+        M = distillation_bound(w1).M_max
+        assert w1 <= 1.0 / M + 1e-12
+        assert w1 > 1.0 / (M + 1) + 1e-12
+
+    @staticmethod
+    def searched(w1):
+        """The bound by the search this closed form replaced: up from floor(1/w1), then down."""
+        M = max(1, int(1.0 / w1))
+        while w1 <= 1.0 / (M + 1) + 1e-12:
+            M += 1
+        while M > 1 and w1 > 1.0 / M + 1e-12:
+            M -= 1
+        return M
+
+    def test_matches_the_search(self, rng):
+        # every ratio 1/M, M < 10^4, on and one tie away from it, and the float neighbours
+        # of each; then random weights down to 1e-7, where the search takes about 100 steps
+        near = [x for M in range(1, 10**4) for exact in (1.0 / M, 1.0 / M + 1e-12, 1.0 / M - 1e-12)
+                for x in (math.nextafter(exact, 0.0), exact, math.nextafter(exact, 2.0))]
+        weights = [*near, *10.0 ** rng.uniform(-7.0, 0.0, size=2000)]
+        weights = [w1 for w1 in weights if w1 <= 1.0 + 1e-12]
+        assert [distillation_bound(w1).M_max for w1 in weights] == list(map(self.searched, weights))

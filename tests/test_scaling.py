@@ -102,6 +102,9 @@ class TestLocalEstimates:
         with pytest.raises(ValueError):
             local_c_estimates(line_points(1, 0, LADDER), InfiniteLineInterval(1.0),
                               observable="S")
+        with pytest.raises(ValueError, match="unknown observable 'S2'"):
+            local_c_estimates(line_points(1, 0, LADDER), InfiniteLineInterval(1.0),
+                              observable="S2")
 
     def test_affine_invariance(self, rng):
         s1 = 0.2 + rng.uniform(0, 0.01, size=len(LADDER)) + np.log(LADDER) / 6
