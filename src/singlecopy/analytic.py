@@ -44,15 +44,10 @@ class InfiniteLineInterval:
 
 
 @dataclass(frozen=True)
-class HalfInfiniteEnd:
+class HalfInfiniteEnd(InfiniteLineInterval):
     """The last L sites of a half-infinite chain (one entangling point)."""
 
     slope: ClassVar[float] = 12.0
-    L: float
-
-    def __post_init__(self):
-        if not 0 < self.L < math.inf:
-            raise ValueError(f"subsystem length must be positive and finite, got {self.L}")
 
 
 @dataclass(frozen=True)
@@ -82,6 +77,13 @@ def _check_c_a(c: float, a: float) -> None:
         raise ValueError(f"cutoff a must be positive and finite, got {a}")
 
 
+def _log_chord(L: float, l: float) -> float:
+    """ln[(2L/pi) sin(pi l/L)] for 0 < l < L, as ln[2l sin(y)/y] with y = pi l/L."""
+    l = min(l, L - l)  # exact, and the form is symmetric in l
+    y = math.pi * (l / L) or 5e-324  # sin(y)/y = 1 where l/L underflows
+    return math.log(2.0 * l * (math.sin(y) / y))
+
+
 def conformal_s1(geom: Geometry, c: float = 1.0, a: float = 1.0, k1: float = 0.0) -> float:
     """CFT prediction for the single-copy entanglement S1.
 
@@ -97,11 +99,9 @@ def conformal_s1(geom: Geometry, c: float = 1.0, a: float = 1.0, k1: float = 0.0
     _check_c_a(c, a)
     if not math.isfinite(k1):
         raise ValueError(f"k1 must be finite, got {k1}")
-    # sums of logs, so that no ratio overflows; (2L/pi) sin(pi l/L) = 2l sin(y)/y, y = pi l/L
+    # sums of logs, so that no ratio overflows
     if isinstance(geom, FiniteChainCut):
-        l = min(geom.l, geom.L_chain - geom.l)  # exact, and the form is symmetric in l
-        y = math.pi * (l / geom.L_chain) or 5e-324  # sin(y)/y = 1 where l/L underflows
-        return (c / geom.slope) * (math.log(2.0 * l * (math.sin(y) / y)) - math.log(a)) + k1
+        return (c / geom.slope) * (_log_chord(geom.L_chain, geom.l) - math.log(a)) + k1
     return (c / geom.slope) * (math.log(geom.L) - math.log(a)) + k1
 
 

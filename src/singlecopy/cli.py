@@ -66,15 +66,6 @@ def _geometric_range(spec: str) -> list[int]:
     return out
 
 
-def _resolve_lengths(args: argparse.Namespace) -> list[int]:
-    if args.L and args.L_range:
-        raise ValueError("give either --L or --L-range, not both")
-    lengths = _geometric_range(args.L_range) if args.L_range else args.L
-    if not lengths:
-        raise ValueError("no system sizes given (--L or --L-range)")
-    return sorted(set(lengths))
-
-
 def _write_output(lines, out: str | None) -> None:
     """Write each line and a newline, as the line arrives, to the file `out` or to stdout."""
     with (open(out, "w", encoding="utf-8", newline="\n") if out
@@ -128,7 +119,8 @@ def _model_parameters(args: argparse.Namespace) -> list[float]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    lengths, parameters = _resolve_lengths(args), _model_parameters(args)
+    lengths = sorted(set(_geometric_range(args.L_range) if args.L_range else args.L))
+    parameters = _model_parameters(args)
     # looked up per call, so that a rebound row function is the one that runs; every row
     # is computed before the first byte, so that a failing row leaves the output empty
     row = {"xx": _xx_row, "tfim": _tfim_row, "xxz-ed": _xxz_row}[args.model]
@@ -142,10 +134,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    lengths, parameters = _resolve_lengths(args), _model_parameters(args)
-    if len(lengths) != 1 or len(parameters) != 1:
-        raise ValueError("spectrum wants exactly one subsystem size and one parameter value")
-    (L,), (parameter,) = lengths, parameters
+    (L,), (parameter,) = args.L, _model_parameters(args)  # argparse takes one of each
     if args.model == "xx":
         spec = free_fermion.xx_interval_spectrum(L, parameter)
     else:  # the leading L sites of a 2L-site chain
@@ -341,8 +330,6 @@ _OPTIONS = {
     "--k": dict(nargs="+", type=float, default=None, help="Ising couplings (elliptic modulus)"),
     "--nu": dict(type=float, default=None, help="XX filling, default 1/2"),
     "--L": dict(nargs="+", type=int, default=None, help="system sizes"),
-    "--L-range": dict(dest="L_range", default=None,
-                      help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2"),
     "--geometry": dict(choices=sorted(_GEOMETRIES), default="infinite"),
     "--out": dict(default=None, help="output path (default stdout)"),
     "--threads": dict(type=int, choices=[1], default=1,
@@ -370,11 +357,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", allow_abbrev=False,
                             help="single-particle entanglement spectrum")
     p_spec.add_argument("--model", choices=["xx", "tfim"], default="xx")
-    command(p_spec, cmd_spectrum, "--k", "--nu", "--L", "--L-range", "--out")
+    p_spec.add_argument("--k", nargs=1, type=float, help="Ising coupling (elliptic modulus)")
+    p_spec.add_argument("--L", nargs=1, type=int, required=True, help="subsystem size")
+    command(p_spec, cmd_spectrum, "--nu", "--out")
 
     p_scan = sub.add_parser("scan", allow_abbrev=False, help="entanglement scan table")
-    command(p_scan, cmd_scan, "--model", "--delta", "--k", "--nu", "--L", "--L-range",
-            "--out", "--threads")
+    command(p_scan, cmd_scan, "--model", "--delta", "--k", "--nu", "--out", "--threads")
+    sizes = p_scan.add_mutually_exclusive_group(required=True)
+    sizes.add_argument("--L", **_OPTIONS["--L"])
+    sizes.add_argument("--L-range", dest="L_range",
+                       help="geometric ladder START:STOP:FACTOR, e.g. 64:4096:2")
 
     p_fit = sub.add_parser("fit-c", allow_abbrev=False,
                            help="central-charge report from a scan table")

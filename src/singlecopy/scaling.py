@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import FiniteChainCut, Geometry
+from .analytic import FiniteChainCut, Geometry, _log_chord
 
 __all__ = [
     "ScanPoint",
@@ -118,8 +118,11 @@ def fit_conformal_constants(points, geom: Geometry, c: float) -> tuple[float, fl
     L = np.array([p.L for p in points], dtype=float)
     y = _values(points, "S1")
     if isinstance(geom, FiniteChainCut):  # the only log argument other than L
-        L = (2.0 * L / math.pi) * math.sin(math.pi * (geom.l / geom.L_chain))
-    pred = (c / geom.slope) * np.log(L)
+        fraction = geom.l / geom.L_chain
+        log_L = np.array([_log_chord(size, fraction * size) for size in L])
+    else:  # np.log, whose last bits the reported k1 keeps (math.log's differ for some L)
+        log_L = np.log(L)
+    pred = (c / geom.slope) * log_L
     k1 = float(np.mean(y - pred))
     residual = float(np.max(np.abs(y - pred - k1)))
     return k1, residual

@@ -57,9 +57,17 @@ class TestConformalS1:
                     - conformal_s1(HalfInfiniteEnd(L), c, a, k1))
             assert diff == pytest.approx((c / 12) * math.log(L / a), abs=1e-13)
 
+    def test_half_infinite_end_differs_from_the_interval(self):
+        # it shares the interval's length check; only its slope differs
+        assert HalfInfiniteEnd(5) != InfiniteLineInterval(5)
+        assert HalfInfiniteEnd(5) == HalfInfiniteEnd(5)
+        assert (HalfInfiniteEnd.slope, InfiniteLineInterval.slope) == (12.0, 6.0)
+
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             InfiniteLineInterval(0.0)
+        with pytest.raises(ValueError):
+            HalfInfiniteEnd(0)
         with pytest.raises(ValueError):
             FiniteChainCut(10.0, 10.0)
         with pytest.raises(ValueError):

@@ -74,9 +74,14 @@ class TestSpectrum:
         assert "error" in capsys.readouterr().err
 
     def test_two_sizes_exit_two(self, capsys):
-        assert run(["spectrum", "--L", "8", "16"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "exactly one subsystem size" in captured.err
+        # one size and one coupling: a second of either, or no size, is named on stderr
+        for argv, named in ((["--L", "8", "16"], "unrecognized arguments: 16"),
+                            (["--model", "tfim", "--k", "0.3", "0.5", "--L", "8"],
+                             "unrecognized arguments: 0.5"),
+                            ([], "the following arguments are required: --L")):
+            assert exit_code(["spectrum", *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and named in captured.err
 
     def test_rows_stream_within_the_preflight_charge(self, tmp_path):
         # the window route holds 14.1 N floats traced, under the 18 N its preflight charges;
@@ -256,14 +261,14 @@ class TestScan:
         assert [r[0] for r in rows] == ["tfim", "tfim"]
 
     def test_missing_sizes_exit_two(self, capsys):
-        assert run(["scan", "--model", "xx"]) == 2
         assert run(["scan", "--model", "xxz-ed", "--L", "9"]) == 2
         assert run(["scan", "--model", "xx", "--L-range", "64:4:2"]) == 2
-        # a ladder without its factor, and sizes given both ways; each named on stderr
-        for sizes, named in ((["--L-range", "64:4096"], "'64:4096'"),
-                             (["--L", "8", "--L-range", "4:8:2"], "either --L or --L-range")):
+        # no sizes, a ladder without its factor, and sizes given both ways; each named on stderr
+        for sizes, named in (([], "one of the arguments --L --L-range is required"),
+                             (["--L-range", "64:4096"], "'64:4096'"),
+                             (["--L", "8", "--L-range", "4:8:2"], "not allowed with argument --L")):
             capsys.readouterr()
-            assert run(["scan", "--model", "xx", *sizes]) == 2
+            assert exit_code(["scan", "--model", "xx", *sizes]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and named in captured.err
 
@@ -650,10 +655,10 @@ class TestCompareOracle:
         out = tmp_path / "cmp.json"
         assert run(["compare-oracle", "--L", "3", "5", "7", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert report["max_dS1"] < 1e-9
-        assert report["max_dS"] < 1e-9
-        assert report["max_dweight"] < 1e-9
-        assert report["max_dE"] < 1e-10
+        assert report["max_dS1"] <= 1e-13
+        assert report["max_dS"] <= 1e-13
+        assert report["max_dweight"] <= 1e-13
+        assert report["max_dE"] <= 1e-13
 
     def test_even_lengths_match_the_half_filled_chain(self, tmp_path):
         # even L: the Sz = 0 ground state on its quarter-size Marshall block, and an
@@ -663,8 +668,8 @@ class TestCompareOracle:
         report = json.loads(out.read_text())
         assert report["lengths"] == [2, 4, 10, 16]
         assert report["max_dS1"] <= 1e-12
-        assert report["max_dS"] <= 1e-10
-        assert report["max_dweight"] <= 1e-12
+        assert report["max_dS"] <= 1e-11
+        assert report["max_dweight"] <= 1e-13
         assert report["max_dE"] <= 1e-13
         chain = FermionModelSpec(kind="xx", length=16)
         filled, empty = (ground_state_correlations(chain, mode).G for mode in ("filled", "empty"))
@@ -735,7 +740,8 @@ class TestOptionsPerSubcommand:
     """Each subcommand takes only the options it reads."""
 
     UNREAD = [("spectrum", "delta", "0.5"), ("spectrum", "geometry", "infinite"),
-              ("spectrum", "threads", "2"), ("scan", "geometry", "infinite"),
+              ("spectrum", "threads", "2"), ("spectrum", "L-range", "4:8:2"),
+              ("scan", "geometry", "infinite"),
               ("scan", "format", "json")]
     UNREAD += [("fit-c", key, value) for key, value in [
         ("model", "xx"), ("delta", "0.5"), ("k", "0.5"), ("nu", "0.3"), ("L", "8"),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -181,6 +182,21 @@ class TestConstantFit:
         k1, residual = fit_conformal_constants(points, FiniteChainCut(2.0, 1.0), c)
         assert k1 == pytest.approx(k1_true, abs=1e-12)
         assert residual <= 1e-12
+
+    @pytest.mark.parametrize("k", [10, 20, 30, 40, 50])
+    def test_exact_finite_cut_data_near_the_end(self, k):
+        # cut fraction f = 1 - 2^-k at L = 2^(k+j), so that f L is exact; S1 from 40 digits.
+        # sin(pi f) is small there, and the rounding of pi f would swamp it: the fit must
+        # take the sine of the shorter piece, pi (L - l)/L
+        f, k1_true = 1.0 - 2.0**-k, 0.3
+        points = []
+        with mpmath.workdps(40):
+            for L in (2.0 ** (k + j) for j in (0, 2, 4, 6)):
+                chord = (2 * mpmath.mpf(L) / mpmath.pi) * mpmath.sin(mpmath.pi * mpmath.mpf(f))
+                points.append(ScanPoint(L=L, S1=float(mpmath.log(chord) / 12 + k1_true)))
+        k1, residual = fit_conformal_constants(points, FiniteChainCut(1.0, f), 1.0)
+        assert abs(k1 - k1_true) <= 1e-15
+        assert residual <= 1e-15
 
     def test_noisy_data_bounded_residual(self, rng):
         noise = rng.uniform(-0.01, 0.01, size=len(LADDER))
