@@ -61,7 +61,6 @@ class TestConformalS1:
         # it shares the interval's length check; only its slope differs
         assert HalfInfiniteEnd(5) != InfiniteLineInterval(5)
         assert HalfInfiniteEnd(5) == HalfInfiniteEnd(5)
-        assert (HalfInfiniteEnd.slope, InfiniteLineInterval.slope) == (12.0, 6.0)
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
