@@ -10,9 +10,9 @@ the most significant bit, so any cut splits a state as (left << L_right) | right
 and each Schmidt block (a fixed number of up spins on the left) is a set of
 contiguous runs of the sector vector, one run of right parts per left part.
 
-Solver: Lanczos (ARPACK, all-ones start vector) on the Marshall block of
-the sector (see `xxz_ground_state`); the block's residual ||H v - E v||, which
-is the sector's, must reach 1e-10 max(1, |E|). Basis and block are built with
+Solver: two-pass Lanczos (all-ones start vector) on the Marshall block of the
+sector (see `xxz_ground_state`); the block's residual ||H v - E v||, which is
+the sector's, must reach 1e-10 max(1, |E|). Basis and block are built with
 numpy bit operations inside the sector, never over all 2^L states, the block
 straight into int32 CSR rows, once its memory estimate fits a 4 GiB budget (L <= 26).
 """
@@ -39,10 +39,11 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
 # bytes per block nonzero (the sector's nonzeros over the symmetry group's order)
-# that the preflight charges; build and solve peak at 22-26, in peak RSS above a
+# that the preflight charges; build and solve peak at 20-23, in peak RSS above a
 # 4-site scan at L = 22..26, so L <= 26 is admitted and L = 27 (7.3 GB) is not
 _BYTES_PER_NONZERO = 50
-_KRYLOV_SIZE = 10  # Lanczos vectors, a block vector each; timed against 6..20 at L = 18..26
+_LANCZOS_TOL = 1e-14  # 1e-15 lies under the rounding floor at L = 22
+_LANCZOS_STEPS = 500  # delta = -1, the slowest, takes 144-184 at L = 17..21
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,49 @@ def _marshall_amplitudes(length: int, n_up: int, orbit, block_vec) -> np.ndarray
     return vec
 
 
+def _lanczos_ground_state(H):
+    """Unit eigenvector of the symmetric sparse H's lowest eigenvalue, by two Lanczos passes.
+
+    Pass 1 runs from the normalised all-ones vector, holding alpha, beta and three vectors.
+    Every 4 steps it stops if the lowest Ritz pair (theta, s) of the tridiagonal T has
+    beta |s_last| <= 1e-14 max(1, |theta|), or if that estimate rose after falling below the
+    residual bound (rounding has begun to copy theta into T; the previous pair is kept). Pass 2
+    replays the recurrence and sums the Ritz vector. Raises LinAlgError past the step cap.
+    """
+    if (peak := max(H.data.max(), -H.data.min())) > 1e150:  # so no square in beta overflows
+        H = H / peak
+    n, alpha, beta, best = H.shape[0], [], [], (math.inf,)
+    v, prev, b = np.full(n, n ** -0.5), 0.0, 0.0
+    for j in range(_LANCZOS_STEPS):
+        w = H @ v
+        w -= b * prev
+        alpha.append(a := v @ w)
+        w -= a * v
+        beta.append(b := math.sqrt(w @ w))
+        if j % 4 == 3 or j + 1 >= n or not b:
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))  # T's lower half
+            estimate = b * abs(s[-1, 0]) / max(1.0, abs(theta[0]))
+            if best[0] <= _RESIDUAL_TOL and estimate > best[0]:
+                break
+            best = (estimate, s[:, 0])
+            if estimate <= _LANCZOS_TOL:
+                break
+        w /= b
+        prev, v = v, w
+    else:
+        raise np.linalg.LinAlgError(f"Lanczos did not converge in {_LANCZOS_STEPS} steps")
+    s, v, prev, b = best[1], np.full(n, n ** -0.5), 0.0, 0.0
+    vec = s[0] * v
+    for j in range(len(s) - 1):  # pass 1's arithmetic, so pass 1's vectors
+        w = H @ v
+        w -= b * prev
+        w -= alpha[j] * v
+        w /= (b := beta[j])
+        vec += s[j + 1] * w
+        prev, v = v, w
+    return vec / np.linalg.norm(vec)
+
+
 def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     """Lowest state of the relevant Sz sector, deterministic up to sign.
 
@@ -177,11 +221,11 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     Phys. 3, 749 (1962)). Lanczos runs on the orbit sums of these symmetries,
     a half (odd length) or a quarter (even length) of the sector; the Neel
     phase's near-degenerate partner (even length, delta > 1) lies outside it.
-    Lanczos starts from the all-ones vector, which no positive vector is orthogonal to, in a
-    10-vector Krylov space. The residual is checked on the solution's absolute value (equal up
-    to rounding), so each amplitude has its exact Marshall sign; the first one is positive.
-    Raises ValueError, before any sector array is built, if the memory estimate
-    is over the budget, and LinAlgError if the residual misses 1e-10 max(1, |E|) or is NaN.
+    Lanczos starts from the all-ones vector, which no positive vector is orthogonal to, and
+    holds three block vectors. The residual is checked on the solution's absolute value (equal
+    up to rounding), so each amplitude has its exact Marshall sign; the first one is positive.
+    Raises ValueError, before any sector array is built, if the memory estimate is over the
+    budget, and LinAlgError if Lanczos fails or the residual misses 1e-10 max(1, |E|) or is NaN.
     """
     L = spec.length
     n_up = (L + 1) // 2  # Sz = +1/2 sector for odd length, 0 for even
@@ -194,16 +238,13 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
         raise ValueError(f"{L} sites need about 10^{log_bytes / math.log(10):.1f} bytes, "
                          f"over the {_MEMORY_BUDGET >> 30} GiB diagonalization memory budget")
     H, orbit = _marshall_block(L, n_up, spec.delta)
-    if H.shape[0] == 1:  # two sites: one orbit, and eigsh needs k < n
-        evals, evecs = H.diagonal(), np.ones((1, 1))
-    else:
-        from scipy.sparse.linalg import eigsh
-        evals, evecs = eigsh(H, k=1, which="SA", v0=np.broadcast_to(1.0, H.shape[0]),
-                             ncv=min(_KRYLOV_SIZE, H.shape[0]), tol=0)
-    energy, block_vec = float(evals[0]), np.abs(evecs[:, 0], out=evecs[:, 0])
-    residual = np.linalg.norm((H @ block_vec - energy * block_vec) / max(1.0, abs(energy)))
+    block_vec = _lanczos_ground_state(H)
+    H_vec = H @ np.abs(block_vec, out=block_vec)
+    energy = float(block_vec @ H_vec)  # the Rayleigh quotient, 10x closer than Lanczos' Ritz value
+    residual = np.linalg.norm((H_vec - energy * block_vec) / max(1.0, abs(energy)))
     if not residual <= _RESIDUAL_TOL:  # scaled, so no square overflows; negated, so NaN fails
         raise np.linalg.LinAlgError(f"ground-state residual {residual:.2e} above {_RESIDUAL_TOL}")
+    del H  # so the signs' sector-sized arrays do not stack on the block (L = 24: 267 -> 237 MiB)
     vec = _marshall_amplitudes(L, n_up, orbit, block_vec)
     return GroundStateVector(amplitudes=vec, length=L, n_up=n_up, energy=energy)
 

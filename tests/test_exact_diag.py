@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from singlecopy import exact_diag
+from singlecopy import cli, exact_diag
 from singlecopy.entanglement import summary_from_single_particle, summary_from_weights
 from singlecopy.exact_diag import (
     GroundStateVector,
@@ -61,7 +61,12 @@ class TestGroundState:
         state = xxz_ground_state(XxzSpec(L, 0.0))
         assert state.energy == pytest.approx(xx_open_energy(L), abs=1e-11)
 
-    @pytest.mark.parametrize("L,delta", [(6, -0.4), (7, 0.8), (8, -1.0), (9, 2.0)])
+    @pytest.mark.parametrize("L,delta", [
+        (6, -0.4), (7, 0.8), (8, -1.0), (9, 2.0),
+        # blocks of dimension 1, 2, 3 and 6, whose Krylov space Lanczos exhausts
+        *((L, delta) for L in (2, 3, 4, 5) for delta in (-1.0, 0.0, 0.8, 100.0)),
+        *((L, delta) for L in (7, 10) for delta in (-1.0, 100.0)),
+    ])
     def test_energy_against_dense_diagonalization(self, L, delta):
         e_full = np.linalg.eigvalsh(xxz_dense_hamiltonian(L, delta))[0]
         state = xxz_ground_state(XxzSpec(L, delta))
@@ -93,14 +98,21 @@ class TestGroundState:
 
     def test_nan_residual_raises(self, monkeypatch):
         # a Lanczos vector holding NaN must fail the residual check, not reach the cut
-        import scipy.sparse.linalg
+        def nan_solve(H):
+            return np.full(H.shape[0], np.nan)
 
-        def nan_solve(H, **kwargs):
-            return np.array([-1.0]), np.full((H.shape[0], 1), np.nan)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", nan_solve)
+        monkeypatch.setattr(exact_diag, "_lanczos_ground_state", nan_solve)
         with pytest.raises(np.linalg.LinAlgError, match="residual nan"):
             xxz_ground_state(XxzSpec(8, 0.5))
+
+    def test_lanczos_step_cap_raises(self, monkeypatch, capsys):
+        # 8 steps are too few at L = 12 (40 are taken): the solve fails, and sce exits 3
+        monkeypatch.setattr(exact_diag, "_LANCZOS_STEPS", 8)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 8 steps"):
+            xxz_ground_state(XxzSpec(12, 0.5))
+        assert cli.main(["scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "12"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "numerical failure" in captured.err
 
     def test_criticality_flag(self):
         assert XxzSpec(4, 0.5).is_critical
@@ -249,10 +261,10 @@ class TestSectorBuilders:
         assert peak <= 28 * block_nonzeros(L)
 
     def test_ground_state_peak_per_nonzero(self):
-        # the block, int32 orbit indices, and ARPACK's 25 block vectors (its 10 Krylov
-        # vectors, twice when the eigenvector is extracted, and 5 more): 32.2 traced bytes
-        # per block nonzero at L = 20 (51.9 with 20 Krylov vectors, a start vector and the
-        # sector-sized int64 orbit indices and float64 factors held through the solve)
+        # the block build sets the peak, 22.8 traced bytes per block nonzero at L = 20: the
+        # two-pass Lanczos holds the block, int32 orbit indices and four block vectors, and
+        # the block is freed before the signs (32.2 with ARPACK's 25 block vectors and the
+        # block held through the signs)
         L = 20
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
@@ -261,7 +273,7 @@ class TestSectorBuilders:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * block_nonzeros(L)
+        assert peak <= 27 * block_nonzeros(L)
 
     def test_build_peak(self):
         # the sector-sized basis, its mirror images and orbit indices dominate: 6.6 traced
