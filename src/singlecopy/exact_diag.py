@@ -39,7 +39,7 @@ __all__ = [
 _RESIDUAL_TOL = 1e-10
 _WEIGHT_TRIM = 1e-14
 # bytes per block nonzero (the sector's nonzeros over the symmetry group's order)
-# that the preflight charges; build and solve peak at 20-23, in peak RSS above a
+# that the preflight charges; build and solve peak at 18-22, in peak RSS above a
 # 4-site scan at L = 22..26, so L <= 26 is admitted and L = 27 (7.3 GB) is not
 _BYTES_PER_NONZERO = 50
 _LANCZOS_TOL = 1e-14  # 1e-15 lies under the rounding floor at L = 22
@@ -135,18 +135,17 @@ def _marshall_block(length: int, n_up: int, delta: float):
     orbit[:] = np.searchsorted(rep_states, least)
     del mirror, least, basis
     size = np.bincount(orbit)  # |O|
-    # int32 CSR rows, two passes over the bonds: count each orbit's hops, then write them
-    diag, indptr[0] = np.zeros(len(reps)), 0
-    for s in range(L - 1):
-        bi = (rep_states >> (L - 1 - s)) & 1
-        bj = (rep_states >> (L - 2 - s)) & 1
-        diag += delta * (bi - 0.5) * (bj - 0.5)
-        indptr[1:] += bi != bj
+    # bit p set: bits p + 1 and p are antiparallel, so the bond hops (flipping both keeps Sz)
+    anti = (rep_states ^ (rep_states >> 1)) & ((1 << (L - 1)) - 1)
+    hops = np.bitwise_count(anti)
+    indptr[1:] += hops  # int32 CSR rows: the diagonal, then one entry per hop
+    indptr[0] = 0
     np.cumsum(indptr, out=indptr)
     indices, data, cursor = np.empty(indptr[-1], np.int32), np.empty(indptr[-1]), indptr[:-1] + 1
-    indices[indptr[:-1]], data[indptr[:-1]] = np.arange(len(reps)), diag  # then hops, bond by bond
-    for p in range(L - 2, -1, -1):  # bits p + 1 and p: flipping antiparallel ones keeps Sz
-        hop = np.flatnonzero(((rep_states >> (p + 1)) ^ (rep_states >> p)) & 1)
+    indices[indptr[:-1]] = np.arange(len(reps))
+    data[indptr[:-1]] = delta * ((L - 1) / 4 - hops / 2)  # +delta/4 a parallel bond, -delta/4 not
+    for p in range(L - 2, -1, -1):
+        hop = np.flatnonzero(anti & (1 << p))
         # the basis is colex: an up spin hopping from bit p to p + 1 past i lower ones adds C(p, i)
         moved, choose = rep_states[hop], np.array([math.comb(p, i) for i in range(n_up + 1)])
         step = choose[np.bitwise_count(moved & ((1 << p) - 1))]
@@ -222,7 +221,7 @@ def xxz_ground_state(spec: XxzSpec) -> GroundStateVector:
     a half (odd length) or a quarter (even length) of the sector; the Neel
     phase's near-degenerate partner (even length, delta > 1) lies outside it.
     Lanczos starts from the all-ones vector, which no positive vector is orthogonal to, and
-    holds three block vectors. The residual is checked on the solution's absolute value (equal
+    holds four block vectors. The residual is checked on the solution's absolute value (equal
     up to rounding), so each amplitude has its exact Marshall sign; the first one is positive.
     Raises ValueError, before any sector array is built, if the memory estimate is over the
     budget, and LinAlgError if Lanczos fails or the residual misses 1e-10 max(1, |E|) or is NaN.

@@ -248,8 +248,7 @@ class TestSectorBuilders:
 
     def test_block_peak_per_nonzero(self):
         # rows written in place into int32 CSR, each hop's target ranked in closed form
-        # with no sector basis held: 22.8 traced bytes per block nonzero at L = 20 (32.5
-        # with the stacked symmetry images and the basis held; the COO build held 84.6)
+        # with no sector basis held: 21.5 traced bytes per block nonzero at L = 20
         L = 20
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
@@ -261,10 +260,9 @@ class TestSectorBuilders:
         assert peak <= 28 * block_nonzeros(L)
 
     def test_ground_state_peak_per_nonzero(self):
-        # the block build sets the peak, 22.8 traced bytes per block nonzero at L = 20: the
+        # the block build sets the peak, 21.5 traced bytes per block nonzero at L = 20: the
         # two-pass Lanczos holds the block, int32 orbit indices and four block vectors, and
-        # the block is freed before the signs (32.2 with ARPACK's 25 block vectors and the
-        # block held through the signs)
+        # the block is freed before the signs
         L = 20
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
@@ -276,9 +274,8 @@ class TestSectorBuilders:
         assert peak <= 27 * block_nonzeros(L)
 
     def test_build_peak(self):
-        # the sector-sized basis, its mirror images and orbit indices dominate: 6.6 traced
-        # bytes per nonzero of the whole sector's Hamiltonian at L = 16 (10.3 with the four
-        # images stacked and int64 orbit indices; the full-sector build held 48.5)
+        # the sector-sized basis, its mirror images and orbit indices dominate: 6.2 traced
+        # bytes per nonzero of the whole sector's Hamiltonian at L = 16
         L = 16
         xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
         tracemalloc.start()
