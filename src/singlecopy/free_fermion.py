@@ -41,7 +41,9 @@ pairing and the odd-length zero mode exact, not eigensolver-limited.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from importlib import machinery, util
 
 import numpy as np
 
@@ -258,11 +260,11 @@ def _slepian_vectors(N: int, filling: float, lo: int, hi: int):
     """Yield T's eigenvectors lo..hi-1 (N > 1) in turn, each from its own inverse iteration and
     none orthogonalized, so every window gap must be 300 bisection errors wide: bisected to 1e-5 N,
     or, where a gap is narrower (fillings near 0 or 1), to eps N^2, the last bits of ||T||."""
-    from scipy.linalg.lapack import dstebz, dstein  # here, so that singlecopy loads no scipy
+    lapack = _flapack()  # LAPACK's compiled module alone, loaded at the first call
     d = ((N - 1) / 2 - np.arange(N)) ** 2 * (0.0 if filling == 0.5 else np.cos(np.pi * filling))
     e = np.arange(1.0, N) * np.arange(N - 1.0, 0.0, -1.0) / 2
     for tol in (1e-5 * N, np.finfo(float).eps * N * N):
-        m, w, block, split, info = dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, tol, "E")
+        m, w, block, split, info = lapack.dstebz(d, e, 2, 0.0, 0.0, lo + 1, hi, tol, "E")
         if info or m != hi - lo:
             raise np.linalg.LinAlgError(f"dstebz found {m} of {hi - lo} eigenvalues (info {info})")
         if np.diff(w[:m]).min(initial=np.inf) >= 300 * tol:
@@ -271,10 +273,23 @@ def _slepian_vectors(N: int, filling: float, lo: int, hi: int):
         raise np.linalg.LinAlgError(f"T's eigenvalues {lo}..{hi - 1} lie too close to be parted")
     for j in range(m):  # of the N block indices the wrapper takes, LAPACK reads the first
         block[0] = block[j]
-        z, info = dstein(d, e, w[j:j + 1], block, split)
+        z, info = lapack.dstein(d, e, w[j:j + 1], block, split)
         if info:
             raise np.linalg.LinAlgError(f"dstein failed on eigenvector {lo + j} (info {info})")
         yield z[:, 0]
+
+
+def _flapack():
+    """scipy.linalg._flapack loaded alone, not via scipy.linalg; `import scipy.linalg` shares it."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        import scipy  # here, so that singlecopy loads no scipy
+        where = [f"{path}/linalg" for path in scipy.__path__]
+        if (spec := machinery.PathFinder.find_spec(name, where)) is None:
+            raise ImportError(f"no compiled {name} in {where} (scipy {scipy.__version__})")
+        sys.modules[name] = module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 def _check_interval(L_sub: int, filling: float) -> None:

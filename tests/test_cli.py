@@ -466,6 +466,17 @@ def scipy_probes(tmp_path_factory):
         "tfim scan": sce("scan", "--model", "tfim", "--k", "0.5", "--L", "64", *out),
         "tfim spectrum": sce("spectrum", "--model", "tfim", "--k", "0.9", "--L", "300", *out),
         "xx scan": sce("scan", "--model", "xx", "--L", "64", "4096", *out),
+        "xx spectrum": sce("spectrum", "--model", "xx", "--nu", "0.3", "--L", "1001", *out),
+        # scipy.linalg imported after the window route loaded LAPACK's module on its own
+        "xx scan, then scipy.linalg": (
+            sce("scan", "--model", "xx", "--L", "64", *out)
+            + "import sys\nflapack = sys.modules['scipy.linalg._flapack']\nimport scipy.linalg\n"
+            "assert scipy.linalg.lapack.dstebz is flapack.dstebz\n"
+            "from singlecopy import free_fermion as ff\n"
+            "from singlecopy.entanglement import summary_from_single_particle as summary\n"
+            "m = ff.FermionModelSpec(kind='tfim', modulus=0.5, length=64)\n"
+            "a = summary(ff.single_particle_energies(ff.ground_state_correlations(m, sites=32)))\n"
+            "assert abs(a.S1 - summary(ff.tfim_block_spectrum(m, 32)).S1) <= 1e-12\n"),
         "xxz-ed scan": sce("scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8", *out),
         "analytic": "".join(sce("analytic", *argv, *out) for argv in ANALYTIC_ARGVS),
         "open xx": ("from singlecopy import free_fermion as ff\n"
@@ -484,7 +495,7 @@ def scipy_probes(tmp_path_factory):
                         "state = ed.GroundStateVector(v / np.linalg.norm(v), 4, 2, -1.0)\n"
                         "ed.rdm_weights(state, 2)"),
         # what importing the solvers loads, which differs between scipy releases
-        "scipy.linalg": "import scipy.linalg",
+        "lapack": "from singlecopy import free_fermion\nfree_fermion._flapack()",
         "scipy.sparse": "import scipy.sparse",
     }
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -540,12 +551,25 @@ class TestScipyImports:
         assert loaded(scipy_probes, "rdm_weights") == set()
 
     @pytest.mark.parametrize("model, solvers", [
-        ("xx", "scipy.linalg"),
+        ("xx", "lapack"),
         ("xxz-ed", "scipy.sparse"),
     ], ids=["xx", "xxz-ed"])
     def test_scan_loads_only_its_solvers(self, scipy_probes, model, solvers):
         scan = loaded(scipy_probes, f"{model} scan")
         assert scan and scan <= loaded(scipy_probes, solvers)
+
+    @pytest.mark.parametrize("command", ["scan", "spectrum"])
+    def test_xx_loads_lapack_without_scipy_linalg(self, scipy_probes, command):
+        # dstebz and dstein come off the compiled module alone: the scipy.linalg package init
+        # would load numpy.f2py, numpy.ma, numpy.random and numpy.testing through _array_api
+        modules = loaded(scipy_probes, f"xx {command}")
+        assert "scipy.linalg._flapack" in modules
+        assert not {"scipy.linalg", "scipy._lib._array_api"} & modules
+
+    def test_scipy_linalg_shares_the_lapack_module(self, scipy_probes):
+        # the probe requires scipy.linalg.lapack to hold the window route's dstebz, and the
+        # Ising correlations, through eigh_tridiagonal, to match the cut-block route
+        assert "scipy.linalg" in loaded(scipy_probes, "xx scan, then scipy.linalg")
 
     def test_xxz_ed_loads_no_dense_or_sparse_eigensolver(self, scipy_probes):
         # Lanczos needs only the CSR product; its tridiagonal eigenproblems go to numpy
@@ -892,8 +916,8 @@ class TestExitCodes:
         # LAPACK reports through info and the eigenvalue count, and eigenvalues that no
         # bisection parts would leave the inverse iterations to converge on one vector; none
         # may pass unnoticed
-        from scipy.linalg import lapack
-        dstebz, dstein = lapack.dstebz, lapack.dstein
+        from scipy.linalg import _flapack  # free_fermion reads its solvers here at each call
+        dstebz, dstein = _flapack.dstebz, _flapack.dstein
 
         def bisect(*args):
             m, w, block, split, info = dstebz(*args)
@@ -907,8 +931,8 @@ class TestExitCodes:
             z, info = dstein(*args)
             return z, 1 if failure == "inverse info" else info
 
-        monkeypatch.setattr(lapack, "dstebz", bisect)
-        monkeypatch.setattr(lapack, "dstein", invert)
+        monkeypatch.setattr(_flapack, "dstebz", bisect)
+        monkeypatch.setattr(_flapack, "dstein", invert)
         assert run(["scan", "--model", "xx", "--nu", "0.3", "--L", "8", "64"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err

@@ -2,12 +2,14 @@
 
 import functools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import _flapack  # where free_fermion reads dstebz and dstein at each call
 
 from singlecopy import free_fermion
 from singlecopy.entanglement import summary_from_single_particle
@@ -392,8 +394,8 @@ class TestWindowRoute:
             assert np.max(np.abs(lam - exact[lo:last + 1])) <= 1e-15  # the same modes
             return exact[lo:last + 1]
 
-        dstebz = scipy.linalg.lapack.dstebz
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", bisect)
+        dstebz = _flapack.dstebz
+        monkeypatch.setattr(_flapack, "dstebz", bisect)
         monkeypatch.setattr(free_fermion, "_sine_kernel_quotients", exact_quotients)
         monkeypatch.setattr(free_fermion, "EPS_CAP", 120.0)
         wide = xx_interval_spectrum(N, nu)
@@ -411,18 +413,29 @@ class TestWindowRoute:
         # near filling 0 or 1 the window's T eigenvalues come in pairs about 1 apart, here 55
         # and 49 times the loose bisection's 1e-5 N, which cost 1.3e-13 on S1 (nu = 3e-4) and
         # 2.6e-12 on S (nu = 0.9999) against the dense route; the finer bisection parts them
-        N, tolerances, dstebz = 2048, [], scipy.linalg.lapack.dstebz
+        N, tolerances, dstebz = 2048, [], _flapack.dstebz
 
         def bisect(*args):
             tolerances.append(args[7])
             return dstebz(*args)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", bisect)
+        monkeypatch.setattr(_flapack, "dstebz", bisect)
         window, ref = xx_interval_spectrum(N, nu), dense(N, nu)
         assert tolerances == [1e-5 * N, np.finfo(float).eps * N * N]
         a, b = summary_from_single_particle(window), summary_from_single_particle(ref)
         assert abs(a.S - b.S) <= 1e-12
         assert abs(a.S1 - b.S1) <= 1e-13
+
+    def test_missing_lapack_module_is_an_import_error(self, monkeypatch, tmp_path):
+        # a scipy whose directory holds no compiled _flapack: the loader says where it looked
+        import scipy
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError) as failed:
+            xx_interval_spectrum(64, 0.3)
+        assert str(tmp_path / "linalg") in str(failed.value)
+        assert f"scipy {scipy.__version__}" in str(failed.value)
+        assert "scipy.linalg._flapack" not in sys.modules
 
     def test_rejects_bad_arguments(self):
         for args in [(0,), (4, 0.0), (4, 1.0), (4, float("nan"))]:
