@@ -10,22 +10,23 @@ the most significant bit, so any cut splits a state as (left << L_right) | right
 and each Schmidt block (a fixed number of up spins on the left) is a set of
 contiguous runs of the sector vector, one run of right parts per left part.
 
-Solver: two-pass Lanczos (all-ones start vector) on the Marshall block of the
-sector (see `xxz_ground_state`); the block's residual ||H v - E v||, which is
-the sector's, must reach 1e-10 max(1, |E|). Basis and block are built with
-numpy bit operations inside the sector, never over all 2^L states, the block
-straight into int32 CSR rows, once its memory estimate fits a 4 GiB budget (L <= 26).
+Solver: two-pass Lanczos (all-ones start vector) on the Marshall block of the sector (see
+`xxz_ground_state`); the block's residual ||H v - E v||, which is the sector's, must reach 1e-10
+max(1, |E|). Basis and block are built with numpy bit operations inside the sector, never over
+all 2^L states, the block straight into int32 CSR rows once its memory estimate fits a 4 GiB
+budget (L <= 26); scipy's compiled `_sparsetools`, loaded alone, sums its rows and forms each H v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .entanglement import EntanglementSummary, RdmSpectrum, summary_from_weights
-from .free_fermion import _MEMORY_BUDGET, _check_size
+from .free_fermion import _MEMORY_BUDGET, _check_size, _scipy_extension
 
 __all__ = [
     "XxzSpec",
@@ -98,6 +99,17 @@ class XxzScanPoint:
     summary: EntanglementSummary
 
 
+class _Csr(NamedTuple):  # a square matrix as CSR arrays, in the order scipy's kernels take them
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    def __matmul__(self, vec):
+        out = np.zeros(len(self.indptr) - 1)  # csr_matvec adds the row sums to it
+        tools = _scipy_extension("sparse", "_sparsetools")  # it checks no sizes; reshape does
+        tools.csr_matvec(len(out), len(out), *self, vec.reshape(out.shape), out)
+        return out
+
+
 def _sector_basis(length: int, n_up: int) -> np.ndarray:
     """Up-spin configurations as integers, ascending. Site j <-> bit (length-1-j).
 
@@ -118,9 +130,8 @@ def _marshall_block(length: int, n_up: int, delta: float):
 
     O runs over the orbits of the reflection and, at Sz = 0, the spin flip; a
     hop from the least state of O into orbit O' adds -1/2 sqrt(|O|/|O'|) to row O.
-    Returns the block and each sector state's int32 orbit index.
+    Returns the block, as canonical CSR arrays, and each sector state's int32 orbit index.
     """
-    from scipy.sparse import csr_matrix  # not at the top: importing singlecopy loads no scipy
     L, basis = length, _sector_basis(length, n_up)
     orbit = np.empty(len(basis), np.int32)  # ahead of the temporaries: the heap shrinks back
     mirror = np.zeros_like(basis)
@@ -152,9 +163,13 @@ def _marshall_block(length: int, n_up: int, delta: float):
         indices[cursor[hop]] = target = orbit[reps[hop] + np.where((moved >> p) & 1, step, -step)]
         data[cursor[hop]] = -0.5 * np.sqrt(size[hop] / size[target])
         cursor[hop] += 1
-    H = csr_matrix((data, indices, indptr), shape=(len(reps), len(reps)))
-    H.sum_duplicates()  # sorts each row and sums the hops into one orbit
-    return H, orbit
+    tools, n = _scipy_extension("sparse", "_sparsetools"), len(reps)  # without scipy.sparse
+    if not tools.csr_has_sorted_indices(n, indptr, indices):
+        tools.csr_sort_indices(n, indptr, indices, data)
+    tools.csr_sum_duplicates(n, n, indptr, indices, data)  # sums the hops into one orbit
+    nnz = indptr[-1]  # and scipy's prune: views, each copied if under half its base
+    data, indices = (a[:nnz].copy() if nnz < len(a) // 2 else a[:nnz] for a in (data, indices))
+    return _Csr(indptr, indices, data), orbit
 
 
 def _marshall_amplitudes(length: int, n_up: int, orbit, block_vec) -> np.ndarray:
@@ -168,7 +183,7 @@ def _marshall_amplitudes(length: int, n_up: int, orbit, block_vec) -> np.ndarray
 
 
 def _lanczos_ground_state(H):
-    """Unit eigenvector of the symmetric sparse H's lowest eigenvalue, by two Lanczos passes.
+    """Unit eigenvector of the symmetric CSR H's lowest eigenvalue, by two Lanczos passes.
 
     Pass 1 runs from the normalised all-ones vector, holding alpha, beta and three vectors.
     Every 4 steps it stops if the lowest Ritz pair (theta, s) of the tridiagonal T has
@@ -177,8 +192,8 @@ def _lanczos_ground_state(H):
     replays the recurrence and sums the Ritz vector. Raises LinAlgError past the step cap.
     """
     if (peak := max(H.data.max(), -H.data.min())) > 1e150:  # so no square in beta overflows
-        H = H / peak
-    n, alpha, beta, best = H.shape[0], [], [], (math.inf,)
+        H = H._replace(data=H.data * (1.0 / peak))  # the reciprocal, as scipy's H / peak
+    n, alpha, beta, best = len(H.indptr) - 1, [], [], (math.inf,)
     v, prev, b = np.full(n, n ** -0.5), 0.0, 0.0
     for j in range(_LANCZOS_STEPS):
         w = H @ v

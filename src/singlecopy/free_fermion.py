@@ -260,7 +260,7 @@ def _slepian_vectors(N: int, filling: float, lo: int, hi: int):
     """Yield T's eigenvectors lo..hi-1 (N > 1) in turn, each from its own inverse iteration and
     none orthogonalized, so every window gap must be 300 bisection errors wide: bisected to 1e-5 N,
     or, where a gap is narrower (fillings near 0 or 1), to eps N^2, the last bits of ||T||."""
-    lapack = _flapack()  # LAPACK's compiled module alone, loaded at the first call
+    lapack = _scipy_extension("linalg", "_flapack")  # LAPACK's, loaded at the first call
     d = ((N - 1) / 2 - np.arange(N)) ** 2 * (0.0 if filling == 0.5 else np.cos(np.pi * filling))
     e = np.arange(1.0, N) * np.arange(N - 1.0, 0.0, -1.0) / 2
     for tol in (1e-5 * N, np.finfo(float).eps * N * N):
@@ -279,16 +279,16 @@ def _slepian_vectors(N: int, filling: float, lo: int, hi: int):
         yield z[:, 0]
 
 
-def _flapack():
-    """scipy.linalg._flapack loaded alone, not via scipy.linalg; `import scipy.linalg` shares it."""
-    name = "scipy.linalg._flapack"
+def _scipy_extension(package: str, module: str):
+    """Compiled scipy.package.module loaded alone; a later `import scipy.package` shares it."""
+    name = f"scipy.{package}.{module}"
     if name not in sys.modules:
         import scipy  # here, so that singlecopy loads no scipy
-        where = [f"{path}/linalg" for path in scipy.__path__]
+        where = [f"{path}/{package}" for path in scipy.__path__]
         if (spec := machinery.PathFinder.find_spec(name, where)) is None:
             raise ImportError(f"no compiled {name} in {where} (scipy {scipy.__version__})")
-        sys.modules[name] = module = util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        sys.modules[name] = extension = util.module_from_spec(spec)
+        spec.loader.exec_module(extension)
     return sys.modules[name]
 
 

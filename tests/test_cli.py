@@ -478,6 +478,17 @@ def scipy_probes(tmp_path_factory):
             "a = summary(ff.single_particle_energies(ff.ground_state_correlations(m, sites=32)))\n"
             "assert abs(a.S1 - summary(ff.tfim_block_spectrum(m, 32)).S1) <= 1e-12\n"),
         "xxz-ed scan": sce("scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8", *out),
+        "compare-oracle": sce("compare-oracle", "--L", "3", "4", *out),
+        # scipy.sparse imported after the Lanczos route loaded its compiled module on its own
+        "xxz-ed scan, then scipy.sparse": (
+            sce("scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8", *out)
+            + "import sys\nimport numpy as np\ntools = sys.modules['scipy.sparse._sparsetools']\n"
+            "from scipy.sparse import _sparsetools, csr_array\nassert _sparsetools is tools\n"
+            "from singlecopy.exact_diag import _marshall_block\n"
+            "H = _marshall_block(12, 6, 0.3)[0]\n"
+            "A = csr_array((H.data, H.indices, H.indptr))\nassert A.has_canonical_format\n"
+            "v = np.linspace(-1.0, 2.0, A.shape[1])\n"
+            "assert (A @ v).tobytes() == (H @ v).tobytes()\n"),
         "analytic": "".join(sce("analytic", *argv, *out) for argv in ANALYTIC_ARGVS),
         "open xx": ("from singlecopy import free_fermion as ff\n"
                     "ff.ground_state_correlations(ff.FermionModelSpec(kind='xx', length=65), "
@@ -495,8 +506,10 @@ def scipy_probes(tmp_path_factory):
                         "state = ed.GroundStateVector(v / np.linalg.norm(v), 4, 2, -1.0)\n"
                         "ed.rdm_weights(state, 2)"),
         # what importing the solvers loads, which differs between scipy releases
-        "lapack": "from singlecopy import free_fermion\nfree_fermion._flapack()",
-        "scipy.sparse": "import scipy.sparse",
+        "lapack": ("from singlecopy import free_fermion\n"
+                   "free_fermion._scipy_extension('linalg', '_flapack')"),
+        "sparsetools": ("from singlecopy import free_fermion\n"
+                        "free_fermion._scipy_extension('sparse', '_sparsetools')"),
     }
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
@@ -552,7 +565,7 @@ class TestScipyImports:
 
     @pytest.mark.parametrize("model, solvers", [
         ("xx", "lapack"),
-        ("xxz-ed", "scipy.sparse"),
+        ("xxz-ed", "sparsetools"),
     ], ids=["xx", "xxz-ed"])
     def test_scan_loads_only_its_solvers(self, scipy_probes, model, solvers):
         scan = loaded(scipy_probes, f"{model} scan")
@@ -570,6 +583,20 @@ class TestScipyImports:
         # the probe requires scipy.linalg.lapack to hold the window route's dstebz, and the
         # Ising correlations, through eigh_tridiagonal, to match the cut-block route
         assert "scipy.linalg" in loaded(scipy_probes, "xx scan, then scipy.linalg")
+
+    @pytest.mark.parametrize("probe", ["xxz-ed scan", "compare-oracle"],
+                             ids=["scan", "compare-oracle"])
+    def test_xxz_ed_loads_sparsetools_without_scipy_sparse(self, scipy_probes, probe):
+        # the block's summed rows and every Lanczos product come off the compiled module alone:
+        # the scipy.sparse package init took 0.13 s of an xxz-ed child's 0.42 s
+        modules = loaded(scipy_probes, probe)
+        assert {m for m in modules if m.startswith("scipy.sparse")} == {"scipy.sparse._sparsetools"}
+        assert not {"scipy.sparse", "scipy.linalg", "scipy._lib._array_api"} & modules
+
+    def test_scipy_sparse_shares_the_sparsetools_module(self, scipy_probes):
+        # the probe requires `from scipy.sparse import _sparsetools` to be the route's module,
+        # scipy.sparse to find the block canonical, and its product to match the route's bits
+        assert "scipy.sparse" in loaded(scipy_probes, "xxz-ed scan, then scipy.sparse")
 
     def test_xxz_ed_loads_no_dense_or_sparse_eigensolver(self, scipy_probes):
         # Lanczos needs only the CSR product; its tridiagonal eigenproblems go to numpy

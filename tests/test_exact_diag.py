@@ -2,6 +2,7 @@
 
 import functools
 import math
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -9,12 +10,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import csr_array
 
 from singlecopy import cli, exact_diag
 from singlecopy.entanglement import summary_from_single_particle, summary_from_weights
 from singlecopy.exact_diag import (
     GroundStateVector,
     XxzSpec,
+    _lanczos_ground_state,
     _marshall_amplitudes,
     _marshall_block,
     _sector_basis,
@@ -40,6 +43,11 @@ def xx_open_energy(L):
     """Jordan-Wigner oracle: open XX chain fills its negative modes cos(pi q/(L+1))."""
     e = np.cos(np.pi * np.arange(1, L + 1) / (L + 1))
     return float(np.sum(e[e < -1e-12]))
+
+
+def csr(H):
+    """scipy.sparse's view of a block's CSR arrays (shape read off them)."""
+    return csr_array((H.data, H.indices, H.indptr))
 
 
 def free_fermion_summary(L, cut):
@@ -99,7 +107,7 @@ class TestGroundState:
     def test_nan_residual_raises(self, monkeypatch):
         # a Lanczos vector holding NaN must fail the residual check, not reach the cut
         def nan_solve(H):
-            return np.full(H.shape[0], np.nan)
+            return np.full(len(H.indptr) - 1, np.nan)
 
         monkeypatch.setattr(exact_diag, "_lanczos_ground_state", nan_solve)
         with pytest.raises(np.linalg.LinAlgError, match="residual nan"):
@@ -113,6 +121,27 @@ class TestGroundState:
         assert cli.main(["scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "12"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "numerical failure" in captured.err
+
+    def test_missing_sparsetools_module_is_an_import_error(self, monkeypatch, tmp_path):
+        # a scipy whose directory holds no compiled _sparsetools: the loader says where it
+        # looked, and sce raises rather than reporting a bad input or a numerical failure
+        import scipy
+        monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        with pytest.raises(ImportError) as failed:
+            cli.main(["scan", "--model", "xxz-ed", "--delta", "0.5", "--L", "8"])
+        assert str(tmp_path / "sparse") in str(failed.value)
+        assert f"scipy {scipy.__version__}" in str(failed.value)
+        assert "scipy.sparse._sparsetools" not in sys.modules
+
+    def test_large_entries_scaled_by_the_reciprocal(self):
+        # entries past 1e150 (here Delta/4 = 2.5e169) are scaled, so no square in beta
+        # overflows, by data * (1 / peak), as scipy's csr / scalar does: data / peak moves rows
+        H = _marshall_block(12, 6, 1e170)[0]
+        peak = max(H.data.max(), -H.data.min())
+        assert peak > 1e150
+        scaled = H._replace(data=H.data * (1.0 / peak))
+        assert _lanczos_ground_state(H).tobytes() == _lanczos_ground_state(scaled).tobytes()
 
     def test_criticality_flag(self):
         assert XxzSpec(4, 0.5).is_critical
@@ -213,7 +242,7 @@ class TestSectorBuilders:
                 P_block[basis, o] = _marshall_amplitudes(L, n_up, orbit, unit)
             assert np.allclose(marshall_sign(L, int(basis[0])) * P_block, P, rtol=0, atol=1e-15)
             for delta in deltas:
-                H_block = _marshall_block(L, n_up, delta)[0].toarray()
+                H_block = csr(_marshall_block(L, n_up, delta)[0]).toarray()
                 expected = P.T @ dense[delta] @ P
                 assert np.allclose(H_block, expected, rtol=0, atol=1e-14)
 
@@ -230,7 +259,7 @@ class TestSectorBuilders:
             reached = {orbit_of[least ^ (3 << b)] for b in range(L - 1)
                        if (least >> b & 1) != (least >> (b + 1) & 1)}
             expected += len(reached | {o})
-        H = _marshall_block(L, n_up, 0.0)[0]
+        H = csr(_marshall_block(L, n_up, 0.0)[0])
         assert H.shape == (len(orbits), len(orbits))
         assert H.nnz == expected
 
@@ -242,15 +271,23 @@ class TestSectorBuilders:
             for delta in (-1.0, 0.0, 0.3, 100.0):
                 H = _marshall_block(L, n_up, delta)[0]
                 assert H.indices.dtype == H.indptr.dtype == np.int32
-                for row in range(H.shape[0]):
+                for row in range(len(H.indptr) - 1):
                     assert np.all(np.diff(H.indices[H.indptr[row]:H.indptr[row + 1]]) > 0)
-                assert (H != H.T).nnz == 0
+                assert (csr(H) != csr(H).T).nnz == 0
+
+    def test_product_rejects_a_vector_of_another_size(self):
+        # the compiled product reads the vector unchecked, so its size is checked first
+        H = _marshall_block(8, 4, 0.3)[0]
+        n = len(H.indptr) - 1
+        for vec in (np.ones(n - 1), np.ones(n + 1), np.ones((n, 2))):
+            with pytest.raises(ValueError):
+                H @ vec
 
     def test_block_peak_per_nonzero(self):
         # rows written in place into int32 CSR, each hop's target ranked in closed form
         # with no sector basis held: 21.5 traced bytes per block nonzero at L = 20
         L = 20
-        xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
+        xxz_ground_state(XxzSpec(4, 0.5))  # the compiled _sparsetools loaded before tracing
         tracemalloc.start()
         try:
             _marshall_block(L, L // 2, 0.5)
@@ -264,7 +301,7 @@ class TestSectorBuilders:
         # two-pass Lanczos holds the block, int32 orbit indices and four block vectors, and
         # the block is freed before the signs
         L = 20
-        xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
+        xxz_ground_state(XxzSpec(4, 0.5))  # the compiled _sparsetools loaded before tracing
         tracemalloc.start()
         try:
             xxz_ground_state(XxzSpec(L, 0.5))
@@ -277,7 +314,7 @@ class TestSectorBuilders:
         # the sector-sized basis, its mirror images and orbit indices dominate: 6.2 traced
         # bytes per nonzero of the whole sector's Hamiltonian at L = 16
         L = 16
-        xxz_ground_state(XxzSpec(4, 0.5))  # scipy.sparse loaded before tracing
+        xxz_ground_state(XxzSpec(4, 0.5))  # the compiled _sparsetools loaded before tracing
         tracemalloc.start()
         try:
             _marshall_block(L, L // 2, 0.5)
