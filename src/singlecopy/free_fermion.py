@@ -334,7 +334,7 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
     are rows of one strided view of c. Ising chain with coupling k: A_ii = 2,
     A_{i,i+1} = -k = B_{i,i+1}, so H = (i/2) sum D_mn a_m b_n in Majoranas, with
     D = A - B lower bidiagonal (2 on the diagonal, -2k below).
-    With D^T D = V diag(sigma^2) V^T from one `eigh_tridiagonal` call and
+    With D^T D = V diag(sigma^2) V^T from one call of LAPACK's dstevd and
     U = D V / sigma, the polar factor W = U V^T gives G = (1 - (W + W^T)/2)/2
     and F = (W - W^T)/4. With `sites` = n, an integer in 1..L, G and F are
     the n x n blocks of the leading n sites (Ising W_A = U_A V_A^T needs the
@@ -350,12 +350,13 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
                   extra fermion (spin sector +1/2 after Jordan-Wigner);
     * "empty"  -- leave it empty (sector -1/2).
 
-    The pure-state conventions are the ones that match a spin-chain
-    diagonalization in a fixed magnetization sector. The Ising chain has no
-    zero mode (D = 2(1 - kS) for the unit shift S gives sigma_min >= 2(1 - k)),
-    so a `zero_mode` for it raises ValueError; sigma_min^2 <= 1e-24 or NaN
-    means a failed solve and raises LinAlgError. ValueError is raised before
-    allocating if the arrays of the build are over the memory budget.
+    The pure-state conventions are the ones that match a spin-chain diagonalization
+    in a fixed magnetization sector. The Ising chain has no zero mode (D = 2(1 - kS)
+    for the unit shift S gives sigma_min >= 2(1 - k)), so a `zero_mode` for it
+    raises ValueError; sigma_min^2 <= 1e-24 or NaN, or a nonzero dstevd info, means
+    a failed solve and raises LinAlgError. ValueError is raised before allocating if
+    the arrays of the build are over the memory budget. As on every route, scipy is
+    reached only through `_scipy_extension`, not scipy.linalg.
     """
     occupation = {None: 0.5, "half": 0.5, "filled": 1.0, "empty": 0.0}
     if zero_mode not in occupation:
@@ -371,12 +372,13 @@ def ground_state_correlations(model: FermionModelSpec, zero_mode: str | None = N
         c = np.fft.fft(occ, 2 * L + 2).real / (L + 1)
         window = _reflected_windows(c, n)
         return CorrelationData(window[n - 1::-1] - window[n + 1:2 * n + 1])  # Toeplitz - Hankel
-    # the L x L eigenvectors with either the eigensolver's L x L workspace or
+    # the L x L eigenvectors with either dstevd's L x L workspace or
     # the kept rows of U = D V / sigma and their temporary
     _check_dense_memory(L, 1, L + max(L, 2 * n))
-    from scipy.linalg import eigh_tridiagonal
-    k = model.modulus
-    lam, V = eigh_tridiagonal(np.append(np.full(L - 1, 4 + 4 * k * k), 4.0), np.full(L - 1, -4 * k))
+    k, lapack = model.modulus, _scipy_extension("linalg", "_flapack")
+    lam, V, info = lapack.dstevd(np.r_[np.full(L - 1, 4 + 4 * k * k), 4.0], np.full(L - 1, -4 * k))
+    if info:
+        raise np.linalg.LinAlgError(f"dstevd failed on D^T D (info {info})")
     if not lam[0] > 1e-24:  # negated, so that NaN never reaches sqrt
         raise np.linalg.LinAlgError("zero-energy BdG mode with pairing: degenerate ground state")
     sigma = np.sqrt(lam)

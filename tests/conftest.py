@@ -275,6 +275,21 @@ def xxz_neel_s1_mp(delta, dps=40):
             mpmath.log1p(mpmath.exp(-2 * j * lam)) for j in range(1, terms + 1)))
 
 
+def dicke_weights(L, cut):
+    """Schmidt weights (descending) and energy of the XXZ ground state at delta = -1, exactly.
+
+    At delta = -1 the rotation of every other spin by pi about z maps the chain to the
+    Heisenberg ferromagnet -sum S_i.S_{i+1}, whose ground state in the sector of
+    n = ceil(L/2) up spins is the Dicke state, of energy -(L - 1)/4. Cut into A = `cut` and
+    L - A sites it has the Schmidt weights w_a = C(A, a) C(L - A, n - a) / C(L, n), one per
+    number a of up spins on the left; the rotation acts on each side and leaves them alone.
+    """
+    n = (L + 1) // 2
+    w = [math.comb(cut, a) * math.comb(L - cut, n - a) / math.comb(L, n)
+         for a in range(max(0, n - (L - cut)), min(n, cut) + 1)]
+    return np.sort(w)[::-1], -(L - 1) / 4
+
+
 def brute_force_products(occupations):
     """All 2^K many-body weights prod_k {zeta_k or 1-zeta_k}, descending."""
     w = np.array([1.0])

@@ -33,6 +33,7 @@ from singlecopy.free_fermion import (
 
 from conftest import (
     dense_ground_state,
+    dicke_weights,
     rdm_weights_dense,
     xxz_dense_hamiltonian,
     xxz_neel_s1_mp,
@@ -389,6 +390,25 @@ class TestNeelPhase:
         # the distance to the half-infinite chain closes from L = 14 to 18 (both 2 mod 4)
         closed = xxz_neel_s1_mp(delta)
         assert abs(half_cut_s1(18, delta) - closed) < abs(half_cut_s1(14, delta) - closed)
+
+
+class TestDickeState:
+    """Ferromagnetic rows (delta = -1) against the exact Dicke state `dicke_weights`."""
+
+    # measured on one BLAS thread: energy within 2.2e-14 (L = 20); S1 within 1.3e-14 and
+    # weights within 4.8e-15 up to L = 20, but 2.8e-13 and 1.3e-13 at L = 21, where the
+    # two-pass Lanczos stops at its rounding floor (two threads give other last bits)
+    @pytest.mark.parametrize("L", [10, 15, 16, 20, 21])
+    def test_against_exact_weights_and_energy(self, L):
+        s1_tol, weight_tol = (5e-13, 3e-13) if L == 21 else (3e-14, 1e-14)
+        cut = (L + 1) // 2
+        state = xxz_ground_state(XxzSpec(L, -1.0))
+        exact, energy = dicke_weights(L, cut)
+        w = rdm_weights(state, cut)
+        assert abs(state.energy - energy) <= 5e-14
+        assert len(w.weights) == len(exact)
+        assert np.max(np.abs(w.weights - exact)) <= weight_tol
+        assert abs(summary_from_weights(w).S1 + math.log(exact[0])) <= s1_tol
 
 
 class TestRdmWeights:

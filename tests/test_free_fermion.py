@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import _flapack  # where free_fermion reads dstebz and dstein at each call
+from scipy.linalg import _flapack  # where free_fermion reads dstebz, dstein and dstevd
 
 from singlecopy import free_fermion
 from singlecopy.entanglement import summary_from_single_particle
@@ -228,21 +228,24 @@ class TestTridiagonalRoute:
             with pytest.raises(ValueError, match="sites must be an integer in 1..8"):
                 tfim_block_spectrum(chain, sites)
 
-    @pytest.mark.parametrize("smallest", [np.nan, -1e-20, 0.0, 1e-24])
-    def test_zero_or_failed_mode_raises(self, monkeypatch, smallest):
+    @pytest.mark.parametrize("smallest, info, match", [
+        (np.nan, 0, "zero-energy"), (-1e-20, 0, "zero-energy"), (0.0, 0, "zero-energy"),
+        (1e-24, 0, "zero-energy"), (1.0, 3, "dstevd failed"),
+    ], ids=["nan", "-1e-20", "0.0", "1e-24", "info"])  # info != 0 with a sound lambda_0
+    def test_zero_or_failed_mode_raises(self, monkeypatch, smallest, info, match):
         # sigma_min >= 2(1 - k) for every valid spec, so only a failed solve reaches this;
-        # free_fermion imports the solver from scipy.linalg at each call. The cut-block
+        # free_fermion reads dstevd off the compiled module at each call. The cut-block
         # route solves no eigenproblem (see TestIsingWindowRoute for its failure guard)
-        solve = scipy.linalg.eigh_tridiagonal
+        solve = _flapack.dstevd
 
         def degenerate(d, e):
-            lam, V = solve(d, e)
+            lam, V, _ = solve(d, e)
             lam[0] = smallest
-            return lam, V
+            return lam, V, info
 
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", degenerate)
+        monkeypatch.setattr(_flapack, "dstevd", degenerate)
         chain = FermionModelSpec(kind="tfim", modulus=0.5, length=8)
-        with pytest.raises(np.linalg.LinAlgError, match="zero-energy"):
+        with pytest.raises(np.linalg.LinAlgError, match=match):
             ground_state_correlations(chain)
 
 
