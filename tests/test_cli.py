@@ -567,33 +567,52 @@ class TestScipyImports:
         # the Schmidt blocks' singular values by numpy
         assert loaded(scipy_probes, "rdm_weights") == set()
 
-    @pytest.mark.parametrize("probe, module, reference", [
-        ("xx scan", "scipy.linalg._flapack", "lapack"),
-        ("xx spectrum", "scipy.linalg._flapack", "lapack"),
-        ("ising correlations", "scipy.linalg._flapack", "lapack"),
-        ("xxz-ed scan", "scipy.sparse._sparsetools", "sparsetools"),
-        ("compare-oracle", "scipy.sparse._sparsetools", "sparsetools"),
-    ], ids=["xx-scan", "xx-spectrum", "ising-correlations", "xxz-ed-scan", "compare-oracle"])
-    def test_route_loads_its_compiled_module_alone(self, scipy_probes, probe, module, reference):
-        # scipy is reached only through free_fermion._scipy_extension: dstebz, dstein and dstevd
-        # come off the compiled _flapack, the block's summed rows and every Lanczos product off
-        # _sparsetools, and Lanczos's tridiagonal eigenproblems go to numpy. The package inits
-        # cost more than the routes' work (scipy.linalg's loads numpy.f2py, numpy.ma,
-        # numpy.random and numpy.testing through _array_api)
-        modules = loaded(scipy_probes, probe)
-        assert module in modules and modules <= loaded(scipy_probes, reference)
+    @pytest.mark.parametrize("model, solvers", [
+        ("xx", "lapack"),
+        ("xxz-ed", "sparsetools"),
+    ], ids=["xx", "xxz-ed"])
+    def test_scan_loads_only_its_solvers(self, scipy_probes, model, solvers):
+        scan = loaded(scipy_probes, f"{model} scan")
+        assert scan and scan <= loaded(scipy_probes, solvers)
+
+    @pytest.mark.parametrize("command", ["scan", "spectrum"])
+    def test_xx_loads_lapack_without_scipy_linalg(self, scipy_probes, command):
+        # dstebz and dstein come off the compiled module alone: the scipy.linalg package init
+        # would load numpy.f2py, numpy.ma, numpy.random and numpy.testing through _array_api
+        modules = loaded(scipy_probes, f"xx {command}")
+        assert "scipy.linalg._flapack" in modules
         assert not {"scipy.linalg", "scipy._lib._array_api"} & modules
-        assert {m for m in modules if m.startswith("scipy.sparse")} <= {"scipy.sparse._sparsetools"}
+
+    def test_ising_correlations_load_lapack_without_scipy_linalg(self, scipy_probes):
+        # dstevd comes off the same compiled module, through free_fermion._scipy_extension
+        modules = loaded(scipy_probes, "ising correlations")
+        assert "scipy.linalg._flapack" in modules and modules <= loaded(scipy_probes, "lapack")
+        assert not {"scipy.linalg", "scipy._lib._array_api"} & modules
+        assert not any(m.startswith("scipy.sparse") for m in modules)
 
     def test_scipy_linalg_shares_the_lapack_module(self, scipy_probes):
         # the probe requires scipy.linalg.lapack to hold the window route's dstebz and the Ising
         # correlations' dstevd, and those correlations to match the cut-block route
         assert "scipy.linalg" in loaded(scipy_probes, "xx scan, then scipy.linalg")
 
+    @pytest.mark.parametrize("probe", ["xxz-ed scan", "compare-oracle"],
+                             ids=["scan", "compare-oracle"])
+    def test_xxz_ed_loads_sparsetools_without_scipy_sparse(self, scipy_probes, probe):
+        # the block's summed rows and every Lanczos product come off the compiled module alone:
+        # the scipy.sparse package init took 0.13 s of an xxz-ed child's 0.42 s
+        modules = loaded(scipy_probes, probe)
+        assert {m for m in modules if m.startswith("scipy.sparse")} == {"scipy.sparse._sparsetools"}
+        assert not {"scipy.sparse", "scipy.linalg", "scipy._lib._array_api"} & modules
+
     def test_scipy_sparse_shares_the_sparsetools_module(self, scipy_probes):
         # the probe requires `from scipy.sparse import _sparsetools` to be the route's module,
         # scipy.sparse to find the block canonical, and its product to match the route's bits
         assert "scipy.sparse" in loaded(scipy_probes, "xxz-ed scan, then scipy.sparse")
+
+    def test_xxz_ed_loads_no_dense_or_sparse_eigensolver(self, scipy_probes):
+        # Lanczos needs only the CSR product; its tridiagonal eigenproblems go to numpy
+        scan = loaded(scipy_probes, "xxz-ed scan")
+        assert not {"scipy.linalg", "scipy.sparse.linalg"} & scan
 
 
 class TestAnalytic:
