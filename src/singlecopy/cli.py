@@ -12,12 +12,13 @@ Each model reads only its own parameter option: xx --nu (1/2 when
 unset), tfim --k, xxz-ed --delta; another model's option exits with 2.
 
 Exit codes: 0 success, 2 invalid configuration or input, 3 numerical
-failure. Output is deterministic byte-for-byte for a fixed configuration:
-rows are sorted by (parameter, L), floats printed with 17 significant
-digits. An argument `@FILE` is replaced by the whitespace-separated
-flags of FILE (`#` starts a comment), so a later flag wins. A
-free-fermion build or an exact diagonalization whose estimated memory
-is over the 4 GiB budget, and any failed allocation, exit with code 2.
+failure. Output is deterministic byte-for-byte for a fixed configuration
+and BLAS thread count (the benchmark and CI pin one thread): rows are
+sorted by (parameter, L), floats printed with 17 significant digits. An
+argument `@FILE` is replaced by the whitespace-separated flags of FILE
+(`#` starts a comment), so a later flag wins. A free-fermion build or an
+exact diagonalization whose estimated memory is over the 4 GiB budget,
+and any failed allocation, exit with code 2.
 """
 
 from __future__ import annotations
@@ -26,19 +27,12 @@ import argparse
 import contextlib
 import inspect
 import itertools
-import json
 import math
 import sys
 
 import numpy as np
 
-from . import analytic, exact_diag, free_fermion, scaling
-from .entanglement import (
-    distillation_bound,
-    many_body_spectrum,
-    summary_from_single_particle,
-    summary_from_weights,
-)
+import singlecopy as sc  # each library name imports its submodule at first use, no other
 
 SCAN_HEADER = "model,delta_or_k,L,S,S1,w1,lnZ,E0,M_max"
 
@@ -81,22 +75,22 @@ def _row(model: str, parameter: float, L: int, summary) -> str:
     """One line of the scan table, in SCAN_HEADER's column order."""
     floats = (summary.S, summary.S1, summary.w1, summary.lnZ, summary.E0)
     return ",".join((model, _fmt(parameter), str(L), *map(_fmt, floats),
-                     str(distillation_bound(summary.w1).M_max)))
+                     str(sc.distillation_bound(summary.w1).M_max)))
 
 
 def _xx_row(nu: float, L: int) -> str:
-    summary = summary_from_single_particle(free_fermion.xx_interval_spectrum(L, nu))
+    summary = sc.summary_from_single_particle(sc.xx_interval_spectrum(L, nu))
     return _row("xx", nu, L, summary)
 
 
 def _tfim_row(k: float, L: int) -> str:
-    chain = free_fermion.FermionModelSpec(kind="tfim", modulus=k, length=L)
-    spec = free_fermion.tfim_block_spectrum(chain, (L + 1) // 2)  # the leading ceil(L/2) sites
-    return _row("tfim", k, L, summary_from_single_particle(spec))
+    chain = sc.FermionModelSpec(kind="tfim", modulus=k, length=L)
+    spec = sc.tfim_block_spectrum(chain, (L + 1) // 2)  # the leading ceil(L/2) sites
+    return _row("tfim", k, L, sc.summary_from_single_particle(spec))
 
 
 def _xxz_row(delta: float, L: int) -> str:
-    (point,) = exact_diag.xxz_scan([delta], [L])
+    (point,) = sc.xxz_scan([delta], [L])
     return _row("xxz-ed", delta, L, point.summary)
 
 
@@ -136,10 +130,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     (L,), (parameter,) = args.L, _model_parameters(args)  # argparse takes one of each
     if args.model == "xx":
-        spec = free_fermion.xx_interval_spectrum(L, parameter)
+        spec = sc.xx_interval_spectrum(L, parameter)
     else:  # the leading L sites of a 2L-site chain
-        chain = free_fermion.FermionModelSpec(kind="tfim", modulus=parameter, length=2 * L)
-        spec = free_fermion.tfim_block_spectrum(chain, L)
+        chain = sc.FermionModelSpec(kind="tfim", modulus=parameter, length=2 * L)
+        spec = sc.tfim_block_spectrum(chain, L)
     epsilons = spec.all_epsilons()  # formatted as Python floats, faster than numpy scalars
     rows = (f"{i},{_fmt(eps)},{_fmt(zeta)},{int(eps == 0.0)}" for i, (eps, zeta) in
             enumerate(zip(map(float, epsilons), map(float, 1.0 / (1.0 + np.exp(epsilons))))))
@@ -176,25 +170,23 @@ def _read_scan_csv(path: str) -> list[dict]:
 
 
 _GEOMETRIES = {
-    "infinite": analytic.InfiniteLineInterval(1.0),
-    "half-infinite": analytic.HalfInfiniteEnd(1.0),
-    "finite-cut": analytic.FiniteChainCut(2.0, 1.0),
+    "infinite": lambda: sc.InfiniteLineInterval(1.0),
+    "half-infinite": lambda: sc.HalfInfiniteEnd(1.0),
+    "finite-cut": lambda: sc.FiniteChainCut(2.0, 1.0),
 }
 
 
 def cmd_fit_c(args: argparse.Namespace) -> int:
+    import json  # loaded by the two commands that print JSON alone
     rows = _read_scan_csv(args.scan_file)
     for column, order in (("delta_or_k", float), ("model", str)):
         values = sorted({r[column] for r in rows}, key=order)
         if len(values) > 1:
             raise ValueError(f"{args.scan_file}: fit-c fits one {column} value, but the "
                              f"table has {column} = {', '.join(values)}")
-    geometry, observable = _GEOMETRIES[args.geometry], args.observable
-    points = [
-        scaling.ScanPoint(L=float(r["L"]), S1=float(r["S1"]), S=float(r["S"]))
-        for r in rows
-    ]
-    series = scaling.local_c_estimates(points, geometry, observable)
+    geometry, observable = _GEOMETRIES[args.geometry](), args.observable
+    points = [sc.ScanPoint(L=float(r["L"]), S1=float(r["S1"]), S=float(r["S"])) for r in rows]
+    series = sc.local_c_estimates(points, geometry, observable)
     report = {
         "observable": observable,
         "geometry": args.geometry,
@@ -207,11 +199,11 @@ def cmd_fit_c(args: argparse.Namespace) -> int:
         "warnings": [],
     }
     try:
-        report["c_extrapolated"] = scaling.extrapolate_c(series)
+        report["c_extrapolated"] = sc.extrapolate_c(series)
     except ValueError as err:
         report["warnings"].append(f"extrapolation failed: {err}")
     if report["c_extrapolated"] is not None and observable == "S1":
-        report["k1"], report["residual"] = scaling.fit_conformal_constants(
+        report["k1"], report["residual"] = sc.fit_conformal_constants(
             points, geometry, report["c_extrapolated"])
     _write_output([json.dumps(report, indent=2, sort_keys=True)], args.out)
     return 0
@@ -239,18 +231,18 @@ def _kv(params: list[str]) -> dict:
 # (formula, geometry token) -> evaluation; its parameters are the keys the entry
 # takes, those with a default optional. conformal-s1 alone takes a geometry token.
 _FORMULAS = {
-    ("elliptic-k", None): lambda k: analytic.elliptic_K(k),
-    ("tfim-s1", None): lambda k: analytic.tfim_s1_half(k),
-    ("tfim-s1-critical", None): lambda k: analytic.tfim_s1_near_critical(k),
-    ("xx-spectrum", None): lambda L, k=0.0: analytic.xx_asymptotic_spectrum(L, k),
+    ("elliptic-k", None): lambda k: sc.elliptic_K(k),
+    ("tfim-s1", None): lambda k: sc.tfim_s1_half(k),
+    ("tfim-s1-critical", None): lambda k: sc.tfim_s1_near_critical(k),
+    ("xx-spectrum", None): lambda L, k=0.0: sc.xx_asymptotic_spectrum(L, k),
     ("conformal-s1", "infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
-        analytic.conformal_s1(analytic.InfiniteLineInterval(L), c, a, k1),
+        sc.conformal_s1(sc.InfiniteLineInterval(L), c, a, k1),
     ("conformal-s1", "half-infinite"): lambda L, c=1.0, a=1.0, k1=0.0:
-        analytic.conformal_s1(analytic.HalfInfiniteEnd(L), c, a, k1),
+        sc.conformal_s1(sc.HalfInfiniteEnd(L), c, a, k1),
     ("conformal-s1", "finite"): lambda L, l, c=1.0, a=1.0, k1=0.0:
-        analytic.conformal_s1(analytic.FiniteChainCut(L, l), c, a, k1),
+        sc.conformal_s1(sc.FiniteChainCut(L, l), c, a, k1),
     ("conformal-renyi-trace", None): lambda L, n, c=1.0, a=1.0, bn=1.0:
-        analytic.conformal_renyi_trace(L, n, c, a, bn),
+        sc.conformal_renyi_trace(L, n, c, a, bn),
 }
 _FORMULAS["conformal-s1", None] = _FORMULAS["conformal-s1", "infinite"]  # no token: infinite line
 
@@ -283,21 +275,21 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_compare_oracle(args: argparse.Namespace) -> int:
+    import json
     lengths = sorted(set(args.L)) if args.L else [3, 5, 7, 9, 11, 13, 15]
     top = 100
     per_length = {}
     for L in lengths:
         cut = (L + 1) // 2
-        state = exact_diag.xxz_ground_state(exact_diag.XxzSpec(L, 0.0))
-        ed_weights = exact_diag.rdm_weights(state, cut)
-        ed_summary = summary_from_weights(ed_weights)
+        state = sc.xxz_ground_state(sc.XxzSpec(L, 0.0))
+        ed_weights = sc.rdm_weights(state, cut)
+        ed_summary = sc.summary_from_weights(ed_weights)
 
         # odd L: the Sz=+1/2 state has the zero mode occupied; even L has none
-        G = free_fermion.ground_state_correlations(
-            free_fermion.FermionModelSpec(kind="xx", length=L), "filled").G
-        spec = free_fermion.single_particle_energies(free_fermion.CorrelationData(G[:cut, :cut]))
-        ff_summary = summary_from_single_particle(spec)
-        ff_weights = many_body_spectrum(spec, top)
+        G = sc.ground_state_correlations(sc.FermionModelSpec(kind="xx", length=L), "filled").G
+        spec = sc.single_particle_energies(sc.CorrelationData(G[:cut, :cut]))
+        ff_summary = sc.summary_from_single_particle(spec)
+        ff_weights = sc.many_body_spectrum(spec, top)
 
         n = min(top, max(len(ed_weights.weights), len(ff_weights.weights)))
         a, b = (np.pad(w.weights[:n], (0, n - len(w.weights[:n])))

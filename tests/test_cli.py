@@ -1,8 +1,10 @@
 """Command-line surface: schemas, determinism, exit codes, options from @FILE."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import singlecopy as sc
 from singlecopy import cli, free_fermion
 from singlecopy.analytic import elliptic_K, tfim_s1_half
 from singlecopy.entanglement import summary_from_single_particle
@@ -405,8 +408,8 @@ class TestFitC:
 
 
 # Runs each probe of a JSON object {name: code} on stdin in a fork of one interpreter
-# that has imported singlecopy.cli, and prints {name: the scipy modules then loaded,
-# or the probe's traceback}.
+# that has imported singlecopy.cli, and prints {name: the scipy and singlecopy modules
+# then loaded, or the probe's traceback}.
 _PROBE_DRIVER = """
 import json, os, sys, traceback
 import singlecopy.cli
@@ -418,7 +421,7 @@ for name, code in json.load(sys.stdin).items():
         os.close(read)
         try:
             exec(code, {})
-            result = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+            result = [m for m in sys.modules if m.partition(".")[0] in ("scipy", "singlecopy")]
         except BaseException:
             result = traceback.format_exc()
         with os.fdopen(write, "w") as out:
@@ -451,10 +454,10 @@ ANALYTIC_ARGVS = [
 ]
 
 
-@pytest.fixture(scope="class")
+@pytest.fixture(scope="module")
 def scipy_probes(tmp_path_factory):
-    """The scipy modules that each probe loads, with `src` on the path; probes run in forks
-    of one fresh interpreter, which has loaded no scipy."""
+    """The scipy and singlecopy modules that each probe loads, with `src` on the path; probes
+    run in forks of one fresh interpreter, which has loaded no scipy."""
     tmp = tmp_path_factory.mktemp("probes")
     assert run(["scan", "--model", "xx", "--L", "64", "128", "256", "512",
                 "--out", str(tmp / "xx.csv")]) == 0
@@ -523,11 +526,11 @@ def scipy_probes(tmp_path_factory):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def loaded(scipy_probes, name):
-    """The scipy modules that probe `name` loaded; its traceback if it failed."""
+def loaded(scipy_probes, name, package="scipy"):
+    """The modules of `package` that probe `name` loaded; its traceback if it failed."""
     result = scipy_probes[name]
     assert isinstance(result, list), result
-    return set(result)
+    return {m for m in result if m.partition(".")[0] == package}
 
 
 class TestScipyImports:
@@ -613,6 +616,48 @@ class TestScipyImports:
         # Lanczos needs only the CSR product; its tridiagonal eigenproblems go to numpy
         scan = loaded(scipy_probes, "xxz-ed scan")
         assert not {"scipy.linalg", "scipy.sparse.linalg"} & scan
+
+
+# probe -> the library modules it loads besides singlecopy.cli; a spectrum prints the
+# single-particle levels and needs no entanglement summary
+LIBRARY_MODULES = {
+    "import": (),
+    "fit-c": ("analytic", "scaling"),
+    "analytic": ("analytic",),
+    "tfim scan": ("free_fermion", "entanglement"),
+    "xx scan": ("free_fermion", "entanglement"),
+    "tfim spectrum": ("free_fermion",),
+    "xx spectrum": ("free_fermion",),
+    "xxz-ed scan": ("free_fermion", "entanglement", "exact_diag"),
+    "compare-oracle": ("free_fermion", "entanglement", "exact_diag"),
+}
+
+
+class TestLibraryImports:
+    """Each command loads only the singlecopy modules it calls, and the package namespace
+    holds every public name of its modules."""
+
+    @pytest.mark.parametrize("probe", LIBRARY_MODULES)
+    def test_command_loads_only_its_modules(self, scipy_probes, probe):
+        expected = {"singlecopy", "singlecopy.cli",
+                    *(f"singlecopy.{m}" for m in LIBRARY_MODULES[probe])}
+        assert loaded(scipy_probes, probe, "singlecopy") == expected
+
+    @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(sc.__path__)])
+    def test_dir_and_star_import_hold_each_public_name(self, name):
+        module = importlib.import_module(f"singlecopy.{name}")
+        public = getattr(module, "__all__", ())
+        namespace = {}
+        exec("from singlecopy import *", namespace)
+        assert set(public) <= set(dir(sc))
+        assert [n for n in public if namespace.get(n) is not getattr(module, n)] == []
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sc.no_such_name
+        assert not hasattr(sc, "no_such_name")
+        with pytest.raises(ImportError):
+            exec("from singlecopy import no_such_name", {})
 
 
 class TestAnalytic:
@@ -930,7 +975,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise np.linalg.LinAlgError("synthetic eigensolver failure")
 
-        monkeypatch.setattr(cli.free_fermion, "xx_interval_spectrum", boom)
+        monkeypatch.setattr(free_fermion, "xx_interval_spectrum", boom)
         assert run(["spectrum", "--model", "xx", "--L", "4"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -988,7 +1033,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise MemoryError("Unable to allocate 65.5 TiB")
 
-        monkeypatch.setattr(cli.free_fermion, "xx_interval_spectrum", boom)
+        monkeypatch.setattr(free_fermion, "xx_interval_spectrum", boom)
         assert run(["scan", "--model", "xx", "--L", "4"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
